@@ -95,9 +95,12 @@ def _emit(payload, stream=None):
 
 def _cmd_simulate(opts):
     state = _parse_state(opts["m"], _require(opts, "state"))
-    t_end = float(opts.get("t") or 10.0)
-    dt = float(opts.get("dt") or 1e-3)
-    every = int(opts.get("every") or max(1, round(t_end / dt / 1000)))
+    t_end = float(_opt(opts, "t", 10.0))
+    dt = float(_opt(opts, "dt", 1e-3))
+    every = opts.get("every")
+    if every is None:  # dt = 0 gets no default here; integrate rejects it
+        every = max(1, round(t_end / dt / 1000)) if dt else 1
+    every = int(every)
     out = opts.get("out") or "trajectory.csv"
     trajectory = integrate(state, t_end, dt, sample_every=every)
     trajectory.to_csv(out)
@@ -181,15 +184,15 @@ def _point_payload(point):
 
 
 def _cmd_discriminant(opts):
-    g = int(opts.get("g") or 1)
+    g = int(_opt(opts, "g", 1))
     out = opts.get("out") or "discriminant.csv"
     if g == 1:
         if opts.get("c") is None:
             raise ValidationError("discriminant --g 1 needs --c")
         c = float(opts["c"])
-        lo = float(opts.get("u_min") or 0.2)
-        hi = float(opts.get("u_max") or 3.0)
-        count = int(opts.get("samples") or 61)
+        lo = float(_opt(opts, "u_min", 0.2))
+        hi = float(_opt(opts, "u_max", 3.0))
+        count = int(_opt(opts, "samples", 61))
         if count < 2 or not lo < hi:
             raise ValidationError("need u_min < u_max and samples >= 2")
         us = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
@@ -211,10 +214,10 @@ def _cmd_discriminant(opts):
         )
         return 0
     if g == 2:
-        sign = int(opts.get("sign") or 1)
-        lo = float(opts.get("c2_min") or 0.5)
-        hi = float(opts.get("c2_max") or 2.0)
-        count = int(opts.get("samples") or 61)
+        sign = int(_opt(opts, "sign", 1))
+        lo = float(_opt(opts, "c2_min", 0.5))
+        hi = float(_opt(opts, "c2_max", 2.0))
+        count = int(_opt(opts, "samples", 61))
         if count < 2 or not 0.0 < lo < hi:
             raise ValidationError("need 0 < c2_min < c2_max and samples >= 2")
         c2s = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
@@ -237,8 +240,8 @@ def _cmd_discriminant(opts):
 
 
 def _parse_loop(opts):
-    g = int(opts.get("g") or 1)
-    orientation = int(opts.get("orientation") or 1)
+    g = int(_opt(opts, "g", 1))
+    orientation = int(_opt(opts, "orientation", 1))
     name = opts.get("loop")
     waypoints = opts.get("waypoints")
     if (name is None) == (waypoints is None):
@@ -302,7 +305,7 @@ def _cmd_actions(opts):
     point = _parse_floats(_require(opts, "point"), "point")
     if len(point) != 3:
         raise ValidationError("--point needs a1,a2,a3")
-    area = float(opts.get("area") or 1.0)
+    area = float(_opt(opts, "area", 1.0))
     i1 = action_I1(point, A=area)
     cross = action_I1_cubic(point, A=area)
     _emit(
@@ -329,6 +332,13 @@ _COMMANDS = {
     "monodromy": _cmd_monodromy,
     "actions": _cmd_actions,
 }
+
+
+def _opt(opts, key, default):
+    """Option value, or the default when the option was not given (an
+    explicit zero is a value, not a missing option)."""
+    value = opts.get(key)
+    return default if value is None else value
 
 
 def _require(opts, key):

@@ -16,6 +16,7 @@ absorb sheet flips.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -39,6 +40,21 @@ from .spectral import SpectralCoeffs
 _AMBIGUITY_LIMIT = 0.7
 _MAX_ELLIPSE_NODES = 1 << 16
 _MAX_EDGE_NODES = 1 << 11
+
+
+@functools.lru_cache(maxsize=32)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The engine asks for fewer than a dozen distinct n (doubling polyline
+    rules and the two cubic-action rules); the bound only caps callers of
+    ContourSpec.nodes that pick n freely.  The arrays are shared by every
+    caller, so they are made read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -71,7 +87,7 @@ class ContourSpec:
             )
             return x, dx * (2.0 * math.pi / n)
         xs, ws = [], []
-        glx, glw = np.polynomial.legendre.leggauss(n)
+        glx, glw = _leggauss(n)
         verts = self.vertices
         for i in range(len(verts)):
             a, b = verts[i], verts[(i + 1) % len(verts)]
@@ -791,7 +807,7 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
 
     def value(n):
-        t, gw = np.polynomial.legendre.leggauss(n)
+        t, gw = _leggauss(n)
         t = 0.5 * math.pi * t
         gw = 0.5 * math.pi * gw
         u = c + w * np.sin(t)

@@ -380,6 +380,8 @@ def integrate(s0: TopState, t_end: float, dt: float, sample_every: int = 1) -> "
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValidationError(f"need dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
+    if sample_every < 1:
+        raise ValidationError(f"need sample_every >= 1, got {sample_every}")
     g, m = s0.g, s0.m
     y = list(s0.omega) + [c for row in s0.gamma for c in row]
     times = [0.0]

@@ -42,6 +42,7 @@ from .homology import (
     picard_lefschetz,
 )
 from .periods import (
+    _AMBIGUITY_LIMIT,
     _HOLOMORPHIC,
     _lift_open,
     normalized_basis_contours,
@@ -291,38 +292,30 @@ def _match_roots(old, new):
     return out, disp
 
 
-def _segment_point_distance(a, b, p):
-    d = b - a
-    l2 = (d * d.conjugate()).real
-    if l2 == 0.0:
-        return abs(p - a)
-    t = ((p - a) * d.conjugate()).real / l2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
+def _segment_distances(a, b, rs):
+    """Distance from each point of rs to each segment a[k]-b[k], shape (k, m).
 
-
-def _in_triangle(a, b, c, p):
-    def cross(u, v):
-        return u.real * v.imag - u.imag * v.real
-
-    s1 = cross(b - a, p - a)
-    s2 = cross(c - b, p - b)
-    s3 = cross(a - c, p - c)
-    has_neg = s1 < 0.0 or s2 < 0.0 or s3 < 0.0
-    has_pos = s1 > 0.0 or s2 > 0.0 or s3 > 0.0
-    return not (has_neg and has_pos)
+    Written as split real arithmetic: it rounds exactly like the scalar
+    complex formula, where complex NumPy products and absolute values can
+    differ in the last bit.
+    """
+    rx, ry = rs.real, rs.imag
+    ax, ay = a.real[:, None], a.imag[:, None]
+    dx, dy = (b.real - a.real)[:, None], (b.imag - a.imag)[:, None]
+    l2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((rx - ax) * dx + (ry - ay) * dy) / l2
+    t = np.where(l2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
 
 
 def _winding_numbers(verts, rs):
     """Turn count of the polygon around each point (straight edges subtend
     less than a half turn, so the principal-angle sum per edge is exact)."""
-    v = np.asarray(verts, dtype=complex)
-    out = []
-    for r in rs:
-        w = v - r
-        total = float(np.sum(np.angle(np.roll(w, -1) / w)))
-        out.append(int(round(total / (2.0 * math.pi))))
-    return tuple(out)
+    w = np.asarray(verts, dtype=complex) - np.asarray(rs, dtype=complex)[:, None]
+    nxt = np.concatenate((w[:, 1:], w[:, :1]), axis=1)
+    total = np.sum(np.angle(nxt / w), axis=1)
+    return tuple(int(round(float(t) / (2.0 * math.pi))) for t in total)
 
 
 def _continue_sqrt(values, y_start):
@@ -331,7 +324,7 @@ def _continue_sqrt(values, y_start):
     if np.any(vals == 0.0):
         return None
     y, worst = _lift_open(vals, y_start=y_start)
-    if worst >= 0.7:
+    if worst >= _AMBIGUITY_LIMIT:
         return None
     return complex(y[-1])
 
@@ -349,7 +342,8 @@ def _polygonize(spec, n=_POLY_VERTS):
 
 
 class _Cable:
-    """A transported polygon with its pinned reference square root."""
+    """A transported polygon (complex vertex array) with its pinned reference
+    square root."""
 
     __slots__ = ("verts", "y_ref", "windings")
 
@@ -363,70 +357,88 @@ def _maintain_cable(cable, rs, margin, fpoly):
     """Restore the margin invariant after the branch points moved.
 
     Vertices inside a root's margin disk move radially outward (the disks are
-    disjoint, so the move stays inside one disk and cannot cross any root);
-    edges with less clearance than the margin gain midpoints until every edge
-    clears.  Returns None when the geometry cannot be restored, which makes
-    the caller bisect the parameter step.
+    disjoint, so each vertex sits in at most one disk and the move cannot
+    cross any root); edges with less clearance than the margin gain midpoints
+    until every edge clears.  Returns None when the geometry cannot be
+    restored, which makes the caller bisect the parameter step.
     """
-    verts = list(cable.verts)
+    verts = np.array(cable.verts, dtype=complex)
     y_ref = cable.y_ref
+    r = np.asarray(rs, dtype=complex)
     for _ in range(8):
-        moved = False
-        for i, v in enumerate(verts):
-            for r in rs:
-                d = abs(v - r)
-                if d < margin:
-                    if d == 0.0:
-                        return None
-                    target = r + (v - r) * (_PUSH_TARGET * margin / d)
-                    if i == 0:
-                        xs = np.linspace(v, target, 17)
-                        y_new = _continue_sqrt(fpoly(xs), y_ref)
-                        if y_new is None:
-                            return None
-                        y_ref = y_new
-                    verts[i] = target
-                    moved = True
-                    break
-        refined = []
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            refined.append(a)
-            if any(
-                _segment_point_distance(a, b, r) < _EDGE_CLEAR * margin for r in rs
-            ):
-                refined.append(0.5 * (a + b))
-                moved = True
-        verts = refined
+        dx = verts.real[:, None] - r.real
+        dy = verts.imag[:, None] - r.imag
+        d = np.hypot(dx, dy)
+        inside = d < margin
+        hit = np.flatnonzero(inside.any(axis=1))
+        moved = len(hit) > 0
+        if moved:
+            j = np.argmax(inside[hit], axis=1)
+            dist = d[hit, j]
+            if np.any(dist == 0.0):
+                return None
+            scale = _PUSH_TARGET * margin / dist
+            tx = r.real[j] + dx[hit, j] * scale
+            ty = r.imag[j] + dy[hit, j] * scale
+            if hit[0] == 0:
+                xs = np.linspace(complex(verts[0]), complex(tx[0], ty[0]), 17)
+                y_ref = _continue_sqrt(fpoly(xs), y_ref)
+                if y_ref is None:
+                    return None
+            verts.real[hit] = tx
+            verts.imag[hit] = ty
+        nxt = np.concatenate((verts[1:], verts[:1]))
+        crowded = np.any(
+            _segment_distances(verts, nxt, r) < _EDGE_CLEAR * margin, axis=1
+        )
+        if crowded.any():
+            mids = np.empty_like(verts)
+            mids.real = 0.5 * (verts.real + nxt.real)
+            mids.imag = 0.5 * (verts.imag + nxt.imag)
+            keep = np.stack([np.ones_like(crowded), crowded], axis=1).ravel()
+            verts = np.stack([verts, mids], axis=1).ravel()[keep]
+            moved = True
         if not moved:
             return _Cable(verts, y_ref, cable.windings)
     return None
 
 
+def _cross(ux, uy, vx, vy):
+    return ux * vy - uy * vx
+
+
 def _simplify_cable(verts, rs, margin):
-    """Drop vertices whose removal keeps clearance and crosses no root."""
-    changed = True
-    while len(verts) > _SIMPLIFY_AT and changed:
-        changed = False
-        keep = [True] * len(verts)
+    """Drop vertices whose removal keeps clearance and crosses no root.
+
+    A vertex is safe to drop when the chord between its original neighbours
+    keeps clearance and the triangle it cuts off holds no root; the scan
+    drops safe vertices greedily, never two in a row and never vertex 0.
+    """
+    r = np.asarray(rs, dtype=complex)
+    px, py = r.real, r.imag
+    while len(verts) > _SIMPLIFY_AT:
+        a, v, b = verts[:-1], verts[1:], np.concatenate((verts[2:], verts[:1]))
+        ax, ay = a.real[:, None], a.imag[:, None]
+        vx, vy = v.real[:, None], v.imag[:, None]
+        bx, by = b.real[:, None], b.imag[:, None]
+        s1 = _cross(vx - ax, vy - ay, px - ax, py - ay)
+        s2 = _cross(bx - vx, by - vy, px - vx, py - vy)
+        s3 = _cross(ax - bx, ay - by, px - bx, py - by)
+        has_neg = (s1 < 0.0) | (s2 < 0.0) | (s3 < 0.0)
+        has_pos = (s1 > 0.0) | (s2 > 0.0) | (s3 > 0.0)
+        clear = _segment_distances(a, b, r) >= 1.05 * margin
+        safe = np.all(clear & has_neg & has_pos, axis=1).tolist()
+        keep = np.ones(len(verts), dtype=bool)
         i = 1
         while i < len(verts):
-            a = verts[i - 1]
-            v = verts[i]
-            b = verts[(i + 1) % len(verts)]
-            safe = all(
-                _segment_point_distance(a, b, r) >= 1.05 * margin
-                and not _in_triangle(a, v, b, r)
-                for r in rs
-            )
-            if safe:
+            if safe[i - 1]:
                 keep[i] = False
-                changed = True
                 i += 2
             else:
                 i += 1
-        verts = [v for v, k in zip(verts, keep) if k]
+        if keep.all():
+            break
+        verts = verts[keep]
     return verts
 
 
@@ -475,7 +487,7 @@ class _March:
         if self.cables is not None:
             new_cables = []
             for cable in self.cables:
-                x0 = cable.verts[0]
+                x0 = complex(cable.verts[0])
                 blend = np.linspace(0.0, 1.0, 9)
                 vals = (1.0 - blend) * complex(self.fpoly(x0)) + blend * complex(
                     fp_new(x0)
@@ -484,7 +496,7 @@ class _March:
                 if y_new is None:
                     return False
                 moved = _maintain_cable(
-                    _Cable(list(cable.verts), y_new, cable.windings),
+                    _Cable(cable.verts, y_new, cable.windings),
                     matched,
                     margin,
                     fp_new,

@@ -106,6 +106,13 @@ class TestMonodromyCommand:
         assert code == 2
         assert data["error"]["type"] == "ValidationError"
 
+    def test_zero_orientation_is_rejected(self, capsys):
+        code, data = run_cli(
+            capsys, "monodromy", "--g", "1", "--loop", "cushman", "--orientation", "0"
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+
     def test_explicit_tol_beats_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TOPMONODROMY_TOL", "1e-7")
         code, data = run_cli(
@@ -164,6 +171,25 @@ class TestSimulateCommand:
         assert max(data["drift"].values()) < 1e-10
         assert data["spectral_drift"] < 1e-10
         assert data["csv"] == str(out)
+
+    @pytest.mark.parametrize("flag", ["--dt", "--every"])
+    def test_zero_step_options_are_rejected(self, capsys, tmp_path, flag):
+        code, data = run_cli(
+            capsys,
+            "simulate",
+            "--m",
+            "0.5",
+            "--state",
+            "0,0,0.7;0,0,0.4",
+            "--t",
+            "1",
+            flag,
+            "0",
+            "--out",
+            str(tmp_path / "traj.csv"),
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
 
     def test_missing_state_fails(self, capsys):
         code, data = run_cli(capsys, "simulate", "--m", "0.5")
@@ -254,6 +280,29 @@ class TestDiscriminantCommand:
         assert len(rows) == 11
         assert set(rows[0]) == {"c2", "a", "b", "c"}
 
+    def test_zero_range_start_is_not_replaced(self, capsys, tmp_path):
+        # The section is undefined at u = 0; an explicit --u-min 0 must reach
+        # it and be rejected rather than fall back to the default 0.2.
+        code, data = run_cli(
+            capsys,
+            "discriminant",
+            "--g",
+            "1",
+            "--c",
+            "0",
+            "--u-min",
+            "0",
+            "--u-max",
+            "3",
+            "--samples",
+            "4",
+            "--out",
+            str(tmp_path / "sec.csv"),
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert "u must be nonzero" in data["error"]["message"]
+
     def test_needs_c_for_genus_one(self, capsys):
         code, data = run_cli(capsys, "discriminant", "--g", "1")
         assert code == 2
@@ -272,6 +321,15 @@ class TestActionsCommand:
         _, one = run_cli(capsys, "actions", "--point", "0.1,1.2,0.05")
         _, two = run_cli(capsys, "actions", "--point", "0.1,1.2,0.05", "--area", "2")
         assert two["I1"] == pytest.approx(2 * one["I1"])
+
+    def test_zero_area_is_kept(self, capsys):
+        code, data = run_cli(
+            capsys, "actions", "--point", "0.1,1.2,0.05", "--area", "0"
+        )
+        assert code == 0
+        assert data["area"] == 0.0
+        assert data["I1"] == 0.0
+        assert data["I2"] == 0.0
 
     def test_bad_point_fails(self, capsys):
         code, data = run_cli(capsys, "actions", "--point", "0.1,1.2")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from topmonodromy.errors import NearDiscriminantError, ValidationError
+from topmonodromy.homology import _intersection_matrix
 from topmonodromy.poly import roots
 from topmonodromy.tracking import (
     MonodromyResult,
@@ -25,6 +26,11 @@ CUSHMAN_PERM = (2, 3, 0, 1)
 KAPPA1_BLOCK = ((1, 0, 0), (-1, 1, 0), (1, 0, 1))
 KAPPA2_BLOCK = ((1, -1, 0), (0, 1, 0), (0, 1, 1))
 KAPPA3_BLOCK = ((0, -1, 0), (1, 2, 0), (0, 0, 1))
+NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
+# Accepted march steps; a change to the step control or the cable upkeep that
+# moves these changes the work done per loop and must say why.
+PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
+LOCAL_STEPS = {"cushman": 99, "kappa1": 119, "kappa2": 119, "kappa3": 158}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,11 @@ def kappa_results():
         name: monodromy_periods(named_loop(name))
         for name in ("kappa1", "kappa2", "kappa3")
     }
+
+
+@pytest.fixture(scope="module")
+def local_results():
+    return {name: picard_lefschetz_route(named_loop(name)) for name in NAMED}
 
 
 class TestParameterLoop:
@@ -193,6 +204,22 @@ class TestRoutesAgree:
         loop = parameter_loop(1, [(0, 1, 0), (0, 1.5, 0), (0, 1, 0)])
         with pytest.raises(ValidationError):
             picard_lefschetz_route(loop)
+
+
+class TestNamedLoopInvariants:
+    def test_steps_used_are_pinned(self, cushman_result, kappa_results, local_results):
+        periods = {"cushman": cushman_result, **kappa_results}
+        assert {n: r.steps_used for n, r in periods.items()} == PERIODS_STEPS
+        assert {n: r.steps_used for n, r in local_results.items()} == LOCAL_STEPS
+
+    def test_intersection_form_preserved(
+        self, cushman_result, kappa_results, local_results
+    ):
+        results = [cushman_result, *kappa_results.values(), *local_results.values()]
+        for res in results:
+            m = res.as_array()
+            omega = _intersection_matrix((len(res.basis) - 1) // 2)
+            assert (m.T @ omega @ m).tolist() == omega.tolist(), res.name
 
 
 class TestGroupStructure:
