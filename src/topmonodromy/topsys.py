@@ -16,6 +16,7 @@ spectral parameter of the squared spectral vector.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,14 +25,6 @@ import numpy as np
 from .errors import IntegrationBlowupError, ValidationError
 
 _E3 = (0.0, 0.0, 1.0)
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def _dot(a, b):
@@ -113,15 +106,11 @@ def level_labels(g):
 
 def lax_rhs(s: TopState) -> TopState:
     """Time derivative of every stored coordinate; the omega_3 slot is 0 exactly."""
-    rows = (s.gamma0,) + s.gamma + ((0.0, 0.0, 0.0),)
-    derived = []
-    for i in range(len(rows) - 1):
-        drift = _cross(rows[i], s.omega)
-        kick = _cross(rows[i + 1], _E3)
-        sign = -1.0 if i == 0 else 1.0
-        derived.append(tuple(drift[c] + sign * kick[c] for c in range(3)))
-    domega = (derived[0][0], derived[0][1], 0.0)
-    return TopState(m=s.m, omega=domega, gamma=tuple(derived[1:]))
+    flat = (*s.omega, *(c for row in s.gamma for c in row))
+    rhs, _ = _kernel(s.g)
+    d = rhs(s.m, *flat)
+    rows = tuple(d[3 + 3 * i : 6 + 3 * i] for i in range(s.g))
+    return TopState(m=s.m, omega=d[:3], gamma=rows)
 
 
 def first_integrals(s: TopState) -> LevelVector:
@@ -349,26 +338,105 @@ def first_integral_observables(g, m):
     return [hs[0], h] + hs[2:]
 
 
-def _flat_rhs(y, m, g):
-    """Equations of motion on the flat layout [w1, w2, w3, g_11, .., g_g3]."""
-    w1, w2, w3 = y[0], y[1], y[2]
-    rows = [(w1, w2, (1.0 + m) * w3)]
-    for i in range(g):
-        base = 3 + 3 * i
-        rows.append((y[base], y[base + 1], y[base + 2]))
-    rows.append((0.0, 0.0, 0.0))
-    a, b = rows[0], rows[1]
-    out = [
-        a[1] * w3 - a[2] * w2 - b[1],
-        a[2] * w1 - a[0] * w3 + b[0],
-        0.0,
-    ]
-    for i in range(1, g + 1):
+def _rhs_lines(g, src, dst):
+    """Source lines computing the equations of motion from names src to dst.
+
+    The state is flat, [w1, w2, w3, g_11, .., g_g3]; the omega_3 slot of the
+    derivative is the literal 0.0 and gets no name.  ``mp`` must hold 1 + m.
+    Each expression keeps the operand order of the cross products
+    gamma_i x omega -/+ gamma_{i+1} x e3, including the "- 0.0" and "+ 0.0"
+    of the last row's zero neighbour, so every derivative rounds the same
+    wherever the lines are pasted.
+    """
+    w1, w2, w3 = src[:3]
+    rows = [(w1, w2, "z")]
+    rows += [tuple(src[3 + 3 * i : 6 + 3 * i]) for i in range(g)]
+    rows.append(("0.0", "0.0", "0.0"))
+    lines = [f"z = mp * {w3}"]
+    for i in range(g + 1):
         a, b = rows[i], rows[i + 1]
-        out.append(a[1] * w3 - a[2] * w2 + b[1])
-        out.append(a[2] * w1 - a[0] * w3 - b[0])
-        out.append(a[0] * w2 - a[1] * w1)
-    return out
+        d = dst[3 * i : 3 * i + 3]
+        kick1, kick0 = ("-", "+") if i == 0 else ("+", "-")
+        lines.append(f"{d[0]} = {a[1]} * {w3} - {a[2]} * {w2} {kick1} {b[1]}")
+        lines.append(f"{d[1]} = {a[2]} * {w1} - {a[0]} * {w3} {kick0} {b[0]}")
+        if i:  # row 0's third component is not stored: omega_3 is constant
+            lines.append(f"{d[2]} = {a[0]} * {w2} - {a[1]} * {w1}")
+    return lines
+
+
+_KERNEL_TEMPLATE = """
+def rhs(m, {ys}):
+    mp = 1.0 + m
+{rhs}
+    return ({ks},)
+
+
+def run(y, m, t_end, dt, sample_every):
+    {ys}, = y
+    mp = 1.0 + m
+    times = [0.0]
+    samples = [({ys},)]
+    t = 0.0
+    step = 0
+    tiny = 1e-12 * max(1.0, t_end)
+    while t < t_end - tiny:
+        h = dt if t + dt <= t_end + tiny else t_end - t
+        hh = 0.5 * h
+{stages}
+        w = h / 6.0
+{update}
+        t += h
+        step += 1
+        if not ({finite}):
+            raise IntegrationBlowupError(f"state became non-finite at t={{t}}", time=t)
+        if step % sample_every == 0 or t >= t_end - tiny:
+            times.append(min(t, t_end))
+            samples.append(({ys},))
+    return times, samples
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel(g):
+    """(rhs, run): the equations of motion and the whole RK4 loop for genus
+    g, compiled from straight-line source.
+
+    The state lives in scalar locals y0..y{3+3g-1} instead of lists; every
+    float operation is the one, in the same order, that the list form
+    ``a + 0.5 * h * b`` / ``a + w * (b + 2.0 * (c + d) + e)`` over the
+    equations of motion performs, so trajectories are bit-identical to it.
+    """
+    n = 3 + 3 * g
+    y = [f"y{i}" for i in range(n)]
+
+    def slot(prefix):
+        # the omega_3 derivative is exactly 0.0 and is written as a literal
+        return [f"{prefix}{i}" if i != 2 else "0.0" for i in range(n)]
+
+    k = [slot(f"k{s}_") for s in (1, 2, 3, 4)]
+    stages = _rhs_lines(g, y, k[0])
+    for s, step in ((2, "hh"), (3, "hh"), (4, "h")):
+        x = [f"x{s}_{i}" for i in range(n)]
+        stages += [f"{x[i]} = {y[i]} + {step} * {k[s - 2][i]}" for i in range(n)]
+        stages += _rhs_lines(g, x, k[s - 1])
+    update = [
+        f"{y[i]} = {y[i]} + w * ({k[0][i]} + 2.0 * ({k[1][i]} + {k[2][i]}) + {k[3][i]})"
+        for i in range(n)
+    ]
+    source = _KERNEL_TEMPLATE.format(
+        ys=", ".join(y),
+        rhs="\n".join("    " + line for line in _rhs_lines(g, y, k[0])),
+        ks=", ".join(k[0]),
+        stages="\n".join("        " + line for line in stages),
+        update="\n".join("        " + line for line in update),
+        finite=" and ".join(f"isfinite({v})" for v in y),
+    )
+    namespace = {
+        "isfinite": math.isfinite,
+        "IntegrationBlowupError": IntegrationBlowupError,
+    }
+    exec(compile(source, f"<topsys rk4 kernel g={g}>", "exec"), namespace)
+    return namespace["rhs"], namespace["run"]
 
 
 def integrate(s0: TopState, t_end: float, dt: float, sample_every: int = 1) -> "Trajectory":
@@ -376,7 +444,8 @@ def integrate(s0: TopState, t_end: float, dt: float, sample_every: int = 1) -> "
 
     The returned trajectory always contains the t=0 and t=t_end samples;
     intermediate samples are kept every ``sample_every`` steps.  Raises
-    IntegrationBlowupError when the state stops being finite.
+    IntegrationBlowupError when the state stops being finite.  The loop
+    runs in a kernel generated once per genus (see ``_kernel``).
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValidationError(f"need dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
@@ -384,32 +453,8 @@ def integrate(s0: TopState, t_end: float, dt: float, sample_every: int = 1) -> "
         raise ValidationError(f"need sample_every >= 1, got {sample_every}")
     g, m = s0.g, s0.m
     y = list(s0.omega) + [c for row in s0.gamma for c in row]
-    times = [0.0]
-    samples = [list(y)]
-    t = 0.0
-    step = 0
-    tiny = 1e-12 * max(1.0, t_end)
-    while t < t_end - tiny:
-        h = dt if t + dt <= t_end + tiny else t_end - t
-        k1 = _flat_rhs(y, m, g)
-        y2 = [a + 0.5 * h * b for a, b in zip(y, k1)]
-        k2 = _flat_rhs(y2, m, g)
-        y3 = [a + 0.5 * h * b for a, b in zip(y, k2)]
-        k3 = _flat_rhs(y3, m, g)
-        y4 = [a + h * b for a, b in zip(y, k3)]
-        k4 = _flat_rhs(y4, m, g)
-        w = h / 6.0
-        y = [
-            a + w * (b + 2.0 * (c + d) + e)
-            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        ]
-        t += h
-        step += 1
-        if not all(map(math.isfinite, y)):
-            raise IntegrationBlowupError(f"state became non-finite at t={t}", time=t)
-        if step % sample_every == 0 or t >= t_end - tiny:
-            times.append(min(t, t_end))
-            samples.append(list(y))
+    _, run = _kernel(g)
+    times, samples = run(y, m, t_end, dt, sample_every)
     times[-1] = t_end
     arr = np.asarray(samples)
     return Trajectory(

@@ -32,6 +32,7 @@ from .errors import (
     NearDiscriminantError,
     QuadratureError,
     RootFindingError,
+    TrackingError,
     ValidationError,
 )
 from .homology import (
@@ -272,24 +273,28 @@ def _pairwise_min_sep(rs):
 
 
 def _match_roots(old, new):
-    """Greedy nearest-distance bijection; returns (reordered new, max move)."""
+    """Greedy nearest-distance bijection; returns (perm, max move).
+
+    perm[i] is the index of the entry of new matched to old[i].
+    """
     n = len(old)
     order = sorted(
         (abs(o - w), i, j) for i, o in enumerate(old) for j, w in enumerate(new)
     )
-    out = [None] * n
+    perm = [None] * n
     used = set()
+    worst = 0.0
     filled = 0
-    for _, i, j in order:
-        if out[i] is not None or j in used:
+    for d, i, j in order:
+        if perm[i] is not None or j in used:
             continue
-        out[i] = new[j]
+        perm[i] = j
         used.add(j)
+        worst = max(worst, d)
         filled += 1
         if filled == n:
             break
-    disp = max(abs(o - w) for o, w in zip(old, out))
-    return out, disp
+    return perm, worst
 
 
 def _segment_distances(a, b, rs):
@@ -475,7 +480,9 @@ class _March:
             rs_new = roots(fp_new, initial=np.asarray(self.rs))
         except RootFindingError:
             return False
-        matched, disp = _match_roots(self.rs, [complex(r) for r in rs_new])
+        rs_new = [complex(r) for r in rs_new]
+        perm, disp = _match_roots(self.rs, rs_new)
+        matched = [rs_new[j] for j in perm]
         sep_new = _pairwise_min_sep(matched)
         scale = max(1.0, max(abs(r) for r in matched))
         if sep_new < _SEP_FLOOR * scale:
@@ -560,26 +567,8 @@ def _run_march(loop, with_cables, steps=0, stop=None):
 
 
 def _closure_permutation(state, rs0):
-    scale = max(1.0, max(abs(r) for r in rs0))
-    order = sorted(
-        (abs(c - r), i, j)
-        for i, c in enumerate(state.rs)
-        for j, r in enumerate(rs0)
-    )
-    perm = [None] * len(rs0)
-    used = set()
-    worst = 0.0
-    filled = 0
-    for d, i, j in order:
-        if perm[i] is not None or j in used:
-            continue
-        perm[i] = j
-        used.add(j)
-        worst = max(worst, d)
-        filled += 1
-        if filled == len(rs0):
-            break
-    if worst > 1e-6 * scale:
+    perm, worst = _match_roots(state.rs, rs0)
+    if worst > 1e-6 * max(1.0, max(abs(r) for r in rs0)):
         raise QuadratureError("the loop failed to close on its starting fiber")
     return tuple(perm)
 
@@ -664,12 +653,24 @@ def track_roots(loop: ParameterLoop, steps: int = 64):
 
 
 def _half_turns(fibers, i, j):
-    """Signed half-turn count of the separation r_i - r_j along the fibers."""
+    """Signed half-turn count of the separation r_i - r_j along the fibers.
+
+    A count that is not near a whole number of half-turns means the pair
+    found near the stratum is not the one the loop turns around, which the
+    twist formula cannot express: the loop is outside this route's reach.
+    """
     s = np.array([f[i] - f[j] for f in fibers])
     total = float(np.sum(np.angle(s[1:] / s[:-1])))
     n = int(round(total / math.pi))
-    if abs(total - n * math.pi) > 0.5:
-        raise QuadratureError("separation winding is not a half-turn multiple")
+    residual = abs(total - n * math.pi)
+    if residual > 0.5:
+        raise TrackingError(
+            "the Picard-Lefschetz route does not support this loop: the "
+            f"separation of roots {i} and {j} winds {total:.6g} rad, "
+            "not a half-turn multiple",
+            arc=f"separation r{i} - r{j} around the loop",
+            residual=residual,
+        )
     return n
 
 

@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from topmonodromy.errors import NearDiscriminantError, ValidationError
+from topmonodromy.errors import NearDiscriminantError, TrackingError, ValidationError
 from topmonodromy.homology import _intersection_matrix
 from topmonodromy.poly import roots
 from topmonodromy.tracking import (
+    _KAPPA_BASE,
+    _KAPPA_GEOMETRY,
     MonodromyResult,
+    _g2_branch_frame,
     compose_loops,
     fiber_polynomial,
     monodromy_actions_g1,
@@ -204,6 +207,26 @@ class TestRoutesAgree:
         loop = parameter_loop(1, [(0, 1, 0), (0, 1.5, 0), (0, 1, 0)])
         with pytest.raises(ValidationError):
             picard_lefschetz_route(loop)
+
+    def test_phase_shifted_meridian_is_reported_as_unsupported(self):
+        # a kappa3 meridian entered at phase 4.73 rad: the route's straight
+        # tail to the stratum finds a pair the loop does not turn around
+        c2, sign, direction = _KAPPA_GEOMETRY["kappa3"]
+        b0, n1, n2 = _g2_branch_frame(c2, sign)
+        pts = [_KAPPA_BASE]
+        for k in range(65):
+            ph = 4.73 + direction * 2.0 * np.pi * k / 64
+            p = b0 + 0.15 * (np.cos(ph) * n1 + np.sin(ph) * n2)
+            pts.append(tuple(float(v) for v in p))
+        pts.append(_KAPPA_BASE)
+        loop = parameter_loop(2, pts, stratum=tuple(float(v) for v in b0))
+        with pytest.raises(TrackingError, match="does not support this loop") as err:
+            picard_lefschetz_route(loop)
+        assert err.value.residual > 0.5
+        assert err.value.arc.startswith("separation r")
+        m = np.array(monodromy_periods(loop).matrix)
+        assert np.trace(m) == 5
+        assert np.linalg.matrix_rank(m - np.eye(5, dtype=int)) == 2
 
 
 class TestNamedLoopInvariants:
