@@ -15,7 +15,9 @@ keeps a residue at the two punctures over infinity) are computed only at the
 base fiber, before and after the circuit; the transported cycles are then
 expressed over the starting frame by a least-squares fit whose entries must
 round to integers.  The reported residual is the distance of that fit from
-the integer lattice, so it reflects quadrature noise only.
+the integer lattice, so it reflects quadrature noise only.  Both routes
+raise QuadratureError rather than report a matrix when a fit residual
+exceeds 1e3 * tol or when the matrix does not preserve the intersection form.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import (
 )
 from .homology import (
     CycleClass,
+    _intersection_matrix,
     build_basis,
     cycle_labels,
     intersection,
@@ -63,6 +66,8 @@ _SEP_FLOOR = 1e-6  # relative root-separation floor before giving up
 _NEAR_STOP = 0.05  # relative separation at which a vanishing pair is close
 _WAYPOINT_DISC_FLOOR = 1e-8
 _COND_LIMIT = 1e8
+_FIT_LIMIT = 1e3  # reject an integer fit whose residual exceeds this * tol
+_BLEND = np.linspace(0.0, 1.0, 9)  # sqrt continuation samples along a step
 
 
 def fiber_polynomial(g, point):
@@ -454,7 +459,7 @@ class _March:
         self.g = g
         self.point = tuple(float(v) for v in point)
         self.fpoly = fiber_polynomial(g, self.point)
-        self.rs = [complex(r) for r in roots(self.fpoly)]
+        self.rs = roots(self.fpoly)
         self.min_sep = _pairwise_min_sep(self.rs)
         self.fibers = [tuple(self.rs)]
         self.steps_used = 0
@@ -477,10 +482,9 @@ class _March:
     def _try_advance(self, target):
         fp_new = fiber_polynomial(self.g, target)
         try:
-            rs_new = roots(fp_new, initial=np.asarray(self.rs))
+            rs_new = roots(fp_new, initial=self.rs)
         except RootFindingError:
             return False
-        rs_new = [complex(r) for r in rs_new]
         perm, disp = _match_roots(self.rs, rs_new)
         matched = [rs_new[j] for j in perm]
         sep_new = _pairwise_min_sep(matched)
@@ -495,8 +499,7 @@ class _March:
             new_cables = []
             for cable in self.cables:
                 x0 = complex(cable.verts[0])
-                blend = np.linspace(0.0, 1.0, 9)
-                vals = (1.0 - blend) * complex(self.fpoly(x0)) + blend * complex(
+                vals = (1.0 - _BLEND) * complex(self.fpoly(x0)) + _BLEND * complex(
                     fp_new(x0)
                 )
                 y_new = _continue_sqrt(vals, cable.y_ref)
@@ -580,15 +583,33 @@ def _frame_condition(frame):
     return float(sv[0] / sv[-1])
 
 
-def _integer_fit(frame, rows):
-    """Express rows over the frame; returns (ints, residual) of the fit."""
+def _integer_fit(frame, rows, tol):
+    """Express rows over the frame; returns (ints, residual) of the fit.
+
+    A residual above _FIT_LIMIT * tol means the rows are not integer
+    combinations of the frame, so no matrix is reported.
+    """
     sol, *_ = np.linalg.lstsq(frame.T, rows.T, rcond=None)
     flo = sol.T
     ints = np.rint(flo).astype(int)
     residual = float(np.max(np.abs(flo - ints)))
     scale = max(1.0, float(np.max(np.abs(frame))))
     residual = max(residual, float(np.max(np.abs(ints @ frame - rows))) / scale)
+    if residual > _FIT_LIMIT * tol:
+        raise QuadratureError(
+            f"the integer fit residual {residual:.3g} exceeds {_FIT_LIMIT:g} * tol"
+        )
     return ints, residual
+
+
+def _check_form(matrix, g):
+    """Raise unless the lattice map preserves the intersection form."""
+    m = np.array(matrix)
+    omega = _intersection_matrix(g)
+    if not np.array_equal(m.T @ omega @ m, omega):
+        raise QuadratureError(
+            "the lattice map does not preserve the intersection form"
+        )
 
 
 def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9, steps: int = 0):
@@ -623,11 +644,12 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9, steps: int = 0):
         ]
     )
     rows = np.hstack([V.real, V.imag])
-    m_row, residual = _integer_fit(frame, rows)
+    m_row, residual = _integer_fit(frame, rows, tol)
     if abs(int(round(float(np.linalg.det(m_row))))) != 1:
         raise QuadratureError("the transported lattice map is not unimodular")
     perm = _closure_permutation(state, rs0)
     matrix = tuple(tuple(int(v) for v in row) for row in m_row.T)
+    _check_form(matrix, g)
     return MonodromyResult(
         name=loop.name,
         basis=tuple(cycle_labels(g)),
@@ -730,7 +752,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
         y0 = complex(np.sqrt(state.fpoly(verts[0])))
         q = np.asarray(polygon_periods(state.fpoly, verts, y0, diffs, tol))
         coords, fit_res = _integer_fit(
-            frame, np.concatenate([q.real, q.imag])[np.newaxis, :]
+            frame, np.concatenate([q.real, q.imag])[np.newaxis, :], tol
         )
         residual = max(residual, fit_res)
         v = CycleClass.of(g, tuple(int(c) for c in coords[0]))
@@ -752,6 +774,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
                 c = picard_lefschetz(c, v, orientation=1 if w > 0 else -1)
         columns.append(c.coeffs)
     matrix = tuple(tuple(int(v) for v in row) for row in np.array(columns).T)
+    _check_form(matrix, g)
     return MonodromyResult(
         name=loop.name,
         basis=tuple(cycle_labels(g)),

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topmonodromy.errors import DegenerateInputError, ValidationError
+from topmonodromy.errors import DegenerateInputError, RootFindingError, ValidationError
 from topmonodromy.poly import (
     ComplexPoly,
+    _fujiwara_radius,
     discriminant,
     normalized_discriminant,
     real_root_count,
@@ -28,6 +29,123 @@ def companion_eigenvalues(p):
     C[:, -1] = -cs[:-1]
     vals = np.linalg.eigvals(C)
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
+
+
+def numpy_roots(p, tol=1e-12, initial=None):
+    """Reference: the former NumPy sweep loop of poly.roots.
+
+    The same Aberth-Ehrlich iteration as the library's scalar kernel, as
+    whole-array NumPy passes.  NumPy's complex multiply may fuse into FMA and
+    its complex abs is not libm hypot, so the two agree to rounding, not bit
+    for bit.
+    """
+    n = p.degree
+    a = np.asarray(p.coeffs, dtype=complex)
+    dp = p.derivative()
+    scale = p.coeff_scale()
+    if initial is not None:
+        z = np.asarray(initial, dtype=complex).copy()
+    else:
+        radius = _fujiwara_radius(a)
+        angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.41
+        z = radius * np.exp(1j * angles)
+    for _ in range(400):
+        pv = p(z)
+        bound = tol * scale * np.maximum(1.0, np.abs(z)) ** n
+        if np.all(np.abs(pv) <= bound):
+            break
+        dpv = dp(z)
+        dpv = np.where(np.abs(dpv) < 1e-300, 1e-300, dpv)
+        newton = pv / dpv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - newton * inv.sum(axis=1)
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        step = newton / denom
+        step = np.where(np.isfinite(step), step, newton)
+        z = z - step
+    else:
+        raise AssertionError("reference iteration did not converge")
+    order = np.lexsort((z.imag, z.real))
+    return [complex(v) for v in z[order]]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_roots_match_numpy_reference(degree, warm):
+    # complex coefficients, so no two roots tie in the (real, imag) sort key
+    rng = np.random.default_rng(1000 + degree)
+    tol = 1e-12
+    for _ in range(20):
+        cs = np.array([1.0, 1j]) @ rng.uniform(-2.0, 2.0, (2, degree + 1))
+        p = ComplexPoly.of(cs)
+        initial = None
+        if warm:
+            # a continuation step: last fiber's roots, slightly off
+            exact = numpy_roots(p, tol=tol)
+            initial = [r + 1e-3 * complex(*rng.normal(size=2)) for r in exact]
+        want = numpy_roots(p, tol=tol, initial=initial)
+        got = roots(p, tol=tol, initial=initial)
+        assert len(got) == degree
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+        scale = p.coeff_scale()
+        for r in got:
+            assert abs(p(r)) <= tol * scale * max(1.0, abs(r)) ** degree
+
+
+def test_roots_budget_exhaustion_reports_best_residual():
+    # tol = 0 asks for |p(r)| == 0 exactly, which no float sqrt(2) meets
+    with pytest.raises(RootFindingError) as err:
+        roots(ComplexPoly.of([-2.0, 0.0, 1.0]), tol=0.0)
+    assert math.isfinite(err.value.best_residual)
+    assert err.value.best_residual > 0.0
+
+
+@pytest.mark.parametrize(
+    "coeffs, initial",
+    [
+        # coincident guesses: the pair term is undefined, both move by Newton
+        ([1.0, -2.0, 1.0], [1.1, 1.1]),
+        # p'(0) = 0: the floored derivative still gives a finite Aberth step
+        ([-1.0, 0.0, 0.0, 1.0], [0.0, 1.5, -1.0 + 1.0j]),
+    ],
+    ids=["coincident", "critical-point"],
+)
+def test_roots_degenerate_starts_match_reference(coeffs, initial):
+    p = ComplexPoly.of(coeffs)
+    with np.errstate(all="ignore"):
+        want = numpy_roots(p, initial=initial)
+    got = roots(p, initial=initial)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize(
+    "coeffs, initial",
+    [
+        # |z|^4 overflows; the NumPy loop took the inf bound as converged
+        ([1.0, 0.0, 0.0, 0.0, 1.0], [1e80, 2e80, 3e80, 4e80]),
+        # the Fujiwara radius is inf, so every residual is NaN
+        ([1e200, 0.0, 1e-200], None),
+    ],
+    ids=["overflow", "nan"],
+)
+def test_roots_non_finite_iteration_fails(coeffs, initial):
+    with pytest.raises(RootFindingError) as err:
+        roots(ComplexPoly.of(coeffs), initial=initial)
+    # no sweep had a finite residual ratio for every root
+    assert err.value.best_residual == math.inf
+
+
+@pytest.mark.parametrize(
+    "initial", [[1.0], [1.0, 2.0, 3.0], np.zeros((2, 1)), [[1.0, 2.0]]]
+)
+def test_roots_initial_must_match_degree(initial):
+    with pytest.raises(ValidationError):
+        roots(ComplexPoly.of([1.0, 0.0, 1.0]), initial=initial)
 
 
 def test_roots_quadratic_pure_imaginary():

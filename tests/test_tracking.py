@@ -5,14 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from topmonodromy.errors import NearDiscriminantError, TrackingError, ValidationError
+from topmonodromy.errors import (
+    NearDiscriminantError,
+    QuadratureError,
+    TrackingError,
+    ValidationError,
+)
 from topmonodromy.homology import _intersection_matrix
 from topmonodromy.poly import roots
 from topmonodromy.tracking import (
     _KAPPA_BASE,
     _KAPPA_GEOMETRY,
     MonodromyResult,
+    _check_form,
     _g2_branch_frame,
+    _integer_fit,
     compose_loops,
     fiber_polynomial,
     monodromy_actions_g1,
@@ -34,6 +41,8 @@ NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
 # moves these changes the work done per loop and must say why.
 PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
 LOCAL_STEPS = {"cushman": 99, "kappa1": 119, "kappa2": 119, "kappa3": 158}
+# Unimodular (det 1) genus-1 map that sends <gamma_2, delta_1> = -1 to 0.
+SHEAR = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +252,44 @@ class TestNamedLoopInvariants:
             m = res.as_array()
             omega = _intersection_matrix((len(res.basis) - 1) // 2)
             assert (m.T @ omega @ m).tolist() == omega.tolist(), res.name
+
+
+class TestCertification:
+    def test_form_check_rejects_unimodular_map(self):
+        assert round(np.linalg.det(np.array(SHEAR))) == 1
+        with pytest.raises(QuadratureError, match="intersection form"):
+            _check_form(SHEAR, 1)
+
+    def test_periods_route_checks_the_form(self, monkeypatch):
+        monkeypatch.setattr(
+            "topmonodromy.tracking._integer_fit",
+            lambda frame, rows, tol: (np.array(SHEAR).T, 0.0),
+        )
+        with pytest.raises(QuadratureError, match="intersection form"):
+            monodromy_periods(named_loop("cushman"))
+
+    def test_local_route_checks_the_form(self, monkeypatch):
+        # a broken twist that doubles every class
+        monkeypatch.setattr(
+            "topmonodromy.tracking.picard_lefschetz", lambda c, v, orientation: c + c
+        )
+        with pytest.raises(QuadratureError, match="intersection form"):
+            picard_lefschetz_route(named_loop("cushman"))
+
+    @pytest.mark.parametrize("offset", [1e-8, 1e-5, 0.5])
+    def test_integer_fit_gate(self, offset):
+        # synthetic genus-1 frame; row 0 sits offset off the lattice
+        frame = np.random.default_rng(7).normal(size=(3, 4))
+        ints = np.array([[0, 1, -1], [-1, 2, -1], [0, 0, 1]])
+        rows = ints @ frame
+        rows[0] += offset * frame[1]
+        if offset < 1e3 * 1e-9:
+            got, residual = _integer_fit(frame, rows, 1e-9)
+            assert got.tolist() == ints.tolist()
+            assert residual == pytest.approx(offset, rel=1e-3)
+        else:
+            with pytest.raises(QuadratureError, match="integer fit residual"):
+                _integer_fit(frame, rows, 1e-9)
 
 
 class TestGroupStructure:
