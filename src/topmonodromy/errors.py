@@ -35,12 +35,17 @@ class QuadratureError(TopmonodromyError):
 
 
 class TrackingError(TopmonodromyError):
-    """Root/period continuation failed along a parameter loop."""
+    """Root/period continuation failed along a parameter loop.
 
-    def __init__(self, message, arc=None, residual=None):
+    arc names the stretch of the loop where it failed; parameter, when set,
+    is the fraction of that arc the continuation had reached.
+    """
+
+    def __init__(self, message, arc=None, residual=None, parameter=None):
         super().__init__(message)
         self.arc = arc
         self.residual = residual
+        self.parameter = parameter
 
 
 class IntegrationBlowupError(TopmonodromyError):

@@ -204,23 +204,29 @@ def _as_poly(f):
 
 
 def _lift_open(fvals, y_start=None):
-    """Continuous square root along a sampled path; returns (y, ambiguity)."""
+    """Continuous square root along a sampled path; returns (y, ambiguity).
+
+    The path runs along the last axis.  A 2-D fvals lifts one path per row,
+    with one y_start and one ambiguity per row.
+    """
     if np.any(fvals == 0.0):
         raise QuadratureError("contour passes through a branch point")
     cand = np.sqrt(fvals)
-    a, b = cand[:-1], cand[1:]
+    a, b = cand[..., :-1], cand[..., 1:]
     d_keep = np.abs(b - a)
     d_flip = np.abs(b + a)
     lo = np.minimum(d_keep, d_flip)
     hi = np.maximum(d_keep, d_flip)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(hi > 0.0, lo / hi, 1.0)
-    worst = float(np.max(ratio)) if len(ratio) else 0.0
-    signs = np.concatenate(([1.0], np.cumprod(np.where(d_flip < d_keep, -1.0, 1.0))))
-    y = cand * signs
-    if y_start is not None and abs(y[0] - y_start) > abs(y[0] + y_start):
-        y = -y
-    return y, worst
+    worst = np.max(ratio, axis=-1, initial=0.0)
+    flips = np.cumprod(np.where(d_flip < d_keep, -1.0, 1.0), axis=-1)
+    y = cand * np.concatenate((np.ones(cand.shape[:-1] + (1,)), flips), axis=-1)
+    if y_start is not None:
+        y0 = y[..., 0]
+        flip = np.abs(y0 - y_start) > np.abs(y0 + y_start)
+        y = np.where(flip[..., None], -y, y)
+    return y, (float(worst) if y.ndim == 1 else worst)
 
 
 def _lift_closed(fvals):

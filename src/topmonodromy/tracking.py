@@ -9,6 +9,14 @@ re-simplified, so the transported polygon never changes homology class.  A
 reference square root pinned at each polygon's first vertex is continued in
 both the fiber and the position, which fixes the transported cycle's sheet.
 
+The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
+array with a start offset, a pinned square root and a row of winding numbers
+per cable.  A march attempt makes one pass of each kind (push, clearance
+test, midpoint insertion, winding count, square-root continuation) over all
+vertices at once.  An attempt is rejected, and the step bisected, when any
+cable cannot be maintained; a stalled bisection, or a winding number that
+changed, raises TrackingError with the stretch of the loop where it happened.
+
 No integration happens at intermediate fibers.  The periods of the carried
 differentials x^k dx/y, k = 0..g (a rank 2g+1 real frame, since x^g dx/y
 keeps a residue at the two punctures over infinity) are computed only at the
@@ -319,24 +327,72 @@ def _segment_distances(a, b, rs):
     return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
 
 
-def _winding_numbers(verts, rs):
-    """Turn count of the polygon around each point (straight edges subtend
-    less than a half turn, so the principal-angle sum per edge is exact)."""
+class _Bundle:
+    """All transported polygons in one complex vertex array.
+
+    Cable c owns verts[starts[c]:starts[c + 1]] (the last cable runs to the
+    end of the array); y_ref[c] is the square root pinned at its first
+    vertex and windings[c] its turn count around each branch point.
+    """
+
+    __slots__ = ("verts", "starts", "y_ref", "windings")
+
+    def __init__(self, verts, starts, y_ref, windings=None):
+        self.verts = verts
+        self.starts = starts
+        self.y_ref = y_ref
+        self.windings = windings
+
+    @classmethod
+    def of(cls, polygons, y_ref, windings=None):
+        """Bundle of the given vertex sequences, in order."""
+        lengths = [len(p) for p in polygons]
+        starts = np.concatenate(([0], np.cumsum(lengths[:-1]))).astype(np.intp)
+        verts = np.concatenate([np.asarray(p, dtype=complex) for p in polygons])
+        return cls(verts, starts, np.array(y_ref, dtype=complex), windings)
+
+    def cables(self):
+        """(vertex slice, y_ref) for each cable."""
+        ends = np.append(self.starts[1:], len(self.verts))
+        return [
+            (self.verts[a:b], complex(y))
+            for a, b, y in zip(self.starts, ends, self.y_ref)
+        ]
+
+
+def _next_index(starts, n):
+    """Index of each vertex's successor, wrapping at the end of its cable."""
+    nxt = np.arange(1, n + 1)
+    nxt[np.append(starts[1:], n) - 1] = starts
+    return nxt
+
+
+def _winding_numbers(verts, starts, rs):
+    """Turn count of each cable around each point, one row per cable.
+
+    Straight edges subtend less than a half turn, so the principal-angle
+    sum per edge is exact.
+    """
     w = np.asarray(verts, dtype=complex) - np.asarray(rs, dtype=complex)[:, None]
-    nxt = np.concatenate((w[:, 1:], w[:, :1]), axis=1)
-    total = np.sum(np.angle(nxt / w), axis=1)
-    return tuple(int(round(float(t) / (2.0 * math.pi))) for t in total)
+    turns = np.angle(w[:, _next_index(starts, w.shape[1])] / w)
+    total = np.add.reduceat(turns, starts, axis=1)
+    return np.rint(total.T / (2.0 * math.pi)).astype(int)
 
 
 def _continue_sqrt(values, y_start):
-    """End value of the square root continued along sampled f-values."""
+    """End value of the square root continued along sampled f-values.
+
+    A 2-D input holds one path per row (and y_start one start per row) and
+    gives one end value per row.  None when any path meets a zero or lifts
+    ambiguously.
+    """
     vals = np.asarray(values, dtype=complex)
     if np.any(vals == 0.0):
         return None
     y, worst = _lift_open(vals, y_start=y_start)
-    if worst >= _AMBIGUITY_LIMIT:
+    if np.any(worst >= _AMBIGUITY_LIMIT):
         return None
-    return complex(y[-1])
+    return complex(y[-1]) if y.ndim == 1 else y[:, -1]
 
 
 def _polygonize(spec, n=_POLY_VERTS):
@@ -351,29 +407,21 @@ def _polygonize(spec, n=_POLY_VERTS):
     return verts
 
 
-class _Cable:
-    """A transported polygon (complex vertex array) with its pinned reference
-    square root."""
-
-    __slots__ = ("verts", "y_ref", "windings")
-
-    def __init__(self, verts, y_ref, windings=()):
-        self.verts = verts
-        self.y_ref = y_ref
-        self.windings = windings
-
-
-def _maintain_cable(cable, rs, margin, fpoly):
+def _maintain_bundle(bundle, rs, margin, fpoly):
     """Restore the margin invariant after the branch points moved.
 
     Vertices inside a root's margin disk move radially outward (the disks are
     disjoint, so each vertex sits in at most one disk and the move cannot
     cross any root); edges with less clearance than the margin gain midpoints
-    until every edge clears.  Returns None when the geometry cannot be
-    restored, which makes the caller bisect the parameter step.
+    until every edge clears.  A pushed first vertex carries its cable's y_ref
+    along.  Every cable goes through the same rounds: a cable that is already
+    clean does not change in a further round, so each ends exactly as it would
+    alone.  Returns None when any cable cannot be restored, which makes the
+    caller bisect the parameter step.
     """
-    verts = np.array(cable.verts, dtype=complex)
-    y_ref = cable.y_ref
+    verts = np.array(bundle.verts, dtype=complex)
+    starts = bundle.starts
+    y_ref = np.array(bundle.y_ref, dtype=complex)
     r = np.asarray(rs, dtype=complex)
     for _ in range(8):
         dx = verts.real[:, None] - r.real
@@ -390,14 +438,17 @@ def _maintain_cable(cable, rs, margin, fpoly):
             scale = _PUSH_TARGET * margin / dist
             tx = r.real[j] + dx[hit, j] * scale
             ty = r.imag[j] + dy[hit, j] * scale
-            if hit[0] == 0:
-                xs = np.linspace(complex(verts[0]), complex(tx[0], ty[0]), 17)
-                y_ref = _continue_sqrt(fpoly(xs), y_ref)
-                if y_ref is None:
+            for c in np.flatnonzero(inside[starts].any(axis=1)):
+                h = np.searchsorted(hit, starts[c])
+                x0, x1 = complex(verts[starts[c]]), complex(tx[h], ty[h])
+                xs = np.linspace(x0, x1, 17)
+                y = _continue_sqrt(fpoly(xs), complex(y_ref[c]))
+                if y is None:
                     return None
+                y_ref[c] = y
             verts.real[hit] = tx
             verts.imag[hit] = ty
-        nxt = np.concatenate((verts[1:], verts[:1]))
+        nxt = verts[_next_index(starts, len(verts))]
         crowded = np.any(
             _segment_distances(verts, nxt, r) < _EDGE_CLEAR * margin, axis=1
         )
@@ -407,9 +458,10 @@ def _maintain_cable(cable, rs, margin, fpoly):
             mids.imag = 0.5 * (verts.imag + nxt.imag)
             keep = np.stack([np.ones_like(crowded), crowded], axis=1).ravel()
             verts = np.stack([verts, mids], axis=1).ravel()[keep]
+            starts = starts + np.concatenate(([0], np.cumsum(crowded)))[starts]
             moved = True
         if not moved:
-            return _Cable(verts, y_ref, cable.windings)
+            return _Bundle(verts, starts, y_ref, bundle.windings)
     return None
 
 
@@ -452,6 +504,14 @@ def _simplify_cable(verts, rs, margin):
     return verts
 
 
+def _simplify_bundle(bundle, rs, margin):
+    """The bundle with every cable above _SIMPLIFY_AT vertices simplified."""
+    if np.diff(bundle.starts, append=len(bundle.verts)).max() <= _SIMPLIFY_AT:
+        return bundle
+    polygons = [_simplify_cable(v, rs, margin) for v, _ in bundle.cables()]
+    return _Bundle.of(polygons, bundle.y_ref, bundle.windings)
+
+
 class _March:
     """Root (and optionally cable) transport along chart segments."""
 
@@ -463,21 +523,24 @@ class _March:
         self.min_sep = _pairwise_min_sep(self.rs)
         self.fibers = [tuple(self.rs)]
         self.steps_used = 0
-        self.cables = None
+        self.bundle = None
         if with_cables:
             config = build_basis(tuple(self.rs), g)
+            polygons = [
+                _polygonize(spec)
+                for spec in normalized_basis_contours(self.fpoly, config)
+            ]
+            y0 = [complex(np.sqrt(self.fpoly(p[0]))) for p in polygons]
             margin = _MARGIN_FRAC * self.min_sep
-            self.cables = []
-            for spec in normalized_basis_contours(self.fpoly, config):
-                verts = _polygonize(spec)
-                y0 = complex(np.sqrt(self.fpoly(verts[0])))
-                cable = _maintain_cable(_Cable(verts, y0), self.rs, margin, self.fpoly)
-                if cable is None:
-                    raise DegenerateInputError(
-                        "cannot realize a basis contour with a safety margin"
-                    )
-                cable.windings = _winding_numbers(cable.verts, self.rs)
-                self.cables.append(cable)
+            bundle = _maintain_bundle(
+                _Bundle.of(polygons, y0), self.rs, margin, self.fpoly
+            )
+            if bundle is None:
+                raise DegenerateInputError(
+                    "cannot realize a basis contour with a safety margin"
+                )
+            bundle.windings = _winding_numbers(bundle.verts, bundle.starts, self.rs)
+            self.bundle = bundle
 
     def _try_advance(self, target):
         fp_new = fiber_polynomial(self.g, target)
@@ -494,39 +557,43 @@ class _March:
         margin = _MARGIN_FRAC * min(self.min_sep, sep_new)
         if disp >= _STEP_FRAC * margin:
             return False
-        new_cables = None
-        if self.cables is not None:
-            new_cables = []
-            for cable in self.cables:
-                x0 = complex(cable.verts[0])
-                vals = (1.0 - _BLEND) * complex(self.fpoly(x0)) + _BLEND * complex(
-                    fp_new(x0)
+        bundle = self.bundle
+        if bundle is not None:
+            # Any cable that cannot be lifted or maintained rejects the
+            # attempt; windings are compared only once every cable is.
+            x0 = bundle.verts[bundle.starts].tolist()
+            f0 = np.array([complex(self.fpoly(x)) for x in x0])
+            f1 = np.array([complex(fp_new(x)) for x in x0])
+            y_new = _continue_sqrt(
+                (1.0 - _BLEND) * f0[:, None] + _BLEND * f1[:, None], bundle.y_ref
+            )
+            if y_new is None:
+                return False
+            moved = _maintain_bundle(
+                _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings),
+                matched,
+                margin,
+                fp_new,
+            )
+            if moved is None:
+                return False
+            moved = _simplify_bundle(moved, matched, margin)
+            windings = _winding_numbers(moved.verts, moved.starts, matched)
+            crossed = np.flatnonzero(np.any(windings != bundle.windings, axis=1))
+            if len(crossed):
+                raise TrackingError(
+                    "a branch point crossed a transported contour: cable "
+                    f"{crossed[0]} on the step to {tuple(target)}",
+                    arc=(self.point, tuple(target)),
                 )
-                y_new = _continue_sqrt(vals, cable.y_ref)
-                if y_new is None:
-                    return False
-                moved = _maintain_cable(
-                    _Cable(cable.verts, y_new, cable.windings),
-                    matched,
-                    margin,
-                    fp_new,
-                )
-                if moved is None:
-                    return False
-                moved.verts = _simplify_cable(moved.verts, matched, margin)
-                if _winding_numbers(moved.verts, matched) != cable.windings:
-                    raise QuadratureError(
-                        "a branch point crossed a transported contour"
-                    )
-                new_cables.append(moved)
+            bundle = moved
         self.point = tuple(target)
         self.fpoly = fp_new
         self.rs = matched
         self.min_sep = sep_new
         self.fibers.append(tuple(matched))
         self.steps_used += 1
-        if new_cables is not None:
-            self.cables = new_cables
+        self.bundle = bundle
         return True
 
     def traverse(self, target, presplit=1, stop=None):
@@ -545,8 +612,11 @@ class _March:
                     return True
                 continue
             if (t1 - t0) <= 2.0**-_MAX_DEPTH:
-                raise NearDiscriminantError(
-                    f"root tracking stalled between {start} and {end}"
+                raise TrackingError(
+                    f"root tracking stalled between {start} and {end} "
+                    f"at t = {t0!r}",
+                    arc=(start, end),
+                    parameter=t0,
                 )
             tm = 0.5 * (t0 + t1)
             stack.append((tm, t1))
@@ -629,8 +699,8 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9, steps: int = 0):
     base_poly = state.fpoly
     P0 = np.array(
         [
-            polygon_periods(base_poly, c.verts, c.y_ref, diffs, tol)
-            for c in state.cables
+            polygon_periods(base_poly, verts, y_ref, diffs, tol)
+            for verts, y_ref in state.bundle.cables()
         ]
     )
     frame = np.hstack([P0.real, P0.imag])
@@ -639,8 +709,8 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9, steps: int = 0):
         state.traverse(b, presplit=max(1, steps // max(1, len(path) - 1)))
     V = np.array(
         [
-            polygon_periods(base_poly, c.verts, c.y_ref, diffs, tol)
-            for c in state.cables
+            polygon_periods(base_poly, verts, y_ref, diffs, tol)
+            for verts, y_ref in state.bundle.cables()
         ]
     )
     rows = np.hstack([V.real, V.imag])
@@ -738,8 +808,8 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
 
     A = np.array(
         [
-            polygon_periods(state.fpoly, c.verts, c.y_ref, diffs, tol)
-            for c in state.cables
+            polygon_periods(state.fpoly, verts, y_ref, diffs, tol)
+            for verts, y_ref in state.bundle.cables()
         ]
     )
     frame = np.hstack([A.real, A.imag])

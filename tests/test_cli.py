@@ -57,6 +57,15 @@ class TestMonodromyCommand:
         assert code == 0
         assert data["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
+    def test_loop_through_the_discriminant_fails(self, capsys):
+        # a2 = 2 (the double pair +-i) lies half way along the first leg
+        code, data = run_cli(
+            capsys, "monodromy", "--g", "1", "--waypoints", "0,1,0;0,3,0;0,1,0"
+        )
+        assert code == 1
+        assert data["error"]["type"] == "TrackingError"
+        assert data["error"]["message"].startswith("root tracking stalled")
+
     def test_rerun_is_byte_identical(self, capsys):
         main(["monodromy", "--g", "1", "--loop", "cushman"])
         first = capsys.readouterr().out

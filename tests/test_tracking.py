@@ -18,6 +18,8 @@ from topmonodromy.tracking import (
     _KAPPA_GEOMETRY,
     MonodromyResult,
     _check_form,
+    _March,
+    _match_roots,
     _g2_branch_frame,
     _integer_fit,
     compose_loops,
@@ -290,6 +292,51 @@ class TestCertification:
         else:
             with pytest.raises(QuadratureError, match="integer fit residual"):
                 _integer_fit(frame, rows, 1e-9)
+
+
+class TestTypedFailures:
+    # a2 = 2 (the double pair +-i) lies half way along the first leg
+    THROUGH_STRATUM = [(0, 1, 0), (0, 3, 0), (0, 1, 0)]
+    BASE = (0.0, 1.0, 0.0)
+    TARGET = (0.0, 1.01, 0.0)
+
+    @pytest.mark.parametrize("route", [monodromy_periods, track_roots])
+    def test_stall_is_a_tracking_error_with_its_arc(self, route):
+        with pytest.raises(TrackingError, match="root tracking stalled") as err:
+            route(parameter_loop(1, self.THROUGH_STRATUM))
+        assert err.value.arc == (self.BASE, (0.0, 3.0, 0.0))
+        assert 0.5 - 1e-5 < err.value.parameter < 0.5
+        assert repr(err.value.parameter) in str(err.value)
+
+    def test_a_clean_step_advances(self):
+        state = _March(1, self.BASE, with_cables=True)
+        assert state._try_advance(self.TARGET) is True
+        assert state.steps_used == 1
+
+    def test_crossing_names_the_cable_and_the_target(self):
+        state = _March(1, self.BASE, with_cables=True)
+        state.bundle.windings[1, 0] += 1
+        with pytest.raises(
+            TrackingError,
+            match=r"crossed a transported contour: cable 1 on the step to "
+            r"\(0\.0, 1\.01, 0\.0\)",
+        ) as err:
+            state._try_advance(self.TARGET)
+        assert err.value.arc == (self.BASE, self.TARGET)
+
+    def test_failed_upkeep_rejects_before_windings_are_compared(self):
+        # Cable 0's windings no longer match, but cable 2 cannot be
+        # maintained at the target: the attempt is rejected (so the march
+        # bisects the step) instead of reporting a crossing.
+        state = _March(1, self.BASE, with_cables=True)
+        new = roots(fiber_polynomial(1, self.TARGET), initial=state.rs)
+        perm, _ = _match_roots(state.rs, new)
+        bundle = state.bundle
+        bundle.windings[0, 0] += 1
+        bundle.verts[bundle.starts[2] + 5] = new[perm[0]]
+        assert state._try_advance(self.TARGET) is False
+        assert state.steps_used == 0
+        assert state.point == self.BASE
 
 
 class TestGroupStructure:
