@@ -56,7 +56,6 @@ from .periods import (
     ContourSpec,
     action_I1,
     action_I1_cubic,
-    basis_periods,
     big_loop,
     cycle_integral,
     normalized_basis_contours,
@@ -137,7 +136,6 @@ __all__ = [
     "a3_isolated_check",
     "action_I1",
     "action_I1_cubic",
-    "basis_periods",
     "big_loop",
     "build_basis",
     "classify_special_points",

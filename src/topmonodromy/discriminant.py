@@ -25,8 +25,11 @@ _DISC_TOL = 1e-9
 
 
 def quartic_poly(a) -> ComplexPoly:
-    """x^4 + a1 x^3 + a2 x^2 + a3 x + 1 from the reduced chart (a1, a2, a3)."""
-    a1, a2, a3 = (float(v) for v in a)
+    """x^4 + a1 x^3 + a2 x^2 + a3 x + 1 from the reduced chart (a1, a2, a3).
+
+    Coordinates may be complex, as on the a2 deformation of the action.
+    """
+    a1, a2, a3 = (complex(v) for v in a)
     return ComplexPoly.of((1.0, a3, a2, a1, 1.0))
 
 

@@ -8,10 +8,11 @@ pairing and which behaves like +x^{g+1} at large positive real x; because the
 branch is evaluated pointwise, homotopic contours always integrate on the
 same sheet.  Action integrals are instead anchored where the contour crosses
 the real axis (f > 0 there when the curve has no real branch points), which
-normalizes the vanishing cycle the same way at every cut.  The internal
-period engine used by the tracker fixes the principal branch at the first
-node, which is deterministic per fiber and lets basis-change bookkeeping
-absorb sheet flips.
+normalizes the vanishing cycle the same way at every cut.  Polygons carried
+by the monodromy tracker integrate on the sheet of a square root pinned at
+their first vertex.  The action's vanishing cycle is picked by marching the
+branch points along the a2 deformation with that same tracker
+(tracking._March); this module has no root tracker of its own.
 """
 
 from __future__ import annotations
@@ -303,10 +304,6 @@ def _real_axis_anchor(x, fv, y):
     return 1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1
 
 
-def _principal_anchor(x, fv, y):
-    return 1
-
-
 _HOLOMORPHIC = {"dx/y": 0, "x dx/y": 1, "x^2 dx/y": 2, "x^3 dx/y": 3}
 
 
@@ -370,20 +367,6 @@ def cycle_integral(f, contour: ContourSpec, differential: str, tol: float = 1e-1
     return complex(vals[0])
 
 
-def contour_periods(f, contour: ContourSpec, differentials, tol: float = 1e-9):
-    """Integrals of several differentials in one pass, principal lift at node 0.
-
-    The sheet is chosen per fiber (principal square root at the contour's
-    first node), which is deterministic for fixed f and contour; callers that
-    need a geometric sheet use cycle_integral instead.
-    """
-    fpoly = _as_poly(f)
-    vals, _, _, _ = _anchored_values(
-        fpoly, contour, tuple(differentials), tol, _principal_anchor
-    )
-    return vals
-
-
 def polygon_periods(f, vertices, y_ref, differentials, tol: float = 1e-9):
     """Integrals over a closed polygon with the sheet pinned near vertex 0.
 
@@ -406,24 +389,14 @@ def polygon_periods(f, vertices, y_ref, differentials, tol: float = 1e-9):
     return vals
 
 
-def basis_contours(config: BranchConfig, avoid=()):
-    """Realized contours for (gamma_1..gamma_{g+1}, delta_1..delta_g).
-
-    Each loop tries to keep the points in avoid outside; when that is
-    geometrically impossible the loop is built without them.
-    """
+def basis_contours(config: BranchConfig):
+    """Realized contours for (gamma_1..gamma_{g+1}, delta_1..delta_g)."""
     g = config.g
-    contours = []
     specs = [config.pairing[j] for j in range(g + 1)]
     specs += [
         (config.pairing[j][1], config.pairing[j + 1][0]) for j in range(g)
     ]
-    for pair in specs:
-        try:
-            contours.append(pair_loop(config.roots, pair, avoid=avoid))
-        except DegenerateInputError:
-            contours.append(pair_loop(config.roots, pair))
-    return contours
+    return [pair_loop(config.roots, pair) for pair in specs]
 
 
 def _ellipse_point(spec, t):
@@ -468,13 +441,10 @@ def realized_intersection(f, spec_a: ContourSpec, spec_b: ContourSpec) -> int:
     za = _ellipse_point(spec_a, ts)
     w = (za - spec_b.center) / spec_b.axis
     q = (w.real / spec_b.semi_major) ** 2 + (w.imag / spec_b.semi_minor) ** 2 - 1.0
+    if np.any(q == 0.0):
+        raise QuadratureError("contours touch tangentially")
     total = 0
-    for i in range(n):
-        j = (i + 1) % n
-        if q[i] == 0.0:
-            raise QuadratureError("contours touch tangentially")
-        if q[i] * q[j] >= 0.0:
-            continue
+    for i in np.flatnonzero(q * np.roll(q, -1) < 0.0):
         lo, hi = ts[i], ts[i] + 2.0 * math.pi / n
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -534,33 +504,6 @@ def normalized_basis_contours(f, config: BranchConfig):
     ]
 
 
-def basis_periods(
-    f,
-    config: BranchConfig,
-    contours=None,
-    with_action: bool = False,
-    tol: float = 1e-9,
-):
-    """Period data of the canonical basis contours at one fiber.
-
-    Returns (P, Q): P[(2g+1) x (g+1)] holds integrals of x^k dx/y over the
-    basis contours, and Q (length 2g+1) holds y dx/x^2 integrals when
-    requested, all with the per-fiber deterministic lift.
-    """
-    g = config.g
-    diffs = [d for d, k in _HOLOMORPHIC.items() if k <= g]
-    diffs.sort(key=lambda d: _HOLOMORPHIC[d])
-    if with_action:
-        diffs.append("y dx/x^2")
-    if contours is None:
-        contours = basis_contours(config, avoid=(0.0,) if with_action else ())
-    rows = [contour_periods(f, c, diffs, tol=tol) for c in contours]
-    block = np.asarray(rows)
-    P = block[:, : g + 1]
-    Q = block[:, g + 1] if with_action else None
-    return P, Q
-
-
 def residue_check(a, tol: float = 1e-10) -> float:
     """Defect |I + i*pi*a1| of the loop-at-infinity integral of y dx/x^2.
 
@@ -576,12 +519,13 @@ def residue_check(a, tol: float = 1e-10) -> float:
 
 
 def _a2_deformation_path(a1, a2, a3):
-    """Waypoints for the downward a2 deformation to the real-root boundary.
+    """Waypoints for the downward a2 deformation, and the real touch point.
 
     The boundary is the a2 value where the quartic first touches the real
-    axis (a real double root); interior discriminant touches along the way
-    (complex double roots on the a1 = a3 stratum) are bypassed by small
-    semicircles in the upper half of the complex a2 plane.
+    axis, with a real double root at the returned touch point; interior
+    discriminant touches along the way (complex double roots on the a1 = a3
+    stratum) are bypassed by small semicircles in the upper half of the
+    complex a2 plane.
     """
     # the real touch maximizes -(x^4 + a1 x^3 + a3 x + 1)/x^2 over real
     # critical points of that expression
@@ -589,7 +533,12 @@ def _a2_deformation_path(a1, a2, a3):
     crit = [r.real for r in poly_roots(h) if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
     if not crit:
         raise DegenerateInputError("no real touch point for the a2 deformation")
-    a2_low = max(-(x**4 + a1 * x**3 + a3 * x + 1.0) / x**2 for x in crit)
+
+    def touch_a2(x):
+        return -(x**4 + a1 * x**3 + a3 * x + 1.0) / x**2
+
+    x_star = max(crit, key=touch_a2)
+    a2_low = touch_a2(x_star)
     if a2 - a2_low < 1e-7 * max(1.0, abs(a2)):
         raise NearDiscriminantError("parameters lie on or near the discriminant")
     stop = a2_low + 1e-3 * (a2 - a2_low)
@@ -633,68 +582,34 @@ def _a2_deformation_path(a1, a2, a3):
             waypoints.append(z + r * complex(math.cos(th), math.sin(th)))
         pos = z - r
     waypoints.append(complex(stop))
-    return waypoints
+    return waypoints, x_star
 
 
 def _vanishing_pair(a):
     """Roots of the action quartic plus the indices of the cycle-defining pair.
 
     The distinguished cycle is the one that vanishes when a2 is deformed
-    downward to the no-real-root boundary at fixed (a1, a3): the roots are
-    tracked along that deformation and the pair that collides at the real
-    touch is returned.
+    downward to the no-real-root boundary at fixed (a1, a3): the monodromy
+    tracker marches the roots along that deformation, as chart points
+    (a1, a2', a3) with complex a2', and the two that end nearest the real
+    touch point are the pair that collides there.
     """
+    from .tracking import _March  # tracking imports this module
+
     a1, a2, a3 = a
-    fpoly = ComplexPoly.of((1.0, a3, a2, a1, 1.0))
-    if real_root_count(fpoly) > 0:
+    state = _March(1, a, with_cables=False)
+    if real_root_count(state.fpoly) > 0:
         raise ValidationError("parameters are outside component C (real roots)")
-    waypoints = _a2_deformation_path(a1, a2, a3)
-    rs = poly_roots(fpoly)
+    waypoints, x_star = _a2_deformation_path(a1, a2, a3)
+    for w in waypoints[1:]:
+        state.traverse((a1, w, a3))
+    rs = state.fibers[0]
     scale = max(1.0, max(abs(r) for r in rs))
-    per_seg = 40
-    while True:
-        samples = []
-        for k in range(len(waypoints) - 1):
-            seg = np.linspace(waypoints[k], waypoints[k + 1], per_seg)
-            samples.extend(seg[1:] if k else seg)
-        cur = list(rs)
-        ok = True
-        for s in samples[1:]:
-            prev_sep = min(
-                abs(cur[i] - cur[j]) for i in range(4) for j in range(i + 1, 4)
-            )
-            new = poly_roots(ComplexPoly.of((1.0, a3, s, a1, 1.0)), initial=cur)
-            used = [False] * 4
-            matched = [0j] * 4
-            moved = 0.0
-            for i, c0 in enumerate(cur):
-                j = min(
-                    (k for k in range(4) if not used[k]),
-                    key=lambda k: abs(new[k] - c0),
-                )
-                used[j] = True
-                matched[i] = new[j]
-                moved = max(moved, abs(new[j] - c0))
-            if moved > prev_sep / 3.0:
-                ok = False
-                break
-            cur = matched
-        if ok:
-            pairs = sorted(
-                (
-                    (abs(cur[i] - cur[j]), (i, j))
-                    for i in range(4)
-                    for j in range(i + 1, 4)
-                )
-            )
-            if pairs[0][0] > 0.2 * scale:
-                raise DegenerateInputError(
-                    "no vanishing pair found at the boundary touch"
-                )
-            return rs, pairs[0][1]
-        if per_seg >= 5120:
-            raise DegenerateInputError("root tracking for the a2 deformation failed")
-        per_seg *= 2
+    nearest = sorted(range(len(rs)), key=lambda k: abs(state.rs[k] - x_star))
+    i, j = sorted(nearest[:2])
+    if abs(state.rs[i] - state.rs[j]) > 0.2 * scale:
+        raise DegenerateInputError("no vanishing pair found at the boundary touch")
+    return rs, (i, j)
 
 
 def _sheet_sign_at_origin(fpoly, x, y):

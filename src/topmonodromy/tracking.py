@@ -512,12 +512,23 @@ def _simplify_bundle(bundle, rs, margin):
     return _Bundle.of(polygons, bundle.y_ref, bundle.windings)
 
 
+def _chart_point(point):
+    """Chart coordinates as Python floats, complex only where not real."""
+    return tuple(
+        c.real if c.imag == 0.0 else c for c in (complex(v) for v in point)
+    )
+
+
 class _March:
-    """Root (and optionally cable) transport along chart segments."""
+    """Root (and optionally cable) transport along chart segments.
+
+    Coordinates may be complex (genus 1 only); the action's a2 deformation
+    marches through the complex a2 plane with this same tracker.
+    """
 
     def __init__(self, g, point, with_cables):
         self.g = g
-        self.point = tuple(float(v) for v in point)
+        self.point = _chart_point(point)
         self.fpoly = fiber_polynomial(g, self.point)
         self.rs = roots(self.fpoly)
         self.min_sep = _pairwise_min_sep(self.rs)
@@ -599,7 +610,7 @@ class _March:
     def traverse(self, target, presplit=1, stop=None):
         """March to target; an optional stop predicate ends the walk early."""
         start = self.point
-        end = tuple(float(v) for v in target)
+        end = _chart_point(target)
         if end == start:
             return False
         k = max(1, int(presplit))

@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topmonodromy import tracking
+from topmonodromy.discriminant import in_component_C, quartic_poly
 from topmonodromy.errors import (
     DegenerateInputError,
     NearDiscriminantError,
     QuadratureError,
+    RootFindingError,
+    TrackingError,
     ValidationError,
 )
 from topmonodromy.homology import build_basis
 from topmonodromy.periods import (
+    _a2_deformation_path,
+    _vanishing_pair,
     action_I1,
     action_I1_cubic,
     basis_contours,
-    basis_periods,
     big_loop,
-    contour_periods,
     cycle_integral,
     normalized_basis_contours,
     pair_loop,
@@ -268,30 +272,6 @@ def test_normalized_basis_realizes_canonical_intersections():
         assert realized_intersection(f, cont[0], cont[1]) == 0
 
 
-def test_basis_periods_shape_and_finite():
-    f = ComplexPoly.of([1.0, 0.3, 2.0, 0.1, 1.0, 0.2, 2.0])
-    cfg = build_basis(roots(f), 2)
-    P, Q = basis_periods(f, cfg)
-    assert P.shape == (5, 3)
-    assert Q is None
-    assert np.all(np.isfinite(P))
-    P2, _ = basis_periods(f, cfg)
-    assert np.array_equal(P, P2)
-    P3, Q3 = basis_periods(f, cfg, with_action=True)
-    assert Q3.shape == (5,)
-    assert np.all(np.isfinite(Q3))
-    assert np.allclose(P3, P, rtol=1e-8, atol=1e-10)
-
-
-def test_contour_periods_consistent_with_cycle_integral_up_to_sheet():
-    rs = roots(UNIT_QUARTIC)
-    cfg = build_basis(rs, 1)
-    spec = pair_loop(rs, cfg.pairing[0])
-    anchored = cycle_integral(UNIT_QUARTIC, spec, "dx/y")
-    free = contour_periods(UNIT_QUARTIC, spec, ("dx/y",))[0]
-    assert min(abs(free - anchored), abs(free + anchored)) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # action integral
 # ---------------------------------------------------------------------------
@@ -347,6 +327,143 @@ def test_action_near_discriminant_guard():
         action_I1((0.0, -2.0 + 1e-13, 0.0))
     with pytest.raises(NearDiscriminantError):
         action_I1((0.0, 2.02, 0.0))
+
+
+def cubic_form_action(a):
+    """Independent oracle: mpmath tanh-sinh quadrature of the cubic form.
+
+    I1 = (1/pi) * int_{u1}^{u2} sqrt(g(u)) / (1 - u^2) du with
+    g(u) = 2u^3 - a2 u^2 + (a1 a3/2 - 2) u + a2 - (a1^2 + a3^2)/4 and
+    u1 <= u2 its two smallest real roots.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        a1, a2, a3 = (mpmath.mpf(v) for v in a)
+        cs = [2, -a2, a1 * a3 / 2 - 2, a2 - (a1 * a1 + a3 * a3) / 4]
+        u1, u2, _ = sorted(mpmath.re(r) for r in mpmath.polyroots(cs, extraprec=60))
+
+        def integrand(u):
+            g = ((2 * u - a2) * u + cs[2]) * u + cs[3]
+            return mpmath.sqrt(max(g, 0)) / (1 - u * u)
+
+        return float(mpmath.quad(integrand, [u1, u2]) / mpmath.pi)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1.2e-3, -1e-3, 1e-6])
+def test_action_matches_cubic_form_near_the_plane_a1_eq_minus_a3(gap):
+    # Both pairs nearly collide at the end of the a2 deformation here; the
+    # vanishing pair is the one at the real touch point, which the nearest
+    # pair at the stop value is not when a1 * (a1 + a3) > 0.
+    a = (0.5, 1.4, -0.5 + gap)
+    assert abs(action_I1(a) - cubic_form_action(a)) < 1e-8
+
+
+def fixed_grid_vanishing_pair(a):
+    """Reference: the former a2-deformation tracker of periods.py.
+
+    A fixed grid of samples per waypoint segment, doubled from 40 up to
+    5,120 until every greedy nearest-root match moves each root less than a
+    third of the smallest separation; the pair returned is the closest one
+    at the end of the deformation.
+    """
+    a1, a2, a3 = a
+    rs = roots(ComplexPoly.of((1.0, a3, a2, a1, 1.0)))
+    waypoints, _ = _a2_deformation_path(a1, a2, a3)
+    per_seg = 40
+    while per_seg <= 5120:
+        samples = []
+        for k in range(len(waypoints) - 1):
+            seg = np.linspace(waypoints[k], waypoints[k + 1], per_seg)
+            samples.extend(seg[1:] if k else seg)
+        cur = list(rs)
+        for s in samples[1:]:
+            sep = min(abs(cur[i] - cur[j]) for i in range(4) for j in range(i + 1, 4))
+            new = roots(ComplexPoly.of((1.0, a3, s, a1, 1.0)), initial=cur)
+            free = list(range(4))
+            matched = []
+            for c0 in cur:
+                j = min(free, key=lambda k: abs(new[k] - c0))
+                free.remove(j)
+                matched.append(new[j])
+            if max(abs(m - c) for m, c in zip(matched, cur)) > sep / 3.0:
+                break
+            cur = matched
+        else:
+            pairs = sorted(
+                (abs(cur[i] - cur[j]), (i, j)) for i in range(4) for j in range(i + 1, 4)
+            )
+            return rs, pairs[0][1]
+        per_seg *= 2
+    raise AssertionError("reference tracker failed")
+
+
+def seeded_component_points(seed, count, palindromic, detour):
+    """Points of C away from a1 + a3 = 0; detour asks for a path around a
+    complex double root (palindromic only)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a1, a3 = (float(v) for v in rng.uniform(-0.8, 0.8, size=2))
+        a2 = float(rng.uniform(0.4, 4.0))
+        if palindromic:
+            a3 = a1
+        if abs(a1 + a3) < 0.01:
+            continue
+        try:
+            if not in_component_C(ComplexPoly.of((1.0, a3, a2, a1, 1.0))):
+                continue
+            waypoints, _ = _a2_deformation_path(a1, a2, a3)
+        except NearDiscriminantError:
+            continue
+        if (len(waypoints) > 2) == detour:
+            out.append((a1, a2, a3))
+    return out
+
+
+@pytest.mark.parametrize(
+    "palindromic, detour", [(False, False), (True, False), (True, True)]
+)
+def test_vanishing_pair_matches_fixed_grid_reference(palindromic, detour):
+    for a in seeded_component_points(2718, 5, palindromic, detour):
+        rs, pair = _vanishing_pair(a)
+        ref_rs, ref_pair = fixed_grid_vanishing_pair(a)
+        assert pair == ref_pair
+        assert [(r.real.hex(), r.imag.hex()) for r in rs] == [
+            (r.real.hex(), r.imag.hex()) for r in ref_rs
+        ]
+
+
+def test_march_to_complex_a2_matches_roots_of_that_quartic():
+    a1, a2, a3 = 0.3, 2.9, -0.2
+    target = (a1, a2 - 0.6 + 0.4j, a3)
+    state = tracking._March(1, (a1, a2, a3), with_cables=False)
+    state.traverse(target)
+    assert state.point == target
+    want = roots(quartic_poly(target))
+    perm, worst = tracking._match_roots(state.rs, want)
+    assert sorted(perm) == [0, 1, 2, 3]
+    assert worst < 1e-12
+
+
+def test_stalled_a2_march_raises_tracking_error(monkeypatch):
+    real_roots = tracking.roots
+    calls = []
+
+    def base_only(p, *args, **kwargs):
+        calls.append(p)
+        if len(calls) > 1:
+            raise RootFindingError("forced failure")
+        return real_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "roots", base_only)
+    a = (0.9, 2.8, -0.4)
+    with pytest.raises(TrackingError, match="root tracking stalled") as err:
+        action_I1(a)
+    start, end = err.value.arc
+    assert start == a
+    assert end[0] == a[0] and end[2] == a[2] and end[1] != a[1]
+    assert err.value.parameter == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from topmonodromy.discriminant import quartic_poly
 from topmonodromy.errors import (
     NearDiscriminantError,
     QuadratureError,
@@ -337,6 +338,18 @@ class TestTypedFailures:
         assert state._try_advance(self.TARGET) is False
         assert state.steps_used == 0
         assert state.point == self.BASE
+
+
+def test_real_chart_points_stay_python_floats():
+    # complex chart coordinates are accepted, but a real point builds the
+    # same float polynomial as before and is kept (and printed) as floats
+    point = (np.float64(0.3), 2, -0.2)
+    assert quartic_poly(point).coeffs == (1 + 0j, -0.2 + 0j, 2 + 0j, 0.3 + 0j, 1 + 0j)
+    state = _March(1, point, with_cables=False)
+    assert state.point == (0.3, 2.0, -0.2)
+    state.traverse((0.3, 2.5, -0.2))
+    assert state.point == (0.3, 2.5, -0.2)
+    assert all(type(v) is float for v in state.point)
 
 
 class TestGroupStructure:
