@@ -87,15 +87,15 @@ class ContourSpec:
                 -self.semi_major * np.sin(t) + 1j * self.semi_minor * np.cos(t)
             )
             return x, dx * (2.0 * math.pi / n)
-        xs, ws = [], []
+        # one row of nodes per edge; x is summed in place, so no (edges, n)
+        # temporary is made beside the two outputs
         glx, glw = _leggauss(n)
-        verts = self.vertices
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            xs.append(mid + half * glx)
-            ws.append(half * glw * np.ones_like(glx))
-        return np.concatenate(xs), np.concatenate(ws)
+        a = np.array(self.vertices, dtype=complex)
+        b = np.roll(a, -1)
+        half = (0.5 * (b - a))[:, None]
+        x = half * glx
+        x += (0.5 * (a + b))[:, None]
+        return x.ravel(), (half * glw).ravel()
 
 
 def _min_distance_to(points, x_samples):
@@ -715,6 +715,13 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     I1 = (A/pi) * integral over [u1, u2] of sqrt(g(u))/(1-u^2) du where
     g(u) = 2u^3 - a2 u^2 + (a1 a3/2 - 2) u + a2 - (a1^2+a3^2)/4 and
     u1 <= u2 are the two smallest real roots of g.
+
+    With u = c + w sin t, k = 1 + c and F(u) = sqrt(2(u3 - u))/(1 - u) the
+    integrand is F(u) w^2 cos^2 t / (k + w sin t), whose pole u = -1 nears
+    the endpoint u1 close to the plane a1 = -a3 (g(-1) = -(a1 + a3)^2/4).
+    The pole is subtracted in closed form: w^2 cos^2 t = (k - w sin t)
+    (k + w sin t) + w^2 - k^2 and dt/(k + w sin t) integrates to
+    pi/sqrt(k^2 - w^2), with k^2 - w^2 = (1 + u1)(1 + u2) >= 0.
     """
     gpoly = _action_cubic_polynomial(a)
     rs = poly_roots(gpoly, tol=1e-13)
@@ -726,14 +733,17 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):
         raise DegenerateInputError("cubic form has a repeated root")
     c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
+    k = 1.0 + c
+    gap = max(0.0, (1.0 + u1) * (1.0 + u2))  # k^2 - w^2, clamped against rounding
+    f1 = math.sqrt(2.0 * (u3 - u1)) / (1.0 - u1)
 
     def value(n):
         t, gw = _leggauss(n)
-        t = 0.5 * math.pi * t
-        gw = 0.5 * math.pi * gw
-        u = c + w * np.sin(t)
-        core = np.sqrt(2.0 * (u3 - u)) * (w * np.cos(t)) ** 2
-        return float(np.sum(core / ((1.0 - u) * (1.0 + u)) * gw))
+        s = np.sin(0.5 * math.pi * t)
+        u = c + w * s
+        f = np.sqrt(2.0 * (u3 - u)) / (1.0 - u)
+        core = f * (k - w * s) - gap * (f - f1) / (1.0 + u)
+        return 0.5 * math.pi * float(np.sum(core * gw)) - math.pi * f1 * math.sqrt(gap)
 
     v1, v2 = value(_CUBIC_NODES), value(_CUBIC_NODES + 160)
     if abs(v1 - v2) > 1e-9 * max(1.0, abs(v2)):

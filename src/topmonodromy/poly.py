@@ -233,13 +233,16 @@ def roots(p: ComplexPoly, tol: float = 1e-12, initial=None):
 
     Returns exactly p.degree values sorted lexicographically by (real, imag).
     `initial` optionally warm-starts the iteration (used by continuation).
-    Residual contract: |p(r)| <= tol * max|coeff| * max(1,|r|)^degree.
+    Guesses that coincide exactly would move in lockstep, each meeting the
+    residual contract on its own at one root, so they fall back to the cold
+    start.  Residual contract: |p(r)| <= tol * max|coeff| * max(1,|r|)^degree.
     Raises RootFindingError when the contract is not met within
     _ABERTH_BUDGET sweeps or the iteration overflows.
     """
     n = p.degree
     if n < 1:
         raise ValidationError("roots requires degree >= 1")
+    z = None
     if initial is not None:
         try:
             z = [complex(v) for v in initial]
@@ -247,7 +250,9 @@ def roots(p: ComplexPoly, tol: float = 1e-12, initial=None):
             z = None
         if z is None or len(z) != n:
             raise ValidationError("initial guesses must match the degree")
-    else:
+        if len(set(z)) < n:
+            z = None
+    if z is None:
         radius = _fujiwara_radius(p.coeffs)
         z = [
             cmath.rect(radius, 2.0 * math.pi * (k + 0.5) / n + 0.41)

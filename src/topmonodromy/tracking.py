@@ -13,9 +13,15 @@ The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
 array with a start offset, a pinned square root and a row of winding numbers
 per cable.  A march attempt makes one pass of each kind (push, clearance
 test, midpoint insertion, winding count, square-root continuation) over all
-vertices at once.  An attempt is rejected, and the step bisected, when any
-cable cannot be maintained; a stalled bisection, or a winding number that
-changed, raises TrackingError with the stretch of the loop where it happened.
+vertices at once.  The upkeep after a step re-checks only what moved: its
+first round tests every vertex and edge, each later round only the
+midpoints the round before inserted and the edges at them.  That makes the
+decisions a full re-test would: the margin disks are disjoint, so a pushed
+vertex lands outside every disk; a vertex that was not pushed was outside
+already; and an edge found clear stays clear while its endpoints stay put.
+An attempt is rejected, and the step bisected, when any cable cannot be
+maintained; a stalled bisection, or a winding number that changed, raises
+TrackingError with the stretch of the loop where it happened.
 
 No integration happens at intermediate fibers.  The periods of the carried
 differentials x^k dx/y, k = 0..g (a rank 2g+1 real frame, since x^g dx/y
@@ -418,29 +424,36 @@ def _maintain_bundle(bundle, rs, margin, fpoly):
     clean does not change in a further round, so each ends exactly as it would
     alone.  Returns None when any cable cannot be restored, which makes the
     caller bisect the parameter step.
+
+    Only the first round tests every vertex and edge; a later round tests
+    the midpoints the round before inserted and the two edges at each.  That
+    needs margin <= min_sep / 4: a pushed vertex then lands 1.15 margins from
+    its root and at least 2.85 from any other, outside every disk.
     """
     verts = np.array(bundle.verts, dtype=complex)
     starts = bundle.starts
     y_ref = np.array(bundle.y_ref, dtype=complex)
     r = np.asarray(rs, dtype=complex)
-    for _ in range(8):
-        dx = verts.real[:, None] - r.real
-        dy = verts.imag[:, None] - r.imag
+    fresh = edges = np.arange(len(verts))  # vertices and edges to test
+    for k in range(8):
+        dx = verts.real[fresh, None] - r.real
+        dy = verts.imag[fresh, None] - r.imag
         d = np.hypot(dx, dy)
         inside = d < margin
-        hit = np.flatnonzero(inside.any(axis=1))
-        moved = len(hit) > 0
-        if moved:
-            j = np.argmax(inside[hit], axis=1)
-            dist = d[hit, j]
+        rows = np.flatnonzero(inside.any(axis=1))
+        if len(rows):
+            j = np.argmax(inside[rows], axis=1)
+            dist = d[rows, j]
             if np.any(dist == 0.0):
                 return None
             scale = _PUSH_TARGET * margin / dist
-            tx = r.real[j] + dx[hit, j] * scale
-            ty = r.imag[j] + dy[hit, j] * scale
-            for c in np.flatnonzero(inside[starts].any(axis=1)):
-                h = np.searchsorted(hit, starts[c])
-                x0, x1 = complex(verts[starts[c]]), complex(tx[h], ty[h])
+            tx = r.real[j] + dx[rows, j] * scale
+            ty = r.imag[j] + dy[rows, j] * scale
+            hit = fresh[rows]
+            # the cables whose vertex 0 is pushed; hit[h[c]] is that vertex
+            h = np.searchsorted(hit, starts)
+            for c in np.flatnonzero(hit[np.minimum(h, len(hit) - 1)] == starts):
+                x0, x1 = complex(verts[starts[c]]), complex(tx[h[c]], ty[h[c]])
                 xs = np.linspace(x0, x1, 17)
                 y = _continue_sqrt(fpoly(xs), complex(y_ref[c]))
                 if y is None:
@@ -448,20 +461,21 @@ def _maintain_bundle(bundle, rs, margin, fpoly):
                 y_ref[c] = y
             verts.real[hit] = tx
             verts.imag[hit] = ty
-        nxt = verts[_next_index(starts, len(verts))]
-        crowded = np.any(
-            _segment_distances(verts, nxt, r) < _EDGE_CLEAR * margin, axis=1
-        )
-        if crowded.any():
-            mids = np.empty_like(verts)
-            mids.real = 0.5 * (verts.real + nxt.real)
-            mids.imag = 0.5 * (verts.imag + nxt.imag)
-            keep = np.stack([np.ones_like(crowded), crowded], axis=1).ravel()
-            verts = np.stack([verts, mids], axis=1).ravel()[keep]
-            starts = starts + np.concatenate(([0], np.cumsum(crowded)))[starts]
-            moved = True
-        if not moved:
+        a = verts[edges]
+        b = verts[_next_index(starts, len(verts))[edges]]
+        near = np.any(_segment_distances(a, b, r) < _EDGE_CLEAR * margin, axis=1)
+        split = edges[near]
+        if not len(split) and (k < 7 or not len(rows)):
+            # Nothing is left to test, so a further round would change
+            # nothing; a push in the last round still fails the call.
             return _Bundle(verts, starts, y_ref, bundle.windings)
+        mids = np.empty(len(split), dtype=complex)
+        mids.real = 0.5 * (a.real[near] + b.real[near])
+        mids.imag = 0.5 * (a.imag[near] + b.imag[near])
+        starts = starts + np.searchsorted(split, starts)
+        verts = np.insert(verts, split + 1, mids)
+        fresh = split + np.arange(1, len(split) + 1)
+        edges = np.stack([fresh - 1, fresh], axis=1).ravel()
     return None
 
 

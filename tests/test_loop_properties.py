@@ -9,13 +9,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topmonodromy.tracking import monodromy_periods, named_loop, parameter_loop
+from topmonodromy.tracking import (
+    compose_loops,
+    monodromy_periods,
+    named_loop,
+    parameter_loop,
+    picard_lefschetz_route,
+)
 
 # The ball of this radius about each genus's base point holds no point of the
 # discriminant, so every loop inside it is contractible.
 BALL_RADIUS = 0.15
 BASES = {1: named_loop("cushman").base, 2: named_loop("kappa1").base}
 MERIDIAN_RADIUS = {"cushman": (0.3, 0.7), "kappa1": (0.05, 0.15)}
+# The meridians the composition and route properties draw from; kappa1 and
+# kappa3 share a base and their matrices do not commute.
+MERIDIANS = {1: ("cushman",), 2: ("kappa1", "kappa3")}
+RADIUS = {**MERIDIAN_RADIUS, "kappa2": (0.05, 0.15), "kappa3": (0.05, 0.15)}
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -29,15 +39,20 @@ def _identity(n):
     return np.eye(n, dtype=int).tolist()
 
 
-@settings(PROPERTY, max_examples=16)
-@given(g=st.sampled_from((1, 2)), hops=st.lists(waypoint, min_size=3, max_size=4))
-def test_contractible_loops_are_the_identity(g, hops):
+def _ball_loop(g, hops):
+    """Loop from the base through the given points of the ball about it."""
     pts = []
     for z, phi, rho in hops:
         s = math.sqrt(1.0 - z * z)
         d = (s * math.cos(phi), s * math.sin(phi), z)
         pts.append(tuple(b + rho * c for b, c in zip(BASES[g], d)))
-    res = monodromy_periods(parameter_loop(g, [BASES[g], *pts, BASES[g]]))
+    return parameter_loop(g, [BASES[g], *pts, BASES[g]])
+
+
+@settings(PROPERTY, max_examples=16)
+@given(g=st.sampled_from((1, 2)), hops=st.lists(waypoint, min_size=3, max_size=4))
+def test_contractible_loops_are_the_identity(g, hops):
+    res = monodromy_periods(_ball_loop(g, hops))
     assert res.as_array().tolist() == _identity(2 * g + 1)
     assert res.permutation == tuple(range(2 * g + 2))
 
@@ -59,7 +74,9 @@ def _meridian(name, radius, count, orientation):
         p = centre + radius * (math.cos(ph) * u1 + math.sin(ph) * u2)
         pts.append(tuple(float(c) for c in p))
     pts.append(named.base)
-    return parameter_loop(named.g, pts, orientation=orientation)
+    return parameter_loop(
+        named.g, pts, orientation=orientation, stratum=named.stratum
+    )
 
 
 @settings(PROPERTY, max_examples=8)
@@ -77,3 +94,44 @@ def test_a_meridian_and_its_reverse_are_inverse(name, u, count):
     assert (fwd.as_array() @ rev.as_array()).tolist() == _identity(n)
     assert (rev.as_array() @ fwd.as_array()).tolist() == _identity(n)
     assert fwd.as_array().tolist() != _identity(n)
+
+
+@st.composite
+def based_loops(draw, g):
+    """A random meridian of genus g's strata, or a contractible loop, from
+    the common base of genus g."""
+    name = draw(st.sampled_from(MERIDIANS[g] + ("contractible",)))
+    if name == "contractible":
+        return _ball_loop(g, draw(st.lists(waypoint, min_size=3, max_size=3)))
+    lo, hi = RADIUS[name]
+    radius = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    count = draw(st.integers(32, 64))
+    return _meridian(name, radius, count, draw(st.sampled_from((1, -1))))
+
+
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data(), g=st.sampled_from((1, 2)))
+def test_a_composed_loop_multiplies_the_matrices(data, g):
+    first = data.draw(based_loops(g))
+    second = data.draw(based_loops(g))
+    m1 = monodromy_periods(first).as_array()
+    m2 = monodromy_periods(second).as_array()
+    both = monodromy_periods(compose_loops(first, second)).as_array()
+    # columns are images of basis cycles, so the second loop acts last
+    assert both.tolist() == (m2 @ m1).tolist()
+
+
+@settings(PROPERTY, max_examples=8)
+@given(
+    name=st.sampled_from(sorted(RADIUS)),
+    u=st.floats(0.0, 1.0),
+    count=st.integers(32, 96),
+    orientation=st.sampled_from((1, -1)),
+)
+def test_the_two_routes_agree_on_a_meridian(name, u, count, orientation):
+    lo, hi = RADIUS[name]
+    loop = _meridian(name, lo + (hi - lo) * u, count, orientation)
+    lattice = monodromy_periods(loop)
+    local = picard_lefschetz_route(loop)
+    assert local.matrix == lattice.matrix
+    assert local.permutation == lattice.permutation

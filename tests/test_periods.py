@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topmonodromy import tracking
@@ -357,6 +357,32 @@ def test_action_matches_cubic_form_near_the_plane_a1_eq_minus_a3(gap):
     # pair at the stop value is not when a1 * (a1 + a3) > 0.
     a = (0.5, 1.4, -0.5 + gap)
     assert abs(action_I1(a) - cubic_form_action(a)) < 1e-8
+
+
+def test_cubic_action_converges_next_to_the_plane_a1_eq_minus_a3():
+    # u = -1 is within 1e-6 of the endpoint u1 here; the cubic form raised
+    # QuadratureError before its pole at u = -1 was subtracted
+    a = (0.18236762335248613, 1.1613698622237552, -0.18356589046478888)
+    cubic = action_I1_cubic(a)
+    assert abs(cubic - cubic_form_action(a)) < 1e-10
+    assert abs(cubic - action_I1(a)) < 1e-10
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=24)
+@given(
+    a1=st.floats(-0.6, 0.6),
+    a2=st.floats(0.4, 1.9),
+    exponent=st.floats(-6.0, -1.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_action_routes_agree_near_the_plane_a1_eq_minus_a3(a1, a2, exponent, sign):
+    a = (a1, a2, -a1 + sign * 10.0**exponent)
+    try:
+        inside = in_component_C(quartic_poly(a))
+    except NearDiscriminantError:
+        inside = False
+    assume(inside)
+    assert abs(action_I1(a) - action_I1_cubic(a)) < 1e-8
 
 
 def fixed_grid_vanishing_pair(a):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from topmonodromy.errors import DegenerateInputError, RootFindingError, ValidationError
 from topmonodromy.poly import (
     ComplexPoly,
+    _aberth_kernel,
     _fujiwara_radius,
     discriminant,
     normalized_discriminant,
@@ -108,12 +109,10 @@ def test_roots_budget_exhaustion_reports_best_residual():
 @pytest.mark.parametrize(
     "coeffs, initial",
     [
-        # coincident guesses: the pair term is undefined, both move by Newton
-        ([1.0, -2.0, 1.0], [1.1, 1.1]),
         # p'(0) = 0: the floored derivative still gives a finite Aberth step
         ([-1.0, 0.0, 0.0, 1.0], [0.0, 1.5, -1.0 + 1.0j]),
     ],
-    ids=["coincident", "critical-point"],
+    ids=["critical-point"],
 )
 def test_roots_degenerate_starts_match_reference(coeffs, initial):
     p = ComplexPoly.of(coeffs)
@@ -122,6 +121,34 @@ def test_roots_degenerate_starts_match_reference(coeffs, initial):
     got = roots(p, initial=initial)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def test_aberth_kernel_coincident_start_matches_reference():
+    # coincident iterates: the pair term is undefined, both move by Newton.
+    # roots() starts such guesses cold, so this calls the kernel directly.
+    p = ComplexPoly.of([1.0, -2.0, 1.0])
+    initial = [1.1 + 0j, 1.1 + 0j]
+    with np.errstate(all="ignore"):
+        want = numpy_roots(p, initial=initial)
+    desc = p.coeffs[::-1]
+    deriv = [2.0 * desc[0], desc[1]]
+    got, _ = _aberth_kernel(2)(1e-12 * p.coeff_scale(), initial, *desc, *deriv)
+    got = sorted(got, key=lambda v: (v.real, v.imag))
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def test_coincident_warm_start_falls_back_to_the_cold_start():
+    # from coincident guesses both iterates would settle on the root 1, each
+    # meeting the residual contract, and 2 would never be found
+    p = ComplexPoly.of([2.0, -3.0, 1.0])
+    got = roots(p, initial=[1.1, 1.1])
+    assert got == roots(p)
+    assert [round(r.real, 12) for r in got] == [1.0, 2.0]
+    assert max(abs(r.imag) for r in got) < 1e-12
+    # a start with only two guesses in common falls back as well
+    q = ComplexPoly.from_roots([1.0, 2.0, 3.0])
+    assert roots(q, initial=[0.9, 0.9, 3.1]) == roots(q)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from topmonodromy.periods import _leggauss, polyline
 from topmonodromy.poly import ComplexPoly
 from topmonodromy.tracking import (
     _BLEND,
@@ -191,6 +192,91 @@ def test_maintain_cable_is_bit_identical(seed):
     assert got.y_ref[0] == ref.y_ref
     assert got.y_ref[0] != y_ref
     assert got.windings == [(1,)]
+
+
+def _upkeep_cases(verts, rs, margin):
+    """The cases a full re-scan of one cable meets, round by round.
+
+    Replays _maintain_cable_ref's rounds on the vertices alone and returns
+    the set of cases seen: "vertex 0 pushed" (in round 1), "midpoint pushed"
+    (in the round after its insertion), "4+ rounds" (rounds run, counting
+    the one that finds nothing to do), "8 rounds" (a call that ends clean in
+    its last round) and "push in round 8" (a last round that only pushes,
+    which fails the call).  The incremental upkeep tests only the midpoints
+    of the round before and their edges, so these are the cases where it
+    could part from the full re-scan.
+    """
+    verts = list(verts)
+    born = [0] * len(verts)  # the round that inserted each vertex
+    cases = set()
+    for k in range(1, 9):
+        pushed = split = False
+        for i, v in enumerate(verts):
+            for r in rs:
+                d = abs(v - r)
+                if d < margin:
+                    if d == 0.0:
+                        return cases
+                    verts[i] = r + (v - r) * (_PUSH_TARGET * margin / d)
+                    if i == 0 and k == 1:
+                        cases.add("vertex 0 pushed")
+                    if k > 1 and born[i] == k - 1:
+                        cases.add("midpoint pushed")
+                    pushed = True
+                    break
+        refined, refined_born = [], []
+        n = len(verts)
+        for i in range(n):
+            a, b = verts[i], verts[(i + 1) % n]
+            refined.append(a)
+            refined_born.append(born[i])
+            if any(
+                _segment_point_distance(a, b, r) < _EDGE_CLEAR * margin for r in rs
+            ):
+                refined.append(0.5 * (a + b))
+                refined_born.append(k)
+                split = True
+        verts, born = refined, refined_born
+        if k >= 4:
+            cases.add("4+ rounds")
+        if not (pushed or split):
+            if k == 8:
+                cases.add("8 rounds")
+            return cases
+    if pushed and not split:
+        cases.add("push in round 8")
+    return cases
+
+
+# _scene seeds that between them reach every case of _upkeep_cases; seed 0
+# is among test_maintain_cable_is_bit_identical's, the others are checked
+# against the reference below
+UPKEEP_SEEDS = (0, 80, 136)
+
+
+def test_upkeep_seeds_reach_every_case():
+    seen = set()
+    for seed in UPKEEP_SEEDS:
+        rs, margin, verts, _, _ = _scene(seed, 40)
+        seen |= _upkeep_cases(verts, rs, margin)
+    assert seen == {
+        "vertex 0 pushed",
+        "midpoint pushed",
+        "4+ rounds",
+        "8 rounds",
+        "push in round 8",
+    }
+
+
+@pytest.mark.parametrize("seed", UPKEEP_SEEDS[1:])
+def test_incremental_upkeep_matches_the_full_rescan(seed):
+    rs, margin, verts, y_ref, fpoly = _scene(seed, 40)
+    ref = _maintain_cable_ref(_Cable(verts, y_ref), rs, margin, fpoly)
+    got = _maintain_bundle(_one(np.array(verts), y_ref), rs, margin, fpoly)
+    assert (ref is None) == (got is None)
+    if ref is not None:
+        assert _hex(got.verts) == _hex(ref.verts)
+        assert got.y_ref[0] == ref.y_ref
 
 
 def test_maintain_cable_scenes_mostly_succeed():
@@ -394,3 +480,31 @@ def test_blend_lift_rows_match_each_cable():
     f1[4] = -f0[4]
     rows = (1.0 - _BLEND) * f0[:, None] + _BLEND * f1[:, None]
     assert _continue_sqrt(rows, y0) is None
+
+
+def _polyline_nodes_ref(verts, n):
+    """The former per-edge loop of ContourSpec.nodes for polylines."""
+    xs, ws = [], []
+    glx, glw = _leggauss(n)
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs.append(mid + half * glx)
+        ws.append(half * glw * np.ones_like(glx))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("n", [24 << k for k in range(7)] + [2048])
+def test_polyline_nodes_are_bit_identical(n):
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        m = int(rng.integers(3, 80))
+        verts = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** float(
+            rng.uniform(-3.0, 3.0)
+        )
+        verts.real[:: int(rng.integers(2, 6))] = 0.0
+        spec = polyline(verts)
+        x, w = spec.nodes(n)
+        x_ref, w_ref = _polyline_nodes_ref(spec.vertices, n)
+        assert x.tobytes() == x_ref.tobytes()
+        assert w.tobytes() == w_ref.tobytes()
