@@ -9,17 +9,21 @@ branch is evaluated pointwise, homotopic contours always integrate on the
 same sheet.  Action integrals are instead anchored where the contour crosses
 the real axis (f > 0 there when the curve has no real branch points), which
 normalizes the vanishing cycle the same way at every cut.  Polygons carried
-by the monodromy tracker integrate on the sheet of a square root pinned at
-their first vertex.  The action's vanishing cycle is picked by marching the
-branch points along the a2 deformation with that same tracker
-(tracking._March); this module has no root tracker of its own.
+by the monodromy tracker ("cables") integrate on the sheet of a square root
+pinned at their first vertex, and the basis cables are oriented on those
+same polygons: normalized_basis_contours counts their signed same-sheet
+crossings and reverses each cable whose sign is -1.  Ellipses remain the
+contours of cycle_integral, the action and the residue check, and the shape
+that _polygonize turns into the basis polygons.  The action's vanishing
+cycle is picked by marching the branch points along the a2 deformation with
+the tracker (tracking._March); this module has no root tracker of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +45,10 @@ from .spectral import SpectralCoeffs
 _AMBIGUITY_LIMIT = 0.7
 _MAX_ELLIPSE_NODES = 1 << 16
 _MAX_EDGE_NODES = 1 << 11
+_PAIR_PAD = 0.45  # pair_loop's first pad, as a fraction of the nearest gap
+_BIG_LOOP_FACTOR = 2.0  # big_loop radius = factor * reach + pad
+_BIG_LOOP_PAD = 1.0
+_POLY_VERTS = 48  # vertices used when a realized ellipse becomes a polygon
 
 
 @functools.lru_cache(maxsize=32)
@@ -81,8 +89,9 @@ class ContourSpec:
         """Sample points and quadrature weights for one positive circuit."""
         if self.kind in ("pair-loop", "big-loop"):
             t = np.arange(n) * (2.0 * math.pi / n)
-            osc = self.semi_major * np.cos(t) + 1j * self.semi_minor * np.sin(t)
-            x = self.center + self.axis * osc
+            x = _ellipse_point(
+                self.center, self.axis, self.semi_major, self.semi_minor, t
+            )
             dx = self.axis * (
                 -self.semi_major * np.sin(t) + 1j * self.semi_minor * np.cos(t)
             )
@@ -98,14 +107,12 @@ class ContourSpec:
         return x.ravel(), (half * glw).ravel()
 
 
-def _min_distance_to(points, x_samples):
-    if not points:
-        return math.inf
-    pts = np.asarray(points, dtype=complex)
-    return float(np.min(np.abs(x_samples[:, None] - pts[None, :])))
+def _ellipse_point(center, axis, semi_major, semi_minor, t):
+    """Point of the ellipse at parameter t: the one ellipse parametrisation."""
+    return center + axis * (semi_major * np.cos(t) + 1j * semi_minor * np.sin(t))
 
 
-def pair_loop(roots, pair, orientation=1, avoid=(), pad_frac=0.45):
+def pair_loop(roots, pair, orientation=1, avoid=()):
     """Ellipse around the cut joining roots[pair[0]] and roots[pair[1]].
 
     Every other root, plus the points in avoid, stays outside with margin.
@@ -131,7 +138,7 @@ def pair_loop(roots, pair, orientation=1, avoid=(), pad_frac=0.45):
     base = min((seg_dist(p) for p in excluded), default=1.0 + d)
     if base <= 1e-9 * d:
         raise DegenerateInputError("an excluded point sits on the cut")
-    pad = pad_frac * base
+    pad = _PAIR_PAD * base
     for _ in range(10):
         a, b = 0.5 * d + pad, pad
         ok = True
@@ -142,8 +149,8 @@ def pair_loop(roots, pair, orientation=1, avoid=(), pad_frac=0.45):
                 break
         if ok:
             t = np.arange(128) * (2.0 * math.pi / 128)
-            samples = center + axis * (a * np.cos(t) + 1j * b * np.sin(t))
-            clearance = _min_distance_to(excluded, samples)
+            gaps = _ellipse_point(center, axis, a, b, t)[:, None] - np.array(excluded)
+            clearance = float(np.min(np.abs(gaps), initial=math.inf))
             return ContourSpec(
                 kind="pair-loop",
                 orientation=orientation,
@@ -158,12 +165,12 @@ def pair_loop(roots, pair, orientation=1, avoid=(), pad_frac=0.45):
     raise DegenerateInputError("cannot fit a pair loop between branch points")
 
 
-def big_loop(roots, orientation=1, factor=2.0, pad=1.0):
+def big_loop(roots, orientation=1):
     """Circle around every branch point (and the origin)."""
     pts = np.asarray(tuple(complex(r) for r in roots))
     center = complex(np.mean(pts))
     reach = float(np.max(np.abs(pts - center)))
-    radius = factor * reach + pad
+    radius = _BIG_LOOP_FACTOR * reach + _BIG_LOOP_PAD
     clearance = min(radius - reach, radius - abs(center))
     return ContourSpec(
         kind="big-loop",
@@ -177,23 +184,20 @@ def big_loop(roots, orientation=1, factor=2.0, pad=1.0):
     )
 
 
-def polyline(vertices, orientation=1, avoid=()):
+def polyline(vertices, orientation=1):
     """Closed polygonal contour through the given vertices."""
     verts = tuple(complex(v) for v in vertices)
     if len(verts) >= 2 and verts[0] == verts[-1]:
         verts = verts[:-1]
     if len(verts) < 3:
         raise ValidationError("polyline needs at least 3 distinct vertices")
-    clearance = math.inf
-    if avoid:
-        samples = []
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            samples.append(a + (b - a) * np.linspace(0.0, 1.0, 64, endpoint=False))
-        clearance = _min_distance_to(tuple(avoid), np.concatenate(samples))
-    return ContourSpec(
-        kind="polyline", orientation=orientation, clearance=clearance, vertices=verts
-    )
+    return ContourSpec(kind="polyline", orientation=orientation, vertices=verts)
+
+
+def _polygonize(spec, n=_POLY_VERTS):
+    """Vertices of an ellipse contour's positive circuit, from t = 0."""
+    t = np.arange(n) * (2.0 * math.pi / n)
+    return _ellipse_point(spec.center, spec.axis, spec.semi_major, spec.semi_minor, t)
 
 
 def _as_poly(f):
@@ -256,6 +260,13 @@ def _pair_product(lead, cut_pairs, x):
     return val
 
 
+def _cut_pairs(fpoly):
+    """Endpoints of the canonical pairing's cuts."""
+    rs = poly_roots(fpoly)
+    config = build_basis(rs, len(rs) // 2 - 1)
+    return [(rs[i], rs[j]) for i, j in config.pairing]
+
+
 def reference_branch(f, x):
     """Single-valued sqrt of f away from the canonical pairing's cuts.
 
@@ -264,25 +275,18 @@ def reference_branch(f, x):
     large positive real x.
     """
     fpoly = _as_poly(f)
-    rs = poly_roots(fpoly)
-    config = build_basis(rs, len(rs) // 2 - 1)
-    pairs = [(rs[i], rs[j]) for i, j in config.pairing]
-    out = _pair_product(fpoly.coeffs[-1], pairs, x)
+    out = _pair_product(fpoly.coeffs[-1], _cut_pairs(fpoly), x)
     return out if np.ndim(x) else complex(out)
 
 
 def _branch_anchor(fpoly):
     """Anchor that compares the continued lift with the cut-plane branch."""
-    state = {}
+    pairs = []  # found at the first call
 
     def anchor(x, fv, y):
-        if "pairs" not in state:
-            rs = poly_roots(fpoly)
-            config = build_basis(rs, len(rs) // 2 - 1)
-            state["pairs"] = [(rs[i], rs[j]) for i, j in config.pairing]
-            state["lead"] = complex(fpoly.coeffs[-1])
+        pairs[:] = pairs or _cut_pairs(fpoly)
         j = int(np.argmax(np.abs(fv)))
-        ref = complex(_pair_product(state["lead"], state["pairs"], x[j]))
+        ref = complex(_pair_product(fpoly.coeffs[-1], pairs, x[j]))
         return 1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1
 
     return anchor
@@ -399,108 +403,113 @@ def basis_contours(config: BranchConfig):
     return [pair_loop(config.roots, pair) for pair in specs]
 
 
-def _ellipse_point(spec, t):
-    return spec.center + spec.axis * (
-        spec.semi_major * np.cos(t) + 1j * spec.semi_minor * np.sin(t)
-    )
+def _vertex_sqrt(fpoly, x):
+    """Square root of f pinned at a cable's first vertex x.
+
+    The principal root, except where f(x) lies on the negative real axis up
+    to rounding (as at conjugate-symmetric fibers): there the principal
+    root's sign follows a last-bit imaginary part, so the root with Im y > 0
+    is taken.
+    """
+    fv = complex(fpoly(complex(x)))
+    y = complex(np.sqrt(fv))
+    if fv.real < 0.0 and abs(fv.imag) <= 1e-12 * abs(fv) and y.imag < 0.0:
+        y = -y
+    return y
 
 
-def _ellipse_tangent(spec, t):
-    return spec.axis * (
-        -spec.semi_major * np.sin(t) + 1j * spec.semi_minor * np.cos(t)
-    )
+def _sides(p, q):
+    """(q[j+1] - q[j]) x (p[i] - q[j]) over points p and closed polygon q."""
+    d = np.roll(q, -1) - q
+    return d.real * (p.imag[:, None] - q.imag) - d.imag * (p.real[:, None] - q.real)
 
 
-def _lift_to_parameter(fpoly, spec, t):
-    """Continuous sqrt from node 0 (principal branch) to ellipse parameter t."""
-    if t < 1e-12:
-        return complex(np.sqrt(fpoly(_ellipse_point(spec, 0.0))))
-    n = max(64, int(8192 * t / (2.0 * math.pi)))
-    x = _ellipse_point(spec, np.linspace(0.0, t, n))
-    y, worst = _lift_open(fpoly(x))
-    if worst >= _AMBIGUITY_LIMIT:
-        raise QuadratureError("ambiguous lift while locating a crossing")
-    return complex(y[-1])
+def _lift_at(fpoly, verts, y_ref, u):
+    """Square root at path parameters u (edge index + fraction) of a polygon.
+
+    The root is continued from y_ref at verts[0] along the polygon's own
+    edges; the samples per edge double until the lift is unambiguous.
+    """
+    d = np.roll(verts, -1) - verts
+    n = 8
+    while n <= _MAX_EDGE_NODES:
+        path = np.concatenate((np.arange(int(np.max(u) + 1) * n) / n, u))
+        order = np.argsort(path, kind="stable")
+        k = path.astype(int)
+        x = verts[k % len(verts)] + (path - k) * d[k % len(verts)]
+        y, worst = _lift_open(fpoly(x[order]), y_start=y_ref)
+        if worst < _AMBIGUITY_LIMIT:
+            return y[np.argsort(order)][-len(u) :]
+        n *= 2
+    raise QuadratureError("ambiguous lift while locating a crossing")
 
 
-def realized_intersection(f, spec_a: ContourSpec, spec_b: ContourSpec) -> int:
-    """Signed same-sheet crossing count of two realized elliptical contours.
+def realized_intersection(f, cable_a, cable_b) -> int:
+    """Signed same-sheet crossing count of two closed polygons.
 
-    Crossings are located as sign changes of b's ellipse form along a; a
-    crossing counts when both lifts land on the same sheet there, with sign
-    +1 when (tangent of a, tangent of b) is a positively oriented frame.
+    A cable is (vertices, y_ref): the vertex order carries the orientation
+    and y_ref is the square root at vertices[0].  Two edges cross when each
+    one's endpoints lie strictly on opposite sides of the other's line; a
+    vertex on the other polygon, or an overlap of collinear edges, raises
+    QuadratureError.  A crossing counts, with sign +1 when (edge of a, edge
+    of b) is a positive frame, when the lifts of both cables, each continued
+    from its own y_ref along its own edges, land on the same sheet there.
     """
     fpoly = _as_poly(f)
-
-    def q_form(spec, z):
-        w = (z - spec.center) / spec.axis
-        return (w.real / spec.semi_major) ** 2 + (w.imag / spec.semi_minor) ** 2
-
-    n = 1 << 12
-    ts = np.arange(n) * (2.0 * math.pi / n)
-    za = _ellipse_point(spec_a, ts)
-    w = (za - spec_b.center) / spec_b.axis
-    q = (w.real / spec_b.semi_major) ** 2 + (w.imag / spec_b.semi_minor) ** 2 - 1.0
-    if np.any(q == 0.0):
-        raise QuadratureError("contours touch tangentially")
-    total = 0
-    for i in np.flatnonzero(q * np.roll(q, -1) < 0.0):
-        lo, hi = ts[i], ts[i] + 2.0 * math.pi / n
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if (q_form(spec_b, complex(_ellipse_point(spec_a, mid))) - 1.0) * q[
-                i
-            ] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        sa = 0.5 * (lo + hi)
-        z = complex(_ellipse_point(spec_a, sa))
-        wz = (z - spec_b.center) / spec_b.axis
-        tb = math.atan2(
-            wz.imag / spec_b.semi_minor, wz.real / spec_b.semi_major
-        ) % (2.0 * math.pi)
-        ya = _lift_to_parameter(fpoly, spec_a, sa)
-        yb = _lift_to_parameter(fpoly, spec_b, tb)
-        if abs(ya - yb) >= abs(ya + yb):
-            continue
-        da = complex(_ellipse_tangent(spec_a, sa))
-        db = complex(_ellipse_tangent(spec_b, tb))
-        total += 1 if (da.conjugate() * db).imag > 0.0 else -1
-    return total * spec_a.orientation * spec_b.orientation
+    a, b = (np.asarray(c[0], dtype=complex) for c in (cable_a, cable_b))
+    sa = _sides(a, b)  # [i, j]: vertex i of a against edge j of b
+    sb = _sides(b, a).T  # [i, j]: vertex j of b against edge i of a
+    ca = np.sign(sa) * np.sign(np.roll(sa, -1, axis=0))
+    cb = np.sign(sb) * np.sign(np.roll(sb, -1, axis=1))
+    for i, j in zip(*np.nonzero((ca <= 0) & (cb <= 0) & (ca * cb == 0))):
+        i1 = (i + 1) % len(a)
+        if sa[i, j] == sa[i1, j] == 0.0:
+            # collinear edges meet only where their spans overlap
+            d = a[i1] - a[i]
+            t = [((p - a[i]) * d.conjugate()).real for p in b[[j, (j + 1) % len(b)]]]
+            if max(t) < 0.0 or min(t) > abs(d) ** 2:
+                continue
+        raise QuadratureError("contours touch at a vertex or along an edge")
+    ei, ej = np.nonzero((ca < 0) & (cb < 0))
+    if not len(ei):
+        return 0
+    s = sa[ei, ej] / (sa[ei, ej] - sa[(ei + 1) % len(a), ej])
+    t = sb[ei, ej] / (sb[ei, ej] - sb[ei, (ej + 1) % len(b)])
+    ya = _lift_at(fpoly, a, complex(cable_a[1]), ei + s)
+    yb = _lift_at(fpoly, b, complex(cable_b[1]), ej + t)
+    da, db = (np.roll(a, -1) - a)[ei], (np.roll(b, -1) - b)[ej]
+    turn = np.where(da.real * db.imag - da.imag * db.real > 0.0, 1, -1)
+    return int(np.sum(turn[np.abs(ya - yb) < np.abs(ya + yb)]))
 
 
-def normalized_basis_contours(f, config: BranchConfig):
-    """Basis contours with orientations fixed against the intersection form.
+def normalized_basis_contours(f, cables):
+    """Basis cables with orientations fixed against the intersection form.
 
-    The raw per-contour lifts leave each realized basis class defined only up
-    to sign.  Signs are pinned by measuring the realized crossing numbers
-    along the chain gamma_1, delta_1, gamma_2, ..., delta_g, gamma_{g+1} and
-    flipping orientations until <gamma_j, delta_j> and <gamma_{j+1}, delta_j>
-    take their canonical values.  The remaining global sign cannot affect any
-    reported monodromy matrix.
+    cables are the (vertices, y_ref) polygons of (gamma_1..gamma_{g+1},
+    delta_1..delta_g).  Crossing numbers measured along the chain gamma_1,
+    delta_1, ..., delta_g, gamma_{g+1} give each cable the sign that makes
+    <gamma_j, delta_j> and <gamma_{j+1}, delta_j> canonical; a cable whose
+    sign is -1 comes back with every vertex but vertex 0 reversed, so its
+    y_ref still holds.  The global sign cannot affect a monodromy matrix.
     """
     fpoly = _as_poly(f)
-    g = config.g
-    cons = basis_contours(config)
+    cables = [(np.asarray(v, dtype=complex), complex(y)) for v, y in cables]
+    g = (len(cables) - 1) // 2
     eps = [0] * (2 * g + 1)
     eps[0] = 1
     for j in range(1, g + 1):
         gi, di = j - 1, g + j
-        s = realized_intersection(fpoly, cons[gi], cons[di])
-        if abs(s) != 1:
+        s = realized_intersection(fpoly, cables[gi], cables[di])
+        s2 = realized_intersection(fpoly, cables[j], cables[di])
+        if abs(s) != 1 or abs(s2) != 1:
             raise QuadratureError(
-                f"unexpected crossing count {s} between basis contours"
+                f"unexpected crossing counts {s}, {s2} between basis contours"
             )
         eps[di] = _GAMMA_DELTA_SAME * eps[gi] * s
-        s2 = realized_intersection(fpoly, cons[j], cons[di])
-        if abs(s2) != 1:
-            raise QuadratureError(
-                f"unexpected crossing count {s2} between basis contours"
-            )
         eps[j] = _GAMMA_DELTA_NEXT * eps[di] * s2
     return [
-        replace(c, orientation=c.orientation * e) for c, e in zip(cons, eps)
+        (v if e == 1 else np.concatenate((v[:1], v[:0:-1])), y)
+        for (v, y), e in zip(cables, eps)
     ]
 
 

@@ -8,6 +8,9 @@ radially outward, crowded edges gain midpoints, and straight stretches are
 re-simplified, so the transported polygon never changes homology class.  A
 reference square root pinned at each polygon's first vertex is continued in
 both the fiber and the position, which fixes the transported cycle's sheet.
+At the base the basis polygons are maintained first and then oriented
+against the intersection form (periods.normalized_basis_contours), so the
+orientation is measured on the polygons that are carried.
 
 The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
 array with a start offset, a pinned square root and a row of winding numbers
@@ -63,6 +66,9 @@ from .periods import (
     _AMBIGUITY_LIMIT,
     _HOLOMORPHIC,
     _lift_open,
+    _polygonize,
+    _vertex_sqrt,
+    basis_contours,
     normalized_basis_contours,
     pair_loop,
     polygon_periods,
@@ -74,7 +80,6 @@ _STEP_FRAC = 1.0 / 3.0  # accept a step when roots move less than margin * this
 _PUSH_TARGET = 1.15  # vertices inside a margin disk are pushed to this * margin
 _EDGE_CLEAR = 0.95  # edges are refined below this * margin of clearance
 _SIMPLIFY_AT = 170  # polygons above this vertex count get re-simplified
-_POLY_VERTS = 48  # vertices used when a realized ellipse becomes a polygon
 _MAX_DEPTH = 24  # dyadic subdivision limit per marched segment
 _SEP_FLOOR = 1e-6  # relative root-separation floor before giving up
 _NEAR_STOP = 0.05  # relative separation at which a vanishing pair is close
@@ -401,18 +406,6 @@ def _continue_sqrt(values, y_start):
     return complex(y[-1]) if y.ndim == 1 else y[:, -1]
 
 
-def _polygonize(spec, n=_POLY_VERTS):
-    """Ellipse contour as a vertex list whose order carries the orientation."""
-    ts = np.arange(n) * (2.0 * math.pi / n)
-    pts = spec.center + spec.axis * (
-        spec.semi_major * np.cos(ts) + 1j * spec.semi_minor * np.sin(ts)
-    )
-    verts = [complex(p) for p in pts]
-    if spec.orientation == -1:
-        verts = [verts[0]] + verts[1:][::-1]
-    return verts
-
-
 def _maintain_bundle(bundle, rs, margin, fpoly):
     """Restore the margin invariant after the branch points moved.
 
@@ -551,11 +544,8 @@ class _March:
         self.bundle = None
         if with_cables:
             config = build_basis(tuple(self.rs), g)
-            polygons = [
-                _polygonize(spec)
-                for spec in normalized_basis_contours(self.fpoly, config)
-            ]
-            y0 = [complex(np.sqrt(self.fpoly(p[0]))) for p in polygons]
+            polygons = [_polygonize(spec) for spec in basis_contours(config)]
+            y0 = [_vertex_sqrt(self.fpoly, p[0]) for p in polygons]
             margin = _MARGIN_FRAC * self.min_sep
             bundle = _maintain_bundle(
                 _Bundle.of(polygons, y0), self.rs, margin, self.fpoly
@@ -564,6 +554,12 @@ class _March:
                 raise DegenerateInputError(
                     "cannot realize a basis contour with a safety margin"
                 )
+            # orient the maintained polygons: the raw polygon of a thin
+            # ellipse can pass too close to a branch point to lift
+            polygons, y0 = zip(
+                *normalized_basis_contours(self.fpoly, bundle.cables())
+            )
+            bundle = _Bundle.of(polygons, y0)
             bundle.windings = _winding_numbers(bundle.verts, bundle.starts, self.rs)
             self.bundle = bundle
 
@@ -649,19 +645,23 @@ class _March:
         return False
 
 
-def _run_march(loop, with_cables, steps=0, stop=None):
+def _run_march(loop, steps=0):
+    """Roots marched around the loop, each hop presplit by its share of steps."""
     path = loop.path_points()
-    state = _March(loop.g, path[0], with_cables)
-    hops = list(zip(path[:-1], path[1:]))
-    lengths = [math.dist(a, b) for a, b in hops]
+    state = _March(loop.g, path[0], with_cables=False)
+    hops = list(zip(path, path[1:]))
+    # abs() of each coordinate difference, so complex chart points work too
+    lengths = [math.hypot(*(abs(x - y) for x, y in zip(a, b))) for a, b in hops]
     total = sum(lengths) or 1.0
-    for (a, b), length in zip(hops, lengths):
-        if length == 0.0:
-            continue
-        k = max(1, round(steps * length / total)) if steps else 1
-        if state.traverse(b, presplit=k, stop=stop):
-            return state, True
-    return state, False
+    for (_, b), length in zip(hops, lengths):
+        state.traverse(b, presplit=max(1, round(steps * length / total)))
+    return state
+
+
+def _period_rows(fpoly, cables, diffs, tol):
+    """One real row [Re | Im] of the differentials' periods per cable."""
+    p = np.array([polygon_periods(fpoly, v, y, diffs, tol) for v, y in cables])
+    return np.hstack([p.real, p.imag])
 
 
 def _closure_permutation(state, rs0):
@@ -707,7 +707,7 @@ def _check_form(matrix, g):
         )
 
 
-def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9, steps: int = 0):
+def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
     """Integer monodromy of the period lattice around the loop.
 
     The canonical basis contours are carried around the loop as polygons and
@@ -722,23 +722,11 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9, steps: int = 0):
     state = _March(g, path[0], with_cables=True)
     rs0 = tuple(state.rs)
     base_poly = state.fpoly
-    P0 = np.array(
-        [
-            polygon_periods(base_poly, verts, y_ref, diffs, tol)
-            for verts, y_ref in state.bundle.cables()
-        ]
-    )
-    frame = np.hstack([P0.real, P0.imag])
+    frame = _period_rows(base_poly, state.bundle.cables(), diffs, tol)
     condition = _frame_condition(frame)
-    for a, b in zip(path[:-1], path[1:]):
-        state.traverse(b, presplit=max(1, steps // max(1, len(path) - 1)))
-    V = np.array(
-        [
-            polygon_periods(base_poly, verts, y_ref, diffs, tol)
-            for verts, y_ref in state.bundle.cables()
-        ]
-    )
-    rows = np.hstack([V.real, V.imag])
+    for b in path[1:]:
+        state.traverse(b)
+    rows = _period_rows(base_poly, state.bundle.cables(), diffs, tol)
     m_row, residual = _integer_fit(frame, rows, tol)
     if abs(int(round(float(np.linalg.det(m_row))))) != 1:
         raise QuadratureError("the transported lattice map is not unimodular")
@@ -764,7 +752,7 @@ def track_roots(loop: ParameterLoop, steps: int = 64):
     at sorted position i of the base fiber, one row per accepted step, and
     permutation[i] names the sorted base root where trajectory i ends.
     """
-    state, _ = _run_march(loop, with_cables=False, steps=steps)
+    state = _run_march(loop, steps=steps)
     perm = _closure_permutation(state, state.fibers[0])
     return np.asarray(state.fibers, dtype=complex), perm
 
@@ -805,7 +793,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     g = loop.g
     diffs = _differentials(g)
 
-    root_state, _ = _run_march(loop, with_cables=False)
+    root_state = _run_march(loop)
     perm = _closure_permutation(root_state, root_state.fibers[0])
 
     state = _March(g, loop.path_points()[0], with_cables=True)
@@ -831,24 +819,15 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     if not close or len(set(seen)) != len(seen):
         raise DegenerateInputError("ambiguous vanishing-cycle identification")
 
-    A = np.array(
-        [
-            polygon_periods(state.fpoly, verts, y_ref, diffs, tol)
-            for verts, y_ref in state.bundle.cables()
-        ]
-    )
-    frame = np.hstack([A.real, A.imag])
+    frame = _period_rows(state.fpoly, state.bundle.cables(), diffs, tol)
     condition = _frame_condition(frame)
     twists = []
     residual = 0.0
     for i, j in close:
-        spec = pair_loop(tuple(rs_near), (i, j))
-        verts = _polygonize(spec)
-        y0 = complex(np.sqrt(state.fpoly(verts[0])))
-        q = np.asarray(polygon_periods(state.fpoly, verts, y0, diffs, tol))
-        coords, fit_res = _integer_fit(
-            frame, np.concatenate([q.real, q.imag])[np.newaxis, :], tol
-        )
+        verts = _polygonize(pair_loop(tuple(rs_near), (i, j)))
+        y0 = _vertex_sqrt(state.fpoly, verts[0])
+        q = _period_rows(state.fpoly, [(verts, y0)], diffs, tol)
+        coords, fit_res = _integer_fit(frame, q, tol)
         residual = max(residual, fit_res)
         v = CycleClass.of(g, tuple(int(c) for c in coords[0]))
         if v.is_zero():

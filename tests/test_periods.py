@@ -18,6 +18,8 @@ from topmonodromy.errors import (
 from topmonodromy.homology import build_basis
 from topmonodromy.periods import (
     _a2_deformation_path,
+    _polygonize,
+    _vertex_sqrt,
     _vanishing_pair,
     action_I1,
     action_I1_cubic,
@@ -265,7 +267,10 @@ def test_normalized_basis_realizes_canonical_intersections():
     for coeffs, g in [([1, 0, 1, 0, 1], 1), ([1.0, 0.3, 2.0, 0.1, 1.0, 0.2, 2.0], 2)]:
         f = ComplexPoly.of(coeffs)
         cfg = build_basis(roots(f), g)
-        cont = normalized_basis_contours(f, cfg)
+        polygons = [_polygonize(c) for c in basis_contours(cfg)]
+        cont = normalized_basis_contours(
+            f, [(p, _vertex_sqrt(f, p[0])) for p in polygons]
+        )
         for j in range(g):
             assert realized_intersection(f, cont[j], cont[g + 1 + j]) == 1
             assert realized_intersection(f, cont[j + 1], cont[g + 1 + j]) == -1

@@ -13,11 +13,12 @@ from topmonodromy.errors import (
     ValidationError,
 )
 from topmonodromy.homology import _intersection_matrix
-from topmonodromy.poly import roots
+from topmonodromy.poly import discriminant, roots
 from topmonodromy.tracking import (
     _KAPPA_BASE,
     _KAPPA_GEOMETRY,
     MonodromyResult,
+    ParameterLoop,
     _check_form,
     _March,
     _match_roots,
@@ -350,6 +351,31 @@ def test_real_chart_points_stay_python_floats():
     state.traverse((0.3, 2.5, -0.2))
     assert state.point == (0.3, 2.5, -0.2)
     assert all(type(v) is float for v in state.point)
+
+
+def test_both_routes_march_a_loop_of_complex_chart_points():
+    # On the complex line (a1, a3) = (0.3, -0.2) the discriminant is a
+    # quartic in a2; circle its root near 2.0006 + 0.5i counter-clockwise,
+    # with a tail from the real base a2 = 3 to the circle's top point.
+    a1, a3 = 0.3, -0.2
+    ws = 4.0 * np.exp(2j * np.pi * np.arange(32) / 32)
+    disc = [complex(discriminant(quartic_poly((a1, w, a3)))) for w in ws]
+    coeffs = np.fft.fft(disc)[:5] / (32 * 4.0 ** np.arange(5))
+    crit = np.roots(coeffs[::-1])
+    k = int(np.argmin(np.abs(crit - (2.0 + 0.5j))))
+    centre = complex(crit[k])
+    radius = 0.2 * float(np.min(np.abs(np.delete(crit, k) - centre)))
+    circle = [
+        (a1, centre + radius * np.exp(1j * (np.pi / 2 + 2 * np.pi * j / 96)), a3)
+        for j in range(97)
+    ]
+    base = (a1, 3.0, a3)
+    loop = ParameterLoop(
+        g=1, waypoints=(base, *circle, base), stratum=(a1, centre, a3)
+    )
+    periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
+    assert periods.matrix == local.matrix == ((2, -1, 1), (0, 1, 0), (-1, 1, 0))
+    assert periods.permutation == local.permutation
 
 
 class TestGroupStructure:
