@@ -46,17 +46,25 @@ _DEFAULT_TOL = 1e-9
 _TOL_ENV = "TOPMONODROMY_TOL"
 
 
-def _default_tolerance():
+def _checked_tolerance(value, label):
+    """A quadrature tolerance: a finite number in (0, 1)."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{label} must be a number, got {value!r}")
+    if not (0.0 < tol < 1.0) or not math.isfinite(tol):
+        raise ValidationError(f"{label} must lie in (0, 1), got {value!r}")
+    return tol
+
+
+def _tolerance(opts):
+    """--tol (flag or config), else TOPMONODROMY_TOL, else the default."""
+    if opts.get("tol") is not None:
+        return _checked_tolerance(opts["tol"], "--tol")
     value = os.environ.get(_TOL_ENV)
     if value is None:
         return _DEFAULT_TOL
-    try:
-        tol = float(value)
-    except ValueError:
-        raise ValidationError(f"{_TOL_ENV} must be a number, got {value!r}")
-    if not (0.0 < tol < 1.0) or not math.isfinite(tol):
-        raise ValidationError(f"{_TOL_ENV} must lie in (0, 1), got {value!r}")
-    return tol
+    return _checked_tolerance(value, _TOL_ENV)
 
 
 def _parse_floats(text, label):
@@ -270,7 +278,7 @@ def _parse_loop(opts):
 
 def _cmd_monodromy(opts):
     loop = _parse_loop(opts)
-    tol = float(opts["tol"]) if opts.get("tol") is not None else _default_tolerance()
+    tol = _tolerance(opts)
     route = opts.get("route") or "periods"
     if route == "periods":
         result = monodromy_periods(loop, tol=tol)

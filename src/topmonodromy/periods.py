@@ -1,22 +1,27 @@
 """Contour integration of x^k dx/y and y dx/x^2 on y^2 = f(x).
 
-The square root is continued step by step along each contour; a lift is
-accepted only when every step has an unambiguous sign choice and the lift
-closes up after a full circuit.  User-facing integrals are anchored to a
-single-valued branch of sqrt(f) whose cuts are the segments of the canonical
-pairing and which behaves like +x^{g+1} at large positive real x; because the
-branch is evaluated pointwise, homotopic contours always integrate on the
-same sheet.  Action integrals are instead anchored where the contour crosses
-the real axis (f > 0 there when the curve has no real branch points), which
-normalizes the vanishing cycle the same way at every cut.  Polygons carried
-by the monodromy tracker ("cables") integrate on the sheet of a square root
-pinned at their first vertex, and the basis cables are oriented on those
-same polygons: normalized_basis_contours counts their signed same-sheet
-crossings and reverses each cable whose sign is -1.  Ellipses remain the
-contours of cycle_integral, the action and the residue check, and the shape
-that _polygonize turns into the basis polygons.  The action's vanishing
-cycle is picked by marching the branch points along the a2 deformation with
-the tracker (tracking._March); this module has no root tracker of its own.
+Every contour is a closed polygon (ContourSpec) whose vertex order carries
+the orientation; pair_loop and big_loop put 48 vertices on an ellipse
+around one cut or on a circle around every branch point.  Each integral
+runs Gauss-Legendre rules on every edge, doubling the nodes per edge until
+two refinements agree.  The square root is continued node by node; a lift
+is accepted only when every step has an unambiguous sign choice and the
+lift closes up after a full circuit.  One rule then fixes the sheet: an
+anchor names a node j and a square root y_j there, and the lift takes the
+sign that lands nearer y_j.  cycle_integral anchors to a single-valued
+branch of sqrt(f) whose cuts are the segments of the canonical pairing and
+which behaves like +x^{g+1} at large positive real x; because the branch is
+evaluated pointwise, homotopic contours always integrate on the same sheet.
+The action and the residue check anchor y = +sqrt(f) where the contour
+crosses the real axis right of the branch points it encloses (f > 0 there),
+which normalizes the vanishing cycle the same way at every cut.  Polygons
+carried by the monodromy tracker ("cables") integrate on the sheet of a
+square root pinned at their first vertex, and the basis cables are oriented
+on those same polygons: normalized_basis_contours counts their signed
+same-sheet crossings and reverses each cable whose sign is -1.  The
+action's vanishing cycle is picked by marching the branch points along the
+a2 deformation with the tracker (tracking._March); this module has no root
+tracker of its own.
 """
 
 from __future__ import annotations
@@ -43,19 +48,18 @@ from .poly import ComplexPoly, discriminant, real_root_count, roots as poly_root
 from .spectral import SpectralCoeffs
 
 _AMBIGUITY_LIMIT = 0.7
-_MAX_ELLIPSE_NODES = 1 << 16
 _MAX_EDGE_NODES = 1 << 11
 _PAIR_PAD = 0.45  # pair_loop's first pad, as a fraction of the nearest gap
 _BIG_LOOP_FACTOR = 2.0  # big_loop radius = factor * reach + pad
 _BIG_LOOP_PAD = 1.0
-_POLY_VERTS = 48  # vertices used when a realized ellipse becomes a polygon
+_LOOP_VERTS = 48  # vertices of a pair or big loop
 
 
 @functools.lru_cache(maxsize=32)
 def _leggauss(n):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
 
-    The engine asks for fewer than a dozen distinct n (doubling polyline
+    The engine asks for fewer than a dozen distinct n (doubling polygon
     rules and the two cubic-action rules); the bound only caps callers of
     ContourSpec.nodes that pick n freely.  The arrays are shared by every
     caller, so they are made read-only.
@@ -68,34 +72,17 @@ def _leggauss(n):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Realized closed contour in the x-plane.
+    """Closed polygonal contour in the x-plane.
 
-    kind is "pair-loop" (ellipse around a two-point cut), "big-loop"
-    (circle around every branch point) or "polyline"; clearance is the
-    minimum distance the contour keeps from the points it must avoid.
+    The vertex order carries the orientation; clearance is the minimum
+    distance the edges keep from the points the contour must avoid.
     """
 
-    kind: str
-    orientation: int = 1
+    vertices: tuple
     clearance: float = math.inf
-    center: complex = 0.0 + 0.0j
-    axis: complex = 1.0 + 0.0j
-    semi_major: float = 0.0
-    semi_minor: float = 0.0
-    vertices: tuple = ()
-    enclosed: tuple = ()
 
     def nodes(self, n):
-        """Sample points and quadrature weights for one positive circuit."""
-        if self.kind in ("pair-loop", "big-loop"):
-            t = np.arange(n) * (2.0 * math.pi / n)
-            x = _ellipse_point(
-                self.center, self.axis, self.semi_major, self.semi_minor, t
-            )
-            dx = self.axis * (
-                -self.semi_major * np.sin(t) + 1j * self.semi_minor * np.cos(t)
-            )
-            return x, dx * (2.0 * math.pi / n)
+        """Quadrature points and weights, n Gauss-Legendre nodes per edge."""
         # one row of nodes per edge; x is summed in place, so no (edges, n)
         # temporary is made beside the two outputs
         glx, glw = _leggauss(n)
@@ -107,13 +94,69 @@ class ContourSpec:
         return x.ravel(), (half * glw).ravel()
 
 
-def _ellipse_point(center, axis, semi_major, semi_minor, t):
-    """Point of the ellipse at parameter t: the one ellipse parametrisation."""
-    return center + axis * (semi_major * np.cos(t) + 1j * semi_minor * np.sin(t))
+def _segment_distances(a, b, rs):
+    """Distance from each point of rs to each segment a[k]-b[k], shape (k, m).
+
+    Written as split real arithmetic: it rounds exactly like the scalar
+    complex formula, where complex NumPy products and absolute values can
+    differ in the last bit.
+    """
+    rx, ry = rs.real, rs.imag
+    ax, ay = a.real[:, None], a.imag[:, None]
+    dx, dy = (b.real - a.real)[:, None], (b.imag - a.imag)[:, None]
+    l2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((rx - ax) * dx + (ry - ay) * dy) / l2
+    t = np.where(l2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
+
+
+def _next_index(starts, n):
+    """Index of each vertex's successor, wrapping at the end of its polygon.
+
+    The n vertices hold one polygon per entry of starts, each running from
+    its start to the next one (the last to the end).
+    """
+    nxt = np.arange(1, n + 1)
+    nxt[np.append(starts[1:], n) - 1] = starts
+    return nxt
+
+
+def _winding_numbers(verts, starts, rs):
+    """Turn count of each polygon around each point, one row per polygon.
+
+    Straight edges subtend less than a half turn, so the principal-angle
+    sum per edge is exact.
+    """
+    w = np.asarray(verts, dtype=complex) - np.asarray(rs, dtype=complex)[:, None]
+    turns = np.angle(w[:, _next_index(starts, w.shape[1])] / w)
+    total = np.add.reduceat(turns, starts, axis=1)
+    return np.rint(total.T / (2.0 * math.pi)).astype(int)
+
+
+def _ellipse_polygon(center, axis, a, b, orientation, excluded):
+    """Polygon of _LOOP_VERTS points on an ellipse, with its exact clearance.
+
+    The ellipse has semi-axis a along the unit direction axis and b across
+    it.  The vertices sit at parameters t = 2 pi k / _LOOP_VERTS from t = 0;
+    orientation -1 keeps vertex 0 and reverses the others.  The clearance is
+    the least distance from the excluded points to the edges.
+    """
+    if orientation not in (1, -1):
+        raise ValidationError("orientation must be +1 or -1")
+    t = np.arange(_LOOP_VERTS) * (2.0 * math.pi / _LOOP_VERTS)
+    verts = center + axis * (a * np.cos(t) + 1j * b * np.sin(t))
+    if orientation == -1:
+        verts = np.concatenate((verts[:1], verts[:0:-1]))
+    gaps = _segment_distances(verts, np.roll(verts, -1), np.array(excluded, complex))
+    return ContourSpec(
+        vertices=tuple(verts.tolist()),
+        clearance=float(np.min(gaps, initial=math.inf)),
+    )
 
 
 def pair_loop(roots, pair, orientation=1, avoid=()):
-    """Ellipse around the cut joining roots[pair[0]] and roots[pair[1]].
+    """Polygon on an ellipse around the cut joining roots[pair[0]], roots[pair[1]].
 
     Every other root, plus the points in avoid, stays outside with margin.
     """
@@ -148,56 +191,30 @@ def pair_loop(roots, pair, orientation=1, avoid=()):
                 ok = False
                 break
         if ok:
-            t = np.arange(128) * (2.0 * math.pi / 128)
-            gaps = _ellipse_point(center, axis, a, b, t)[:, None] - np.array(excluded)
-            clearance = float(np.min(np.abs(gaps), initial=math.inf))
-            return ContourSpec(
-                kind="pair-loop",
-                orientation=orientation,
-                clearance=clearance,
-                center=center,
-                axis=axis,
-                semi_major=a,
-                semi_minor=b,
-                enclosed=(i, j),
-            )
+            return _ellipse_polygon(center, axis, a, b, orientation, excluded)
         pad *= 0.6
     raise DegenerateInputError("cannot fit a pair loop between branch points")
 
 
 def big_loop(roots, orientation=1):
-    """Circle around every branch point (and the origin)."""
+    """Polygon on a circle around every branch point and the origin."""
     pts = np.asarray(tuple(complex(r) for r in roots))
     center = complex(np.mean(pts))
     reach = float(np.max(np.abs(pts - center)))
     radius = _BIG_LOOP_FACTOR * reach + _BIG_LOOP_PAD
-    clearance = min(radius - reach, radius - abs(center))
-    return ContourSpec(
-        kind="big-loop",
-        orientation=orientation,
-        clearance=clearance,
-        center=center,
-        axis=1.0 + 0.0j,
-        semi_major=radius,
-        semi_minor=radius,
-        enclosed=tuple(range(len(pts))),
+    return _ellipse_polygon(
+        center, 1.0 + 0.0j, radius, radius, orientation, np.append(pts, 0.0)
     )
 
 
-def polyline(vertices, orientation=1):
+def polyline(vertices):
     """Closed polygonal contour through the given vertices."""
     verts = tuple(complex(v) for v in vertices)
     if len(verts) >= 2 and verts[0] == verts[-1]:
         verts = verts[:-1]
     if len(verts) < 3:
         raise ValidationError("polyline needs at least 3 distinct vertices")
-    return ContourSpec(kind="polyline", orientation=orientation, vertices=verts)
-
-
-def _polygonize(spec, n=_POLY_VERTS):
-    """Vertices of an ellipse contour's positive circuit, from t = 0."""
-    t = np.arange(n) * (2.0 * math.pi / n)
-    return _ellipse_point(spec.center, spec.axis, spec.semi_major, spec.semi_minor, t)
+    return ContourSpec(vertices=verts)
 
 
 def _as_poly(f):
@@ -280,32 +297,30 @@ def reference_branch(f, x):
 
 
 def _branch_anchor(fpoly):
-    """Anchor that compares the continued lift with the cut-plane branch."""
-    pairs = []  # found at the first call
+    """Anchor on the cut-plane branch, at the node where |f| is largest."""
+    lead, pairs = fpoly.coeffs[-1], _cut_pairs(fpoly)
 
-    def anchor(x, fv, y):
-        pairs[:] = pairs or _cut_pairs(fpoly)
+    def anchor(x, fv):
         j = int(np.argmax(np.abs(fv)))
-        ref = complex(_pair_product(fpoly.coeffs[-1], pairs, x[j]))
-        return 1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1
+        return j, complex(_pair_product(lead, pairs, x[j]))
 
     return anchor
 
 
-def _real_axis_anchor(x, fv, y):
+def _real_axis_anchor(x, fv):
     """Anchor y = +sqrt(f) at the contour's rightmost real-axis crossing.
 
-    Valid when f > 0 on the real line (no real branch points): continuing
-    +sqrt(f) from far on the positive real axis stays real positive all the
-    way in, so the rightmost crossing (the one on the right of the enclosed
-    cut) sits on the reference sheet.
+    The crossing is the node nearest the real axis among those right of the
+    nodes' mean.  Valid when f > 0 on the real axis from that crossing out to +infinity:
+    continuing +sqrt(f) inward from far on the positive real axis stays real
+    positive up to the crossing, so it sits on the reference sheet.  That
+    holds for a loop around a cut of a curve with no real branch points,
+    and for the big loop, which crosses right of every branch point.
     """
-    right = np.nonzero(x.real >= float(np.median(x.real)))[0]
-    j = int(right[np.argmin(np.abs(x.imag[right]))])
+    j = int(np.argmin(np.where(x.real >= x.real.mean(), np.abs(x.imag), np.inf)))
     if abs(x[j].imag) > 1e-2 * (1.0 + abs(x[j].real)):
         raise QuadratureError("loop does not cross the real axis", location=x[j])
-    ref = np.sqrt(fv[j])
-    return 1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1
+    return j, np.sqrt(fv[j])
 
 
 _HOLOMORPHIC = {"dx/y": 0, "x dx/y": 1, "x^2 dx/y": 2, "x^3 dx/y": 3}
@@ -321,33 +336,34 @@ def _integrand_values(differential, x, y):
 
 
 def _anchored_values(fpoly, contour, differentials, tol, anchor):
-    """Adaptive integrals of several differentials with the given anchoring.
+    """Adaptive integrals of several differentials on the anchored sheet.
 
-    Node counts double until two consecutive refinements agree to tol; the
-    lift must be unambiguous at every step and close up after a circuit.
-    Returns (values, x, y, weights) from the final refinement, with the
-    contour orientation already applied to the values.
+    Node counts per edge double until two consecutive refinements agree to
+    tol; the lift must be unambiguous at every step and close up after a
+    circuit.  anchor(x, fv) names a node j and a square root there, and the
+    lift takes the sign that lands nearer it.  Returns (values, x, y) from
+    the final refinement.
     """
     if contour.clearance <= 0.0:
         raise ValidationError("contour has nonpositive clearance")
     needs_origin = any(d == "y dx/x^2" for d in differentials)
-    n = 256 if contour.kind != "polyline" else 24
-    cap = _MAX_ELLIPSE_NODES if contour.kind != "polyline" else _MAX_EDGE_NODES
+    n = 24
     prev = None
     worst_x = None
-    while n <= cap:
+    while n <= _MAX_EDGE_NODES:
         x, w = contour.nodes(n)
         if needs_origin and np.min(np.abs(x)) < 1e-12:
             raise QuadratureError("contour passes through the origin pole", location=0.0)
         fv = fpoly(x)
         y, worst, closes = _lift_closed(fv)
         if worst < _AMBIGUITY_LIMIT and closes:
-            y = y * anchor(x, fv, y)
+            j, ref = anchor(x, fv)
+            y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
             vals = np.array(
                 [np.sum(_integrand_values(d, x, y) * w) for d in differentials]
             )
             if prev is not None and np.max(np.abs(vals - prev)) < tol:
-                return contour.orientation * vals, x, y, w
+                return vals, x, y
             prev = vals
         else:
             prev = None
@@ -365,7 +381,7 @@ def cycle_integral(f, contour: ContourSpec, differential: str, tol: float = 1e-1
     homotopic contours give equal values and loop classes add up literally.
     """
     fpoly = _as_poly(f)
-    vals, _, _, _ = _anchored_values(
+    vals, _, _ = _anchored_values(
         fpoly, contour, (differential,), tol, _branch_anchor(fpoly)
     )
     return complex(vals[0])
@@ -385,11 +401,9 @@ def polygon_periods(f, vertices, y_ref, differentials, tol: float = 1e-9):
     y0 = complex(y_ref)
     if y0 == 0.0:
         raise ValidationError("y_ref must be a nonzero square root of f")
-
-    def anchor(x, fv, y):
-        return 1 if abs(y[0] - y0) <= abs(y[0] + y0) else -1
-
-    vals, _, _, _ = _anchored_values(fpoly, spec, tuple(differentials), tol, anchor)
+    vals, _, _ = _anchored_values(
+        fpoly, spec, tuple(differentials), tol, lambda x, fv: (0, y0)
+    )
     return vals
 
 
@@ -516,15 +530,17 @@ def normalized_basis_contours(f, cables):
 def residue_check(a, tol: float = 1e-10) -> float:
     """Defect |I + i*pi*a1| of the loop-at-infinity integral of y dx/x^2.
 
-    The class at infinity is realized as a negatively oriented circle around
-    every branch point, lifted to the reference sheet, where the integral
-    must equal -i*pi*a1 exactly.
+    The class at infinity is realized as a negatively oriented big loop
+    around every branch point, lifted to the reference sheet (anchored where
+    it crosses the real axis right of every branch point), where the
+    integral must equal -i*pi*a1 exactly.
     """
-    f = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0))
-    rs = poly_roots(f.poly())
-    loop = big_loop(rs, orientation=-1)
-    val = cycle_integral(f, loop, "y dx/x^2", tol=tol)
-    return abs(val + 1j * math.pi * a[0])
+    fpoly = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0)).poly()
+    loop = big_loop(poly_roots(fpoly), orientation=-1)
+    vals, _, _ = _anchored_values(
+        fpoly, loop, ("y dx/x^2",), tol, _real_axis_anchor
+    )
+    return abs(complex(vals[0]) + 1j * math.pi * a[0])
 
 
 def _a2_deformation_path(a1, a2, a3):
@@ -639,10 +655,10 @@ def _sheet_sign_at_origin(fpoly, x, y):
 
 
 def _action_origin_blocked(fpoly, rs, pair, a, A):
-    """Action value when no origin-avoiding ellipse fits around the pair.
+    """Action value when no origin-avoiding pair loop fits around the pair.
 
     If the tracked pair is a conjugate pair its cut merely passes close to
-    the origin: integrate over the enclosing ellipse and strip the origin
+    the origin: integrate over the enclosing loop and strip the origin
     residue using the sheet sign measured by continuing the lift to x = 0.
     A mixed pair (one upper, one lower branch point) occurs only on the
     palindromic stratum a1 == a3, where the a2 deformation detours around a
@@ -665,15 +681,12 @@ def _action_origin_blocked(fpoly, rs, pair, a, A):
             key=lambda k: abs(rs[k] - rs[i].conjugate()),
         )
     loop = pair_loop(rs, (i, j), orientation=-1)
-    vals, x, y, _ = _anchored_values(
+    vals, x, y = _anchored_values(
         fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
     )
     out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])
-    z = -loop.center / loop.axis
-    origin_inside = (z.real / loop.semi_major) ** 2 + (
-        z.imag / loop.semi_minor
-    ) ** 2 < 1.0
-    if origin_inside and abs(a3) > 1e-13:
+    winding = _winding_numbers(loop.vertices, np.zeros(1, np.intp), (0.0,))
+    if winding[0, 0] != 0 and abs(a3) > 1e-13:
         s = _sheet_sign_at_origin(fpoly, x, y)
         out -= A * s * 0.5 * a3
     if abs(out.imag) > 1e-9 * max(1.0, abs(out)):
@@ -699,7 +712,7 @@ def action_I1(a, A: float = 1.0) -> float:
         loop = pair_loop(rs, pair, orientation=-1, avoid=(0.0,))
     except DegenerateInputError:
         return _action_origin_blocked(fpoly, rs, pair, a, A)
-    vals, _, _, _ = _anchored_values(
+    vals, _, _ = _anchored_values(
         fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
     )
     out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])

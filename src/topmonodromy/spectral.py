@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .poly import ComplexPoly
-from .topsys import LevelVector, TopState, first_integrals
+from .topsys import LevelVector, TopState
 
 
 @dataclass(frozen=True)

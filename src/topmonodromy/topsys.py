@@ -27,10 +27,6 @@ from .errors import IntegrationBlowupError, ValidationError
 _E3 = (0.0, 0.0, 1.0)
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _vec3(values, what):
     vec = tuple(float(v) for v in values)
     if len(vec) != 3:
@@ -118,25 +114,21 @@ def first_integrals(s: TopState) -> LevelVector:
 
     h_k is half the lambda**(-k) coefficient of the squared spectral vector
     e3*lambda + gamma_0 - sum_i gamma_i * lambda**(-i); h is the reduced
-    Hamiltonian h_0 - (m / (2(1+m))) h_minus1**2.
+    Hamiltonian h_0 - (m / (2(1+m))) h_minus1**2.  The values are row 0
+    of _integral_table for the one state.
     """
-    coeffs = [_E3, s.gamma0] + [tuple(-c for c in row) for row in s.gamma]
-    # coeffs[p] multiplies lambda**(1-p), so lambda**(-k) pairs have p+q = k+2
-    g = s.g
-    hs = []
-    for k in range(-1, 2 * g + 1):
-        total = 0.0
-        for p in range(len(coeffs)):
-            q = k + 2 - p
-            if 0 <= q < len(coeffs):
-                total += _dot(coeffs[p], coeffs[q])
-        hs.append(0.5 * total)
-    h = hs[1] - (s.m / (2.0 * (1.0 + s.m))) * hs[0] ** 2
-    return LevelVector(m=s.m, values=(hs[0], h, *hs[2:]))
+    table = _integral_table(
+        s.m, np.array([s.omega]), np.array(s.gamma, dtype=float).reshape(1, s.g, 3)
+    )
+    return LevelVector(m=s.m, values=tuple(float(v) for v in table[0]))
 
 
 def _integral_table(m, omegas, gammas):
-    """Vectorized first integrals for sampled states, one row per sample."""
+    """First integrals for sampled states, one row per sample.
+
+    The one implementation behind first_integrals (a single row) and the
+    trajectory's drift report and CSV.
+    """
     n, g = omegas.shape[0], gammas.shape[1]
     coeffs = np.empty((n, g + 2, 3))
     coeffs[:, 0, :] = _E3

@@ -66,8 +66,10 @@ from .periods import (
     _AMBIGUITY_LIMIT,
     _HOLOMORPHIC,
     _lift_open,
-    _polygonize,
+    _next_index,
+    _segment_distances,
     _vertex_sqrt,
+    _winding_numbers,
     basis_contours,
     normalized_basis_contours,
     pair_loop,
@@ -321,23 +323,6 @@ def _match_roots(old, new):
     return perm, worst
 
 
-def _segment_distances(a, b, rs):
-    """Distance from each point of rs to each segment a[k]-b[k], shape (k, m).
-
-    Written as split real arithmetic: it rounds exactly like the scalar
-    complex formula, where complex NumPy products and absolute values can
-    differ in the last bit.
-    """
-    rx, ry = rs.real, rs.imag
-    ax, ay = a.real[:, None], a.imag[:, None]
-    dx, dy = (b.real - a.real)[:, None], (b.imag - a.imag)[:, None]
-    l2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((rx - ax) * dx + (ry - ay) * dy) / l2
-    t = np.where(l2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
-
-
 class _Bundle:
     """All transported polygons in one complex vertex array.
 
@@ -369,25 +354,6 @@ class _Bundle:
             (self.verts[a:b], complex(y))
             for a, b, y in zip(self.starts, ends, self.y_ref)
         ]
-
-
-def _next_index(starts, n):
-    """Index of each vertex's successor, wrapping at the end of its cable."""
-    nxt = np.arange(1, n + 1)
-    nxt[np.append(starts[1:], n) - 1] = starts
-    return nxt
-
-
-def _winding_numbers(verts, starts, rs):
-    """Turn count of each cable around each point, one row per cable.
-
-    Straight edges subtend less than a half turn, so the principal-angle
-    sum per edge is exact.
-    """
-    w = np.asarray(verts, dtype=complex) - np.asarray(rs, dtype=complex)[:, None]
-    turns = np.angle(w[:, _next_index(starts, w.shape[1])] / w)
-    total = np.add.reduceat(turns, starts, axis=1)
-    return np.rint(total.T / (2.0 * math.pi)).astype(int)
 
 
 def _continue_sqrt(values, y_start):
@@ -544,7 +510,7 @@ class _March:
         self.bundle = None
         if with_cables:
             config = build_basis(tuple(self.rs), g)
-            polygons = [_polygonize(spec) for spec in basis_contours(config)]
+            polygons = [spec.vertices for spec in basis_contours(config)]
             y0 = [_vertex_sqrt(self.fpoly, p[0]) for p in polygons]
             margin = _MARGIN_FRAC * self.min_sep
             bundle = _maintain_bundle(
@@ -555,7 +521,7 @@ class _March:
                     "cannot realize a basis contour with a safety margin"
                 )
             # orient the maintained polygons: the raw polygon of a thin
-            # ellipse can pass too close to a branch point to lift
+            # pair loop can pass too close to a branch point to lift
             polygons, y0 = zip(
                 *normalized_basis_contours(self.fpoly, bundle.cables())
             )
@@ -824,7 +790,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     twists = []
     residual = 0.0
     for i, j in close:
-        verts = _polygonize(pair_loop(tuple(rs_near), (i, j)))
+        verts = pair_loop(tuple(rs_near), (i, j)).vertices
         y0 = _vertex_sqrt(state.fpoly, verts[0])
         q = _period_rows(state.fpoly, [(verts, y0)], diffs, tol)
         coords, fit_res = _integer_fit(frame, q, tol)

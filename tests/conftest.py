@@ -5,8 +5,12 @@ purpose: they must not share code paths with the library, so that an
 algebra bug in one place cannot cancel in both.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
+from topmonodromy.errors import DegenerateInputError, ValidationError
+from topmonodromy.periods import _PAIR_PAD
 from topmonodromy.topsys import TopState
 
 
@@ -67,3 +71,65 @@ def hand_expanded_rhs_g2(s):
         t1 * w2 - t2 * w1,
     )
     return domega, (dgamma1, dgamma2)
+
+
+class Ellipse(NamedTuple):
+    center: complex
+    axis: complex
+    semi_major: float
+    semi_minor: float
+
+
+def ellipse_fit_ref(roots, pair, avoid=()):
+    """The former ellipse fit of pair_loop, verbatim.
+
+    pair_loop now returns the 48-gon on this ellipse; the references that
+    integrate or cross the former elliptical contours start from here.
+    """
+    pts = tuple(complex(r) for r in roots)
+    i, j = pair
+    if not (0 <= i < len(pts) and 0 <= j < len(pts)) or i == j:
+        raise ValidationError("pair must name two distinct root indices")
+    r1, r2 = pts[i], pts[j]
+    d = abs(r2 - r1)
+    if d == 0.0:
+        raise DegenerateInputError("cut endpoints coincide")
+    axis = (r2 - r1) / d
+    center = 0.5 * (r1 + r2)
+    excluded = [p for k, p in enumerate(pts) if k not in (i, j)]
+    excluded += [complex(p) for p in avoid]
+
+    def seg_dist(p):
+        t = ((p - center) / axis).real
+        t = min(d / 2.0, max(-d / 2.0, t))
+        return abs(p - (center + axis * t))
+
+    base = min((seg_dist(p) for p in excluded), default=1.0 + d)
+    if base <= 1e-9 * d:
+        raise DegenerateInputError("an excluded point sits on the cut")
+    pad = _PAIR_PAD * base
+    for _ in range(10):
+        a, b = 0.5 * d + pad, pad
+        ok = True
+        for p in excluded:
+            z = (p - center) / axis
+            if (z.real / a) ** 2 + (z.imag / b) ** 2 < 1.44:
+                ok = False
+                break
+        if ok:
+            return Ellipse(center, axis, a, b)
+        pad *= 0.6
+    raise DegenerateInputError("cannot fit a pair loop between branch points")
+
+
+def basis_ellipses_ref(config):
+    """The former basis_contours: one fitted ellipse per basis pair."""
+    g = config.g
+    pairs = [config.pairing[j] for j in range(g + 1)]
+    pairs += [(config.pairing[j][1], config.pairing[j + 1][0]) for j in range(g)]
+    return [ellipse_fit_ref(config.roots, pair) for pair in pairs]
+
+
+def on_ellipse(e, t):
+    """Point of the ellipse at parameter t (the former parametrisation)."""
+    return e.center + e.axis * (e.semi_major * np.cos(t) + 1j * e.semi_minor * np.sin(t))

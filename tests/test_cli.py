@@ -130,6 +130,34 @@ class TestMonodromyCommand:
         assert code == 0
         assert data["tolerances"]["quadrature"] == 1e-10
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1", "-inf"])
+    def test_out_of_range_tol_fails_before_the_march(self, capsys, monkeypatch, tol):
+        def march(*args, **kwargs):
+            raise AssertionError("the loop was marched")
+
+        monkeypatch.setattr("topmonodromy.cli.monodromy_periods", march)
+        code, data = run_cli(
+            capsys, "monodromy", "--g", "1", "--loop", "cushman", f"--tol={tol}"
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert "--tol" in data["error"]["message"]
+
+    @pytest.mark.parametrize("tol", [0, -1e-9, 2.0, "abc", [1e-9]])
+    def test_out_of_range_config_tol_fails(self, capsys, tmp_path, tol):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"g": 1, "loop": "cushman", "tol": tol}))
+        code, data = run_cli(capsys, "monodromy", "--config", str(cfg))
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+
+    def test_config_tol_is_used(self, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"g": 1, "loop": "cushman", "tol": 1e-8}))
+        code, data = run_cli(capsys, "monodromy", "--config", str(cfg))
+        assert code == 0
+        assert data["tolerances"]["quadrature"] == 1e-8
+
 
 class TestSimulateCommand:
     def test_equilibrium_trajectory_is_constant(self, capsys, tmp_path):

@@ -6,6 +6,8 @@ scan and a 60-step bisection, lifted both ellipses from their t = 0 node,
 and only then turned each ellipse into a polygon, reversed when its sign
 was -1.  The library now measures the crossings on the maintained polygons
 themselves; both must give the same signs and a bit-identical bundle.
+The ellipses come from the verbatim copy of the former ellipse fit of
+pair_loop in conftest; pair_loop now returns the 48-gon on that ellipse.
 """
 
 import math
@@ -13,14 +15,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import basis_ellipses_ref, on_ellipse
 from topmonodromy import tracking
 from topmonodromy.errors import DegenerateInputError, QuadratureError
 from topmonodromy.homology import _GAMMA_DELTA_NEXT, _GAMMA_DELTA_SAME, build_basis
 from topmonodromy.periods import (
     _AMBIGUITY_LIMIT,
-    _ellipse_point,
     _lift_open,
-    _polygonize,
     _vertex_sqrt,
     basis_contours,
     realized_intersection,
@@ -42,8 +43,9 @@ KAPPA_BASE = (0.0, 0.5, 0.0)
 THIN_BASE = (0.1357207135624321, 2.360726848175201, 0.15881514855275736)
 
 
-def _on_ellipse(spec, t):
-    return _ellipse_point(spec.center, spec.axis, spec.semi_major, spec.semi_minor, t)
+def _polygonize_ref(spec, n=48):
+    """The former _polygonize: the positive circuit's vertices from t = 0."""
+    return on_ellipse(spec, np.arange(n) * (2.0 * math.pi / n))
 
 
 def _ellipse_tangent(spec, t):
@@ -54,9 +56,9 @@ def _ellipse_tangent(spec, t):
 
 def _lift_to_parameter(fpoly, spec, t):
     if t < 1e-12:
-        return complex(np.sqrt(fpoly(_on_ellipse(spec, 0.0))))
+        return complex(np.sqrt(fpoly(on_ellipse(spec, 0.0))))
     n = max(64, int(8192 * t / (2.0 * math.pi)))
-    x = _on_ellipse(spec, np.linspace(0.0, t, n))
+    x = on_ellipse(spec, np.linspace(0.0, t, n))
     y, worst = _lift_open(fpoly(x))
     if worst >= _AMBIGUITY_LIMIT:
         raise QuadratureError("ambiguous lift while locating a crossing")
@@ -72,7 +74,7 @@ def _ellipse_intersection_ref(fpoly, spec_a, spec_b):
 
     n = 1 << 12
     ts = np.arange(n) * (2.0 * math.pi / n)
-    q = q_form(spec_b, _on_ellipse(spec_a, ts)) - 1.0
+    q = q_form(spec_b, on_ellipse(spec_a, ts)) - 1.0
     if np.any(q == 0.0):
         raise QuadratureError("contours touch tangentially")
     total = 0
@@ -80,12 +82,12 @@ def _ellipse_intersection_ref(fpoly, spec_a, spec_b):
         lo, hi = ts[i], ts[i] + 2.0 * math.pi / n
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if (q_form(spec_b, complex(_on_ellipse(spec_a, mid))) - 1.0) * q[i] > 0.0:
+            if (q_form(spec_b, complex(on_ellipse(spec_a, mid))) - 1.0) * q[i] > 0.0:
                 lo = mid
             else:
                 hi = mid
         sa = 0.5 * (lo + hi)
-        z = complex(_on_ellipse(spec_a, sa))
+        z = complex(on_ellipse(spec_a, sa))
         wz = (z - spec_b.center) / spec_b.axis
         tb = math.atan2(wz.imag / spec_b.semi_minor, wz.real / spec_b.semi_major) % (
             2.0 * math.pi
@@ -104,7 +106,7 @@ def _bundle_ref(g, point):
     """(signs, bundle) of the former pass: orient ellipses, then polygonize."""
     fpoly = fiber_polynomial(g, point)
     rs = tracking.roots(fpoly)
-    specs = basis_contours(build_basis(tuple(rs), g))
+    specs = basis_ellipses_ref(build_basis(tuple(rs), g))
     eps = [1] + [0] * (2 * g)
     for j in range(1, g + 1):
         gi, di = j - 1, g + j
@@ -116,7 +118,7 @@ def _bundle_ref(g, point):
         eps[j] = _GAMMA_DELTA_NEXT * eps[di] * s2
     polygons = []
     for spec, e in zip(specs, eps):
-        verts = [complex(p) for p in _polygonize(spec)]
+        verts = [complex(p) for p in _polygonize_ref(spec)]
         polygons.append(verts if e == 1 else [verts[0]] + verts[1:][::-1])
     y0 = [complex(np.sqrt(fpoly(p[0]))) for p in polygons]
     margin = _MARGIN_FRAC * _pairwise_min_sep(rs)
@@ -171,8 +173,8 @@ def test_polygon_orientation_matches_the_ellipse_reference():
 
 def test_thin_ellipse_base_is_oriented_on_the_maintained_polygon():
     st = _March(1, THIN_BASE, with_cables=False)
-    delta = basis_contours(build_basis(tuple(st.rs), 1))[2]
-    raw = _polygonize(delta)
+    delta = basis_ellipses_ref(build_basis(tuple(st.rs), 1))[2]
+    raw = _polygonize_ref(delta)
     gap = np.min(np.abs(raw[:, None] - np.array(st.rs)[None, :]))
     assert delta.semi_minor < 4e-4 and gap < 4e-4
     bundle = _March(1, THIN_BASE, with_cables=True).bundle
@@ -218,7 +220,7 @@ def test_root_rounding_at_the_kappa_base_does_not_flip_a_cable(monkeypatch, vari
     base = _March(2, KAPPA_BASE, with_cables=True).bundle
     varied = _on_axis_variants()[variant]
     fpoly = fiber_polynomial(2, KAPPA_BASE)
-    gamma2 = _polygonize(basis_contours(build_basis(tuple(varied), 2))[1])
+    gamma2 = basis_contours(build_basis(tuple(varied), 2))[1].vertices
     fv = complex(fpoly(complex(gamma2[0])))
     assert fv.real < 0.0 and abs(fv.imag) <= 1e-12 * abs(fv)  # a real tie
     monkeypatch.setattr(tracking, "roots", lambda p, **kw: list(varied))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import Ellipse, ellipse_fit_ref, on_ellipse
 from topmonodromy import tracking
 from topmonodromy.discriminant import in_component_C, quartic_poly
 from topmonodromy.errors import (
@@ -17,10 +18,13 @@ from topmonodromy.errors import (
 )
 from topmonodromy.homology import build_basis
 from topmonodromy.periods import (
+    _AMBIGUITY_LIMIT,
     _a2_deformation_path,
-    _polygonize,
+    _lift_closed,
+    _sheet_sign_at_origin,
     _vertex_sqrt,
     _vanishing_pair,
+    _winding_numbers,
     action_I1,
     action_I1_cubic,
     basis_contours,
@@ -33,7 +37,7 @@ from topmonodromy.periods import (
     reference_branch,
     residue_check,
 )
-from topmonodromy.poly import ComplexPoly, roots
+from topmonodromy.poly import ComplexPoly, real_root_count, roots
 from topmonodromy.spectral import SpectralCoeffs
 
 
@@ -90,12 +94,31 @@ def test_reference_branch_scalar_and_array_agree():
 # ---------------------------------------------------------------------------
 
 
+def windings(spec, points):
+    """Turn counts of a contour's polygon about each point."""
+    return list(_winding_numbers(spec.vertices, np.zeros(1, np.intp), points)[0])
+
+
+def clearance_ref(verts, points):
+    """Least distance from the points to the closed polygon's edges, by a
+    scalar loop over every edge."""
+    best = math.inf
+    for k, a in enumerate(verts):
+        d = verts[(k + 1) % len(verts)] - a
+        for p in points:
+            t = min(1.0, max(0.0, ((p - a) * d.conjugate()).real / abs(d) ** 2))
+            best = min(best, abs(p - (a + t * d)))
+    return best
+
+
 def test_pair_loop_encloses_only_its_pair():
     rs = roots(UNIT_QUARTIC)
     cfg = build_basis(rs, 1)
     for j in range(2):
-        spec = pair_loop(rs, cfg.pairing[j])
-        assert sorted(spec.enclosed) == sorted(cfg.pairing[j])
+        for o in (1, -1):
+            spec = pair_loop(rs, cfg.pairing[j], orientation=o)
+            want = [o if k in cfg.pairing[j] else 0 for k in range(4)]
+            assert windings(spec, rs) == want
         x, _ = spec.nodes(512)
         others = [rs[i] for i in range(4) if i not in cfg.pairing[j]]
         assert min(np.abs(x - r).min() for r in others) > 0.05
@@ -112,11 +135,31 @@ def test_pair_loop_rejects_bad_input():
 
 def test_big_loop_contains_all_roots():
     rs = roots(UNIT_QUARTIC)
-    spec = big_loop(rs)
-    assert sorted(spec.enclosed) == [0, 1, 2, 3]
-    x, _ = spec.nodes(256)
-    r_min = float(np.min(np.abs(x - spec.center)))
-    assert r_min > max(abs(r - spec.center) for r in rs)
+    for o in (1, -1):
+        assert windings(big_loop(rs, orientation=o), list(rs) + [0.0]) == [o] * 5
+
+
+@pytest.mark.parametrize("seed", [5, 23, 71])
+def test_clearance_is_the_distance_to_the_edges(seed):
+    rng = np.random.default_rng(seed)
+    _, _, rs = quartic_in_C(rng)
+    cfg = build_basis(rs, 1)
+    avoid = (0.0, complex(rng.normal(), rng.normal()))
+    fitted = 0
+    for o in (1, -1):
+        big = big_loop(rs, orientation=o)
+        want = clearance_ref(big.vertices, list(rs) + [0.0])
+        assert big.clearance == pytest.approx(want, rel=1e-12)
+        for pair in cfg.pairing:
+            try:
+                spec = pair_loop(rs, pair, orientation=o, avoid=avoid)
+            except DegenerateInputError:
+                continue
+            others = [r for k, r in enumerate(rs) if k not in pair] + list(avoid)
+            want = clearance_ref(spec.vertices, others)
+            assert spec.clearance == pytest.approx(want, rel=1e-12)
+            fitted += 1
+    assert fitted
 
 
 def test_quartic_pair_periods_purely_imaginary():
@@ -258,16 +301,22 @@ def test_contour_through_branch_point_raises():
 def test_basis_contours_counts():
     for coeffs, g in [([1, 0, 1, 0, 1], 1), ([1.0, 0.3, 2.0, 0.1, 1.0, 0.2, 2.0], 2)]:
         rs = roots(ComplexPoly.of(coeffs))
-        cont = basis_contours(build_basis(rs, g))
+        cfg = build_basis(rs, g)
+        cont = basis_contours(cfg)
         assert len(cont) == 2 * g + 1
-        assert all(c.kind == "pair-loop" for c in cont)
+        pairs = list(cfg.pairing) + [
+            (cfg.pairing[j][1], cfg.pairing[j + 1][0]) for j in range(g)
+        ]
+        for c, pair in zip(cont, pairs):
+            want = [1 if k in pair else 0 for k in range(len(rs))]
+            assert windings(c, rs) == want
 
 
 def test_normalized_basis_realizes_canonical_intersections():
     for coeffs, g in [([1, 0, 1, 0, 1], 1), ([1.0, 0.3, 2.0, 0.1, 1.0, 0.2, 2.0], 2)]:
         f = ComplexPoly.of(coeffs)
         cfg = build_basis(roots(f), g)
-        polygons = [_polygonize(c) for c in basis_contours(cfg)]
+        polygons = [np.array(c.vertices) for c in basis_contours(cfg)]
         cont = normalized_basis_contours(
             f, [(p, _vertex_sqrt(f, p[0])) for p in polygons]
         )
@@ -463,6 +512,124 @@ def test_vanishing_pair_matches_fixed_grid_reference(palindromic, detour):
         assert [(r.real.hex(), r.imag.hex()) for r in rs] == [
             (r.real.hex(), r.imag.hex()) for r in ref_rs
         ]
+
+
+def ellipse_values_ref(fpoly, ellipse, orientation, tol, sign):
+    """The former ellipse quadrature of y dx/x^2: a trapezoid rule in the
+    ellipse parameter, 256 nodes doubling up to 65,536 until two agree to
+    tol, with sign(x, fv, y) -> +-1 choosing the sheet.  Returns the value,
+    with the orientation applied, and the anchored nodes and lift."""
+    n = 256
+    prev = None
+    while n <= 1 << 16:
+        t = np.arange(n) * (2.0 * math.pi / n)
+        x = on_ellipse(ellipse, t)
+        w = ellipse.axis * (
+            -ellipse.semi_major * np.sin(t) + 1j * ellipse.semi_minor * np.cos(t)
+        ) * (2.0 * math.pi / n)
+        fv = fpoly(x)
+        y, worst, closes = _lift_closed(fv)
+        if worst < _AMBIGUITY_LIMIT and closes:
+            y = y * sign(x, fv, y)
+            val = complex(np.sum(y / x**2 * w))
+            if prev is not None and abs(val - prev) < tol:
+                return orientation * val, x, y
+            prev = val
+        else:
+            prev = None
+        n *= 2
+    raise AssertionError("the ellipse reference did not converge")
+
+
+def real_axis_sign_ref(x, fv, y):
+    """The former real-axis anchor: +sqrt(f) at the rightmost crossing."""
+    right = np.nonzero(x.real >= float(np.median(x.real)))[0]
+    j = int(right[np.argmin(np.abs(x.imag[right]))])
+    ref = np.sqrt(fv[j])
+    return 1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1
+
+
+def action_ellipse_ref(a):
+    """The former action_I1 (A = 1), on ellipses: the pair loop avoiding the
+    origin, or else the loop of _action_origin_blocked with the origin
+    residue stripped when the origin lies inside the ellipse."""
+    a1, _, a3 = a
+    rs, (i, j) = _vanishing_pair(a)
+    fpoly = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0)).poly()
+    scale = max(1.0, max(abs(r) for r in rs))
+    conjugate = abs(rs[i] - rs[j].conjugate()) <= 1e-8 * scale
+    if conjugate:
+        try:
+            e = ellipse_fit_ref(rs, (i, j), avoid=(0.0,))
+        except DegenerateInputError:
+            e = None
+        if e is not None:
+            val, _, _ = ellipse_values_ref(fpoly, e, -1, 1e-10, real_axis_sign_ref)
+            return ((1j / (2.0 * math.pi)) * val).real
+    else:
+        assert abs(a1 - a3) <= 1e-8 * scale
+        upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
+        i = min(upper, key=lambda k: abs(rs[k]))
+        j = min(
+            (k for k in range(len(rs)) if rs[k].imag < 0.0),
+            key=lambda k: abs(rs[k] - rs[i].conjugate()),
+        )
+    e = ellipse_fit_ref(rs, (i, j))
+    val, x, y = ellipse_values_ref(fpoly, e, -1, 1e-10, real_axis_sign_ref)
+    out = (1j / (2.0 * math.pi)) * val
+    z = -e.center / e.axis
+    if (z.real / e.semi_major) ** 2 + (z.imag / e.semi_minor) ** 2 < 1.0:
+        if abs(a3) > 1e-13:
+            out -= _sheet_sign_at_origin(fpoly, x, y) * 0.5 * a3
+    return out.real
+
+
+def residue_ellipse_ref(a):
+    """The former residue_check: the clockwise circle around every branch
+    point, on the cut-plane branch at the node where |f| is largest."""
+    fpoly = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0)).poly()
+    pts = np.asarray(roots(fpoly))
+    center = complex(np.mean(pts))
+    radius = 2.0 * float(np.max(np.abs(pts - center))) + 1.0
+
+    def branch_sign(x, fv, y):
+        j = int(np.argmax(np.abs(fv)))
+        ref = reference_branch(fpoly, x[j])
+        return 1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1
+
+    circle = Ellipse(center, 1.0 + 0.0j, radius, radius)
+    val, _, _ = ellipse_values_ref(fpoly, circle, -1, 1e-10, branch_sign)
+    return abs(val + 1j * math.pi * a[0])
+
+
+ORIGIN_BLOCKED = [(0.0, 2.2, 0.0), (0.0, 3.7, 0.0)]  # cut through the origin
+
+
+@pytest.mark.parametrize(
+    "kind", ["general", "palindromic", "detour", "origin-blocked"]
+)
+def test_polygon_action_and_residue_match_the_former_ellipse_quadrature(kind):
+    if kind == "origin-blocked":
+        points = ORIGIN_BLOCKED
+    else:
+        points = seeded_component_points(
+            977, 4, kind != "general", kind == "detour"
+        )
+    for a in points:
+        assert abs(action_I1(a) - action_ellipse_ref(a)) < 1e-13
+        assert abs(residue_check(a) - residue_ellipse_ref(a)) < 1e-13
+
+
+def test_residue_check_matches_the_former_quadrature_with_real_roots():
+    # the big loop crosses the real axis right of every branch point, so
+    # its real-axis anchor holds with real branch points too
+    rng = np.random.default_rng(41)
+    real = 0
+    for _ in range(12):
+        a = tuple(float(v) for v in rng.uniform([-2, -3, -2], [2, 5, 2]))
+        real += real_root_count(quartic_poly(a)) > 0
+        assert abs(residue_check(a) - residue_ellipse_ref(a)) < 1e-13
+    assert real >= 3
 
 
 def test_march_to_complex_a2_matches_roots_of_that_quartic():

@@ -85,6 +85,43 @@ def test_first_integrals_match_closed_forms():
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def first_integrals_loop_ref(s):
+    """The former scalar first_integrals: the Laurent coefficients summed
+    pair by pair in Python floats."""
+    coeffs = [(0.0, 0.0, 1.0), s.gamma0] + [tuple(-c for c in row) for row in s.gamma]
+    hs = []
+    for k in range(-1, 2 * s.g + 1):
+        total = 0.0
+        for p in range(len(coeffs)):
+            q = k + 2 - p
+            if 0 <= q < len(coeffs):
+                a, b = coeffs[p], coeffs[q]
+                total += a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        hs.append(0.5 * total)
+    h = hs[1] - (s.m / (2.0 * (1.0 + s.m))) * hs[0] ** 2
+    return (hs[0], h, *hs[2:])
+
+
+def test_first_integrals_match_the_former_scalar_loop():
+    # the array kernel sums each dot product in another order, so the two
+    # may differ in the last bits; entries up to 2 keep every term below 20
+    rng = np.random.default_rng(8)
+    for g in range(4):
+        for _ in range(200):
+            s = random_top_state(rng, g, scale=2.0)
+            got = first_integrals(s).as_array()
+            want = np.asarray(first_integrals_loop_ref(s))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_first_integrals_are_row_zero_of_the_trajectory_table():
+    rng = np.random.default_rng(9)
+    for g in range(3):
+        s = random_top_state(rng, g)
+        table = integrate(s, 0.01, 1e-3).first_integral_table()
+        assert first_integrals(s).values == tuple(table[0])
+
+
 def test_first_integrals_conserved_along_flow():
     # the integrals are quadratic, so the centered difference along the flow
     # direction equals the exact directional derivative up to roundoff
