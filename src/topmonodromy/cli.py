@@ -103,12 +103,11 @@ def _emit(payload, stream=None):
 
 def _cmd_simulate(opts):
     state = _parse_state(opts["m"], _require(opts, "state"))
-    t_end = float(_opt(opts, "t", 10.0))
-    dt = float(_opt(opts, "dt", 1e-3))
+    t_end = _opt(opts, "t", 10.0)
+    dt = _opt(opts, "dt", 1e-3)
     every = opts.get("every")
     if every is None:  # dt = 0 gets no default here; integrate rejects it
         every = max(1, round(t_end / dt / 1000)) if dt else 1
-    every = int(every)
     out = opts.get("out") or "trajectory.csv"
     trajectory = integrate(state, t_end, dt, sample_every=every)
     trajectory.to_csv(out)
@@ -192,15 +191,15 @@ def _point_payload(point):
 
 
 def _cmd_discriminant(opts):
-    g = int(_opt(opts, "g", 1))
+    g = _opt(opts, "g", 1)
     out = opts.get("out") or "discriminant.csv"
     if g == 1:
         if opts.get("c") is None:
             raise ValidationError("discriminant --g 1 needs --c")
-        c = float(opts["c"])
-        lo = float(_opt(opts, "u_min", 0.2))
-        hi = float(_opt(opts, "u_max", 3.0))
-        count = int(_opt(opts, "samples", 61))
+        c = opts["c"]
+        lo = _opt(opts, "u_min", 0.2)
+        hi = _opt(opts, "u_max", 3.0)
+        count = _opt(opts, "samples", 61)
         if count < 2 or not lo < hi:
             raise ValidationError("need u_min < u_max and samples >= 2")
         us = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
@@ -222,10 +221,10 @@ def _cmd_discriminant(opts):
         )
         return 0
     if g == 2:
-        sign = int(_opt(opts, "sign", 1))
-        lo = float(_opt(opts, "c2_min", 0.5))
-        hi = float(_opt(opts, "c2_max", 2.0))
-        count = int(_opt(opts, "samples", 61))
+        sign = _opt(opts, "sign", 1)
+        lo = _opt(opts, "c2_min", 0.5)
+        hi = _opt(opts, "c2_max", 2.0)
+        count = _opt(opts, "samples", 61)
         if count < 2 or not 0.0 < lo < hi:
             raise ValidationError("need 0 < c2_min < c2_max and samples >= 2")
         c2s = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
@@ -248,8 +247,8 @@ def _cmd_discriminant(opts):
 
 
 def _parse_loop(opts):
-    g = int(_opt(opts, "g", 1))
-    orientation = int(_opt(opts, "orientation", 1))
+    g = _opt(opts, "g", 1)
+    orientation = _opt(opts, "orientation", 1)
     name = opts.get("loop")
     waypoints = opts.get("waypoints")
     if (name is None) == (waypoints is None):
@@ -282,10 +281,8 @@ def _cmd_monodromy(opts):
     route = opts.get("route") or "periods"
     if route == "periods":
         result = monodromy_periods(loop, tol=tol)
-    elif route == "local":
-        result = picard_lefschetz_route(loop, tol=tol)
     else:
-        raise ValidationError("route must be 'periods' or 'local'")
+        result = picard_lefschetz_route(loop, tol=tol)
     reduced = monodromy_actions_g1(result) if loop.g == 1 else torus_block(result)
     _emit(
         {
@@ -313,7 +310,7 @@ def _cmd_actions(opts):
     point = _parse_floats(_require(opts, "point"), "point")
     if len(point) != 3:
         raise ValidationError("--point needs a1,a2,a3")
-    area = float(_opt(opts, "area", 1.0))
+    area = _opt(opts, "area", 1.0)
     i1 = action_I1(point, A=area)
     cross = action_I1_cubic(point, A=area)
     _emit(
@@ -357,19 +354,20 @@ def _require(opts, key):
 
 
 def _build_parser():
+    """The parser, and per command the argparse action of each option."""
     parser = argparse.ArgumentParser(
         prog="topmonodromy",
         description="Spectral curves, periods, and monodromy of the "
         "generalized Lagrange top.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {}
 
     def add(name, help_text, *specs):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file of options; flags override")
-        for flag, kwargs in specs:
-            p.add_argument(flag, **kwargs)
-        return p
+        actions = (p.add_argument(flag, **kwargs) for flag, kwargs in specs)
+        options[name] = {action.dest: action for action in actions}
 
     num = {"type": float}
     add(
@@ -425,11 +423,33 @@ def _build_parser():
         ("--point", {"help": "a1,a2,a3"}),
         ("--area", num),
     )
-    return parser
+    return parser, options
 
 
-def _merge_config(args):
-    """Options from --config overlaid by explicitly given flags."""
+def _config_value(action, value):
+    """A config value read as its flag's text would be: by the option's
+    type (so 1.7 is no int and true no number) and within its choices."""
+    if value is None:
+        return None
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise ValidationError(
+                f"config option {action.dest!r} must be {action.type.__name__}, "
+                f"got {value!r}"
+            )
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(
+            f"config option {action.dest!r} must be one of {list(action.choices)}, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _merge_config(args, actions):
+    """Options from --config, typed by their argparse actions, overlaid by
+    explicitly given flags."""
     opts = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     if args.config is None:
         return opts
@@ -443,7 +463,7 @@ def _merge_config(args):
     unknown = set(loaded) - set(opts)
     if unknown:
         raise ValidationError(f"config has unknown options: {sorted(unknown)}")
-    merged = dict(loaded)
+    merged = {k: _config_value(actions[k], v) for k, v in loaded.items()}
     merged.update({k: v for k, v in opts.items() if v is not None})
     for key in opts:
         merged.setdefault(key, None)
@@ -451,10 +471,10 @@ def _merge_config(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, options = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _merge_config(args)
+        opts = _merge_config(args, options[args.command])
         if opts.get("m") is None and args.command in (
             "simulate",
             "invariants",

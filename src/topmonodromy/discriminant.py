@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDiscriminantError, ValidationError
-from .poly import ComplexPoly, normalized_discriminant, real_root_count
+from .poly import ComplexPoly, normalized_discriminant, real_root_count, real_roots
 from .spectral import SpectralCoeffs
 
 _DISC_TOL = 1e-9
@@ -130,8 +130,6 @@ def classify_special_points(c: float):
         )
     elif abs(c) > 4.0:
         cusp_param = ComplexPoly.of((3.0, c, 0.0, 0.0, 1.0))
-        from .poly import real_roots
-
         for u in real_roots(cusp_param):
             points.append(
                 StratumPoint(

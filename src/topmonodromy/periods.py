@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discriminant import classify_special_points, delta_c_section
 from .errors import (
     DegenerateInputError,
     NearDiscriminantError,
@@ -44,7 +45,7 @@ from .homology import (
     BranchConfig,
     build_basis,
 )
-from .poly import ComplexPoly, discriminant, real_root_count, roots as poly_roots
+from .poly import ComplexPoly, real_root_count, roots as poly_roots
 from .spectral import SpectralCoeffs
 
 _AMBIGUITY_LIMIT = 0.7
@@ -346,14 +347,15 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
     """
     if contour.clearance <= 0.0:
         raise ValidationError("contour has nonpositive clearance")
-    needs_origin = any(d == "y dx/x^2" for d in differentials)
+    if any(d == "y dx/x^2" for d in differentials):
+        a = np.array(contour.vertices, dtype=complex)
+        if np.min(_segment_distances(a, np.roll(a, -1), np.zeros(1))) < 1e-12:
+            raise QuadratureError("contour passes through the origin pole", location=0.0)
     n = 24
     prev = None
     worst_x = None
     while n <= _MAX_EDGE_NODES:
         x, w = contour.nodes(n)
-        if needs_origin and np.min(np.abs(x)) < 1e-12:
-            raise QuadratureError("contour passes through the origin pole", location=0.0)
         fv = fpoly(x)
         y, worst, closes = _lift_closed(fv)
         if worst < _AMBIGUITY_LIMIT and closes:
@@ -543,69 +545,50 @@ def residue_check(a, tol: float = 1e-10) -> float:
     return abs(complex(vals[0]) + 1j * math.pi * a[0])
 
 
-def _a2_deformation_path(a1, a2, a3):
+def _palindromic(a1, a3, rs):
+    """a1 = a3 up to the scale of the roots rs: only there can real a2 give
+    a complex double pair, or the vanishing pair be mixed."""
+    scale = max(1.0, max(abs(r) for r in rs))
+    return abs(a1 - a3) <= 1e-8 * scale
+
+
+def _a2_deformation_path(a1, a2, a3, rs):
     """Waypoints for the downward a2 deformation, and the real touch point.
 
-    The boundary is the a2 value where the quartic first touches the real
-    axis, with a real double root at the returned touch point; interior
-    discriminant touches along the way (complex double roots on the a1 = a3
-    stratum) are bypassed by small semicircles in the upper half of the
-    complex a2 plane.
+    rs are the roots at the base point.  The boundary is the a2 value where
+    the quartic first touches the real axis, with a real double root at the
+    returned touch point.  The one interior discriminant point the real
+    segment can meet is the complex double pair (x^2 + (a3/2) x + 1)^2 at
+    a2 = 2 + a3^2/4 on the palindromic plane; there the path bypasses it
+    by a small semicircle in the upper half of the complex a2 plane.
     """
-    # the real touch maximizes -(x^4 + a1 x^3 + a3 x + 1)/x^2 over real
-    # critical points of that expression
+    # a real double root x sits at the critical points of
+    # -(x^4 + a1 x^3 + a3 x + 1)/x^2, which are the points of the section
+    # Delta_{a3} with this a1; the first touch has the largest a2 among them
     h = ComplexPoly.of((-2.0, -a3, 0.0, a1, 2.0))
     crit = [r.real for r in poly_roots(h) if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
     if not crit:
         raise DegenerateInputError("no real touch point for the a2 deformation")
-
-    def touch_a2(x):
-        return -(x**4 + a1 * x**3 + a3 * x + 1.0) / x**2
-
-    x_star = max(crit, key=touch_a2)
-    a2_low = touch_a2(x_star)
+    x_star = max(crit, key=lambda x: delta_c_section(a3, x)[1])
+    a2_low = delta_c_section(a3, x_star)[1]
     if a2 - a2_low < 1e-7 * max(1.0, abs(a2)):
         raise NearDiscriminantError("parameters lie on or near the discriminant")
     stop = a2_low + 1e-3 * (a2 - a2_low)
-
-    # disc(a2') is a polynomial of degree <= 4 in a2'; locate interior zeros
-    # by a Chebyshev fit (zeros may be double, hence the loose realness
-    # filter; circling a spurious point is harmless)
-    mid, half = 0.5 * (a2_low - 0.5 + a2), 0.5 * (a2 - a2_low + 0.5)
-    ts = np.cos(np.pi * np.arange(13) / 12.0)
-    vals = np.array(
-        [
-            discriminant(ComplexPoly.of((1.0, a3, mid + half * t, a1, 1.0))).real
-            for t in ts
-        ]
-    )
-    coeffs = np.polyfit(ts, vals / float(np.max(np.abs(vals))), 6)[::-1]
-    while len(coeffs) > 1 and abs(coeffs[-1]) < 1e-9 * float(np.max(np.abs(coeffs))):
-        coeffs = coeffs[:-1]
-    zeros = poly_roots(ComplexPoly.of(tuple(coeffs)), tol=1e-12)
-    interior = sorted(
-        {
-            round(mid + half * z.real, 12)
-            for z in zeros
-            if abs(z.imag) < 1e-4 * (1.0 + abs(z.real))
-            and stop + 1e-6 < mid + half * z.real < a2 - 1e-6
-        },
-        reverse=True,
-    )
-    if any(a2 - z < 0.01 * (a2 - stop) for z in interior):
-        raise NearDiscriminantError("parameters are too close to the discriminant")
-
     span = a2 - stop
+
     waypoints = [complex(a2)]
-    pos = a2
-    for z in interior:
-        if pos - z < 0.01 * span:
-            continue
-        r = min(0.05 * span, 0.5 * (pos - z), 0.5 * (z - stop))
-        waypoints.append(complex(z + r))
-        for th in np.linspace(0.0, math.pi, 25)[1:]:
-            waypoints.append(z + r * complex(math.cos(th), math.sin(th)))
-        pos = z - r
+    if _palindromic(a1, a3, rs):
+        for p in classify_special_points(a3):
+            z = p.location[1]
+            if p.kind != "isolated-complex-double-pair" or not stop < z < a2:
+                continue  # no complex pair for |a3| >= 4, or not on the way
+            if a2 - z < 0.01 * span:
+                raise NearDiscriminantError(
+                    "parameters are too close to the discriminant"
+                )
+            r = min(0.05 * span, 0.5 * (a2 - z), 0.5 * (z - stop))
+            for th in np.linspace(0.0, math.pi, 25):
+                waypoints.append(z + r * complex(math.cos(th), math.sin(th)))
     waypoints.append(complex(stop))
     return waypoints, x_star
 
@@ -625,7 +608,7 @@ def _vanishing_pair(a):
     state = _March(1, a, with_cables=False)
     if real_root_count(state.fpoly) > 0:
         raise ValidationError("parameters are outside component C (real roots)")
-    waypoints, x_star = _a2_deformation_path(a1, a2, a3)
+    waypoints, x_star = _a2_deformation_path(a1, a2, a3, state.fibers[0])
     for w in waypoints[1:]:
         state.traverse((a1, w, a3))
     rs = state.fibers[0]
@@ -670,7 +653,7 @@ def _action_origin_blocked(fpoly, rs, pair, a, A):
     scale = max(1.0, max(abs(r) for r in rs))
     i, j = pair
     if abs(rs[i] - rs[j].conjugate()) > 1e-8 * scale:
-        if abs(a1 - a3) > 1e-8 * scale:
+        if not _palindromic(a1, a3, rs):
             raise DegenerateInputError(
                 "mixed vanishing pair away from the palindromic stratum"
             )
@@ -738,12 +721,14 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     g(u) = 2u^3 - a2 u^2 + (a1 a3/2 - 2) u + a2 - (a1^2+a3^2)/4 and
     u1 <= u2 are the two smallest real roots of g.
 
-    With u = c + w sin t, k = 1 + c and F(u) = sqrt(2(u3 - u))/(1 - u) the
-    integrand is F(u) w^2 cos^2 t / (k + w sin t), whose pole u = -1 nears
-    the endpoint u1 close to the plane a1 = -a3 (g(-1) = -(a1 + a3)^2/4).
-    The pole is subtracted in closed form: w^2 cos^2 t = (k - w sin t)
-    (k + w sin t) + w^2 - k^2 and dt/(k + w sin t) integrates to
-    pi/sqrt(k^2 - w^2), with k^2 - w^2 = (1 + u1)(1 + u2) >= 0.
+    With u = c + w sin t and G(u) = sqrt(2(u3 - u)) the integrand is
+    G w^2 cos^2 t (1/(1+u) + 1/(1-u))/2.  The pole u = -1 nears u1 close to
+    the plane a1 = -a3 (g(-1) = -(a1 + a3)^2/4), u = +1 nears u2 close to
+    a1 = a3 (g(1) = -(a1 - a3)^2/4), and one rule subtracts each: with
+    1 + s u = k + s w sin t (s = +-1) and near endpoint e, w^2 cos^2 t =
+    (k - s w sin t)(k + s w sin t) + w^2 - k^2, G = G(e) + (G - G(e)), and
+    dt/(k + s w sin t) integrates to pi/sqrt(k^2 - w^2), with
+    k^2 - w^2 = (1 + s u1)(1 + s u2) >= 0.  The two k - s w sin t sum to 2.
     """
     gpoly = _action_cubic_polynomial(a)
     rs = poly_roots(gpoly, tol=1e-13)
@@ -755,17 +740,19 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):
         raise DegenerateInputError("cubic form has a repeated root")
     c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
-    k = 1.0 + c
-    gap = max(0.0, (1.0 + u1) * (1.0 + u2))  # k^2 - w^2, clamped against rounding
-    f1 = math.sqrt(2.0 * (u3 - u1)) / (1.0 - u1)
+    # (s, k^2 - w^2 clamped against rounding, G at the near endpoint)
+    poles = [
+        (s, max(0.0, (1.0 + s * u1) * (1.0 + s * u2)), math.sqrt(2.0 * (u3 - e)))
+        for s, e in ((1.0, u1), (-1.0, u2))
+    ]
+    closed = sum(ge * math.sqrt(gap) for _, gap, ge in poles)
 
     def value(n):
         t, gw = _leggauss(n)
-        s = np.sin(0.5 * math.pi * t)
-        u = c + w * s
-        f = np.sqrt(2.0 * (u3 - u)) / (1.0 - u)
-        core = f * (k - w * s) - gap * (f - f1) / (1.0 + u)
-        return 0.5 * math.pi * float(np.sum(core * gw)) - math.pi * f1 * math.sqrt(gap)
+        u = c + w * np.sin(0.5 * math.pi * t)
+        gu = np.sqrt(2.0 * (u3 - u))
+        core = gu - 0.5 * sum(gap * (gu - ge) / (1.0 + s * u) for s, gap, ge in poles)
+        return 0.5 * math.pi * (float(np.sum(core * gw)) - closed)
 
     v1, v2 = value(_CUBIC_NODES), value(_CUBIC_NODES + 160)
     if abs(v1 - v2) > 1e-9 * max(1.0, abs(v2)):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -858,15 +858,10 @@ def torus_block(result: MonodromyResult) -> MonodromyResult:
     if np.any(m_new[3:, :3] != 0):
         raise ValidationError("the lattice map does not preserve the torus cycles")
     block = m_new[:3, :3]
-    return MonodromyResult(
-        name=result.name,
+    return replace(
+        result,
         basis=_TORUS_BASIS,
         matrix=tuple(tuple(int(v) for v in row) for row in block),
-        residual=result.residual,
-        permutation=result.permutation,
-        orientation=result.orientation,
-        steps_used=result.steps_used,
-        condition=result.condition,
     )
 
 
@@ -893,13 +888,6 @@ def monodromy_actions_g1(result: MonodromyResult) -> MonodromyResult:
             "gamma_1 is not shifted by a multiple of the puncture class"
         )
     k = -n2
-    return MonodromyResult(
-        name=result.name,
-        basis=_ACTION_BASIS,
-        matrix=((1, 0, 0), (k, 1, 0), (0, 0, 1)),
-        residual=result.residual,
-        permutation=result.permutation,
-        orientation=result.orientation,
-        steps_used=result.steps_used,
-        condition=result.condition,
+    return replace(
+        result, basis=_ACTION_BASIS, matrix=((1, 0, 0), (k, 1, 0), (0, 0, 1))
     )

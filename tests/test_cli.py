@@ -411,6 +411,18 @@ class TestConfigFile:
         assert code == 0
         assert data["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"g": 1.7}, {"g": True}, {"orientation": -1.9}, {"orientation": "x"}, {"route": "x"}],
+    )
+    def test_config_values_are_typed_like_flags(self, capsys, tmp_path, extra):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"g": 1, "loop": "cushman", **extra}))
+        code, data = run_cli(capsys, "monodromy", "--config", str(cfg))
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert next(iter(extra)) in data["error"]["message"]
+
     def test_broken_config_fails(self, capsys, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text("{not json")

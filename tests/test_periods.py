@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import Ellipse, ellipse_fit_ref, on_ellipse
 from topmonodromy import tracking
-from topmonodromy.discriminant import in_component_C, quartic_poly
+from topmonodromy.discriminant import (
+    classify_special_points,
+    in_component_C,
+    quartic_poly,
+)
 from topmonodromy.errors import (
     DegenerateInputError,
     NearDiscriminantError,
@@ -276,6 +280,14 @@ def test_origin_pole_requires_origin_free_contour():
         cycle_integral(UNIT_QUARTIC, polyline([0.0, 0.3, 0.3j]), "y dx/x^2")
 
 
+def test_edge_through_the_origin_pole_fails_before_refining():
+    # no quadrature node lands on x = 0 here, only the edge from the first
+    # vertex to the second passes through it
+    triangle = polyline([-0.3 - 0.3j, 0.3 + 0.3j, 0.3 - 0.3j])
+    with pytest.raises(QuadratureError, match="passes through the origin pole"):
+        cycle_integral(UNIT_QUARTIC, triangle, "y dx/x^2")
+
+
 def test_tolerance_is_honored():
     rs = roots(UNIT_QUARTIC)
     cfg = build_basis(rs, 1)
@@ -422,6 +434,42 @@ def test_cubic_action_converges_next_to_the_plane_a1_eq_minus_a3():
     assert abs(cubic - action_I1(a)) < 1e-10
 
 
+# Above the double-pair stratum a2 = 2 + a3^2/4 and next to the plane
+# a1 = a3, the real a2 segment passes within about |a1 - a3| of the complex
+# double pair without meeting it, so only the plane itself (to 1e-8 of the
+# root scale: the last two points) takes the detour; and u = +1 nears the
+# cubic form's endpoint u2, since g(1) = -(a1 - a3)^2/4.
+NEAR_PALINDROMIC = [
+    (0.3, 2.4225, 0.3001),
+    (0.3, 2.4225, 0.30001),
+    (-0.2, 2.5, -0.20001),
+    (0.3, 2.4225, 0.3 + 1e-8),
+    (0.3, 2.4225, 0.3),
+]
+
+
+@pytest.mark.parametrize("a", NEAR_PALINDROMIC)
+def test_action_routes_match_the_oracle_next_to_the_plane_a1_eq_a3(a):
+    ref = cubic_form_action(a)
+    assert abs(action_I1(a) - ref) < 1e-8
+    assert abs(action_I1_cubic(a) - ref) < 1e-8
+
+
+def test_palindromic_detour_is_centred_on_the_closed_form_double_pair():
+    a = (0.3, 2.4225, 0.3)
+    waypoints, _ = _a2_deformation_path(*a, roots(quartic_poly(a)))
+    (pair,) = [
+        p for p in classify_special_points(a[2])
+        if p.kind == "isolated-complex-double-pair"
+    ]
+    z = pair.location[1]
+    arc = waypoints[1:-1]
+    assert len(arc) == 25 and arc[0].imag == 0.0 and arc[12].imag > 0.0
+    r = arc[0].real - z
+    assert abs(0.5 * (arc[0] + arc[-1]).real - z) <= 4e-16 * z
+    assert all(abs(w - z) == pytest.approx(r, rel=1e-13) for w in arc)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=24)
 @given(
     a1=st.floats(-0.6, 0.6),
@@ -449,7 +497,7 @@ def fixed_grid_vanishing_pair(a):
     """
     a1, a2, a3 = a
     rs = roots(ComplexPoly.of((1.0, a3, a2, a1, 1.0)))
-    waypoints, _ = _a2_deformation_path(a1, a2, a3)
+    waypoints, _ = _a2_deformation_path(a1, a2, a3, rs)
     per_seg = 40
     while per_seg <= 5120:
         samples = []
@@ -490,10 +538,11 @@ def seeded_component_points(seed, count, palindromic, detour):
             a3 = a1
         if abs(a1 + a3) < 0.01:
             continue
+        f = ComplexPoly.of((1.0, a3, a2, a1, 1.0))
         try:
-            if not in_component_C(ComplexPoly.of((1.0, a3, a2, a1, 1.0))):
+            if not in_component_C(f):
                 continue
-            waypoints, _ = _a2_deformation_path(a1, a2, a3)
+            waypoints, _ = _a2_deformation_path(a1, a2, a3, roots(f))
         except NearDiscriminantError:
             continue
         if (len(waypoints) > 2) == detour:
