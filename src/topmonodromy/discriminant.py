@@ -27,7 +27,7 @@ _DISC_TOL = 1e-9
 def quartic_poly(a) -> ComplexPoly:
     """x^4 + a1 x^3 + a2 x^2 + a3 x + 1 from the reduced chart (a1, a2, a3).
 
-    Coordinates may be complex, as on the a2 deformation of the action.
+    Coordinates may be complex, as at complex chart points of a march.
     """
     a1, a2, a3 = (complex(v) for v in a)
     return ComplexPoly.of((1.0, a3, a2, a1, 1.0))
@@ -76,6 +76,12 @@ def delta_c_section(c: float, u: float):
     return a1, a2
 
 
+def complex_double_pair_a2(c: float):
+    """a2 of the isolated complex double pair (x^2 + (c/2) x + 1)^2 on the
+    plane a1 = a3 = c, or None for |c| >= 4, where that pair is real."""
+    return 2.0 + c * c / 4.0 if abs(c) < 4.0 else None
+
+
 def classify_special_points(c: float):
     """Special points of Delta_c, per the closed-form case analysis.
 
@@ -106,7 +112,7 @@ def classify_special_points(c: float):
         im = math.sqrt(-half_disc)
         points.append(
             StratumPoint(
-                location=(c, 2.0 + c * c / 4.0),
+                location=(c, complex_double_pair_a2(c)),
                 kind="isolated-complex-double-pair",
                 witness=(complex(-c / 4.0, -im), complex(-c / 4.0, im)),
             )

@@ -14,8 +14,8 @@ class ValidationError(TopmonodromyError):
 
 
 class DegenerateInputError(TopmonodromyError):
-    """Input sits exactly on a degenerate configuration (e.g. a root at an
-    interval endpoint, colliding branch points)."""
+    """Input sits exactly on a degenerate configuration (e.g. colliding
+    branch points, a branch point on a cut)."""
 
 
 class RootFindingError(TopmonodromyError):

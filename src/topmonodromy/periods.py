@@ -19,9 +19,11 @@ carried by the monodromy tracker ("cables") integrate on the sheet of a
 square root pinned at their first vertex, and the basis cables are oriented
 on those same polygons: normalized_basis_contours counts their signed
 same-sheet crossings and reverses each cable whose sign is -1.  The
-action's vanishing cycle is picked by marching the branch points along the
-a2 deformation with the tracker (tracking._March); this module has no root
-tracker of its own.
+action's vanishing cycle is read off the roots: on the palindromic stratum
+(a1 = a3 above the complex double pair) it is the conjugate pair inside
+the unit circle, and elsewhere the tracker (tracking._March) marches the
+branch points down real a2 to the real-root boundary, where the pair that
+collides is the cycle; this module has no root tracker of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import classify_special_points, delta_c_section
+from .discriminant import complex_double_pair_a2, delta_c_section, quartic_poly
 from .errors import (
     DegenerateInputError,
     NearDiscriminantError,
@@ -537,7 +539,7 @@ def residue_check(a, tol: float = 1e-10) -> float:
     it crosses the real axis right of every branch point), where the
     integral must equal -i*pi*a1 exactly.
     """
-    fpoly = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0)).poly()
+    fpoly = quartic_poly(a)
     loop = big_loop(poly_roots(fpoly), orientation=-1)
     vals, _, _ = _anchored_values(
         fpoly, loop, ("y dx/x^2",), tol, _real_axis_anchor
@@ -546,21 +548,23 @@ def residue_check(a, tol: float = 1e-10) -> float:
 
 
 def _palindromic(a1, a3, rs):
-    """a1 = a3 up to the scale of the roots rs: only there can real a2 give
-    a complex double pair, or the vanishing pair be mixed."""
+    """a1 = a3 up to 1e-8 of the scale of the roots rs.
+
+    There the quartic is palindromic, its roots come as r, conj(r), 1/r,
+    1/conj(r), and real a2 = 2 + a3^2/4 gives the complex double pair
+    (x^2 + (a3/2) x + 1)^2 when |a3| < 4: the one place where lowering a2
+    can bring two branch points together off the real axis.
+    """
     scale = max(1.0, max(abs(r) for r in rs))
     return abs(a1 - a3) <= 1e-8 * scale
 
 
-def _a2_deformation_path(a1, a2, a3, rs):
-    """Waypoints for the downward a2 deformation, and the real touch point.
+def _a2_deformation_path(a1, a2, a3):
+    """(stop, x*) of the downward a2 deformation at fixed (a1, a3).
 
-    rs are the roots at the base point.  The boundary is the a2 value where
-    the quartic first touches the real axis, with a real double root at the
-    returned touch point.  The one interior discriminant point the real
-    segment can meet is the complex double pair (x^2 + (a3/2) x + 1)^2 at
-    a2 = 2 + a3^2/4 on the palindromic plane; there the path bypasses it
-    by a small semicircle in the upper half of the complex a2 plane.
+    The boundary is the a2 value where the quartic first touches the real
+    axis, with a real double root at the touch point x*; stop lies above it
+    by 1e-3 of the way up to a2.
     """
     # a real double root x sits at the critical points of
     # -(x^4 + a1 x^3 + a3 x + 1)/x^2, which are the points of the section
@@ -573,34 +577,24 @@ def _a2_deformation_path(a1, a2, a3, rs):
     a2_low = delta_c_section(a3, x_star)[1]
     if a2 - a2_low < 1e-7 * max(1.0, abs(a2)):
         raise NearDiscriminantError("parameters lie on or near the discriminant")
-    stop = a2_low + 1e-3 * (a2 - a2_low)
-    span = a2 - stop
-
-    waypoints = [complex(a2)]
-    if _palindromic(a1, a3, rs):
-        for p in classify_special_points(a3):
-            z = p.location[1]
-            if p.kind != "isolated-complex-double-pair" or not stop < z < a2:
-                continue  # no complex pair for |a3| >= 4, or not on the way
-            if a2 - z < 0.01 * span:
-                raise NearDiscriminantError(
-                    "parameters are too close to the discriminant"
-                )
-            r = min(0.05 * span, 0.5 * (a2 - z), 0.5 * (z - stop))
-            for th in np.linspace(0.0, math.pi, 25):
-                waypoints.append(z + r * complex(math.cos(th), math.sin(th)))
-    waypoints.append(complex(stop))
-    return waypoints, x_star
+    return a2_low + 1e-3 * (a2 - a2_low), x_star
 
 
 def _vanishing_pair(a):
-    """Roots of the action quartic plus the indices of the cycle-defining pair.
+    """Roots of the action quartic, the cycle-defining pair, and whether a
+    lies on the palindromic stratum.
 
-    The distinguished cycle is the one that vanishes when a2 is deformed
-    downward to the no-real-root boundary at fixed (a1, a3): the monodromy
-    tracker marches the roots along that deformation, as chart points
-    (a1, a2', a3) with complex a2', and the two that end nearest the real
-    touch point are the pair that collides there.
+    The distinguished cycle is the one that vanishes when a2 is lowered to
+    the no-real-root boundary at fixed (a1, a3).  On the stratum, a1 = a3
+    (_palindromic) with the double pair's a2 = 2 + a3^2/4 between the stop
+    value and a2, the deformation must pass the double pair through
+    complex a2, and either way round it ends on a mixed pair (one upper, one
+    lower branch point); the cycle's value is then the average of the two
+    images, which is the loop around the conjugate pair inside the unit
+    circle, so that pair is read off the roots with no march.  Elsewhere
+    the monodromy tracker marches the roots along real a2 to the stop value,
+    and the two that end nearest the real touch point are the pair that
+    collides there; a real path keeps that pair conjugate.
     """
     from .tracking import _March  # tracking imports this module
 
@@ -608,16 +602,30 @@ def _vanishing_pair(a):
     state = _March(1, a, with_cables=False)
     if real_root_count(state.fpoly) > 0:
         raise ValidationError("parameters are outside component C (real roots)")
-    waypoints, x_star = _a2_deformation_path(a1, a2, a3, state.fibers[0])
-    for w in waypoints[1:]:
-        state.traverse((a1, w, a3))
     rs = state.fibers[0]
     scale = max(1.0, max(abs(r) for r in rs))
+    stop, x_star = _a2_deformation_path(a1, a2, a3)
+    double = complex_double_pair_a2(a3)
+    if _palindromic(a1, a3, rs) and double is not None and stop < double < a2:
+        if a2 - double < 0.01 * (a2 - stop):
+            raise NearDiscriminantError("parameters are too close to the discriminant")
+        upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
+        i = min(upper, key=lambda k: abs(rs[k]))
+        j = min(
+            (k for k in range(len(rs)) if rs[k].imag < 0.0),
+            key=lambda k: abs(rs[k] - rs[i].conjugate()),
+        )
+        return rs, (i, j), True
+    state.traverse((a1, stop, a3))
     nearest = sorted(range(len(rs)), key=lambda k: abs(state.rs[k] - x_star))
     i, j = sorted(nearest[:2])
     if abs(state.rs[i] - state.rs[j]) > 0.2 * scale:
         raise DegenerateInputError("no vanishing pair found at the boundary touch")
-    return rs, (i, j)
+    if abs(rs[i] - rs[j].conjugate()) > 1e-8 * scale:
+        raise DegenerateInputError(
+            "mixed vanishing pair away from the palindromic stratum"
+        )
+    return rs, (i, j), False
 
 
 def _sheet_sign_at_origin(fpoly, x, y):
@@ -637,68 +645,30 @@ def _sheet_sign_at_origin(fpoly, x, y):
     raise QuadratureError("could not continue the lift to the origin", location=0.0)
 
 
-def _action_origin_blocked(fpoly, rs, pair, a, A):
-    """Action value when no origin-avoiding pair loop fits around the pair.
+def action_I1(a, A: float = 1.0) -> float:
+    """Action integral I1 = (A i/2pi) * integral of y dx/x^2 over gamma_1.
 
-    If the tracked pair is a conjugate pair its cut merely passes close to
-    the origin: integrate over the enclosing loop and strip the origin
-    residue using the sheet sign measured by continuing the lift to x = 0.
-    A mixed pair (one upper, one lower branch point) occurs only on the
-    palindromic stratum a1 == a3, where the a2 deformation detours around a
-    complex double root; there the cycle's value equals the real part of the
-    loop around the conjugate pair inside the unit circle, with the same
-    residue correction, because that loop averages the two detour images.
+    gamma_1 is realized as a negatively oriented loop around the pair of
+    _vanishing_pair, with the lift positive where the loop crosses the real
+    axis.  The loop keeps clear of the origin pole when such a loop fits,
+    except on the palindromic stratum, where the plain loop is kept (loops
+    that avoid the origin there move the value by up to about 1e-10 and
+    can fail quadrature).  A loop that winds the origin loses the pole's
+    residue, with the sheet sign measured by continuing the lift to x = 0.
     """
-    a1, _, a3 = a
-    scale = max(1.0, max(abs(r) for r in rs))
-    i, j = pair
-    if abs(rs[i] - rs[j].conjugate()) > 1e-8 * scale:
-        if not _palindromic(a1, a3, rs):
-            raise DegenerateInputError(
-                "mixed vanishing pair away from the palindromic stratum"
-            )
-        upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
-        i = min(upper, key=lambda k: abs(rs[k]))
-        j = min(
-            (k for k in range(len(rs)) if rs[k].imag < 0.0),
-            key=lambda k: abs(rs[k] - rs[i].conjugate()),
-        )
-    loop = pair_loop(rs, (i, j), orientation=-1)
+    rs, pair, stratum = _vanishing_pair(a)
+    fpoly = quartic_poly(a)
+    try:
+        loop = pair_loop(rs, pair, orientation=-1, avoid=() if stratum else (0.0,))
+    except DegenerateInputError:
+        loop = pair_loop(rs, pair, orientation=-1)
     vals, x, y = _anchored_values(
         fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
     )
     out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])
     winding = _winding_numbers(loop.vertices, np.zeros(1, np.intp), (0.0,))
-    if winding[0, 0] != 0 and abs(a3) > 1e-13:
-        s = _sheet_sign_at_origin(fpoly, x, y)
-        out -= A * s * 0.5 * a3
-    if abs(out.imag) > 1e-9 * max(1.0, abs(out)):
-        raise QuadratureError("action integral has a nonreal value")
-    return out.real
-
-
-def action_I1(a, A: float = 1.0) -> float:
-    """Action integral I1 = (A i/2pi) * integral of y dx/x^2 over gamma_1.
-
-    gamma_1 is realized as a negatively oriented loop around the pair of
-    branch points that collides under the downward a2 deformation, kept
-    clear of the origin pole, with the lift positive where the loop crosses
-    the real axis.
-    """
-    rs, pair = _vanishing_pair(a)
-    f = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0))
-    fpoly = f.poly()
-    scale = max(1.0, max(abs(r) for r in rs))
-    if abs(rs[pair[0]] - rs[pair[1]].conjugate()) > 1e-8 * scale:
-        return _action_origin_blocked(fpoly, rs, pair, a, A)
-    try:
-        loop = pair_loop(rs, pair, orientation=-1, avoid=(0.0,))
-    except DegenerateInputError:
-        return _action_origin_blocked(fpoly, rs, pair, a, A)
-    vals, _, _ = _anchored_values(
-        fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
-    )
-    out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])
+    if winding[0, 0] != 0 and abs(a[2]) > 1e-13:
+        out -= A * _sheet_sign_at_origin(fpoly, x, y) * 0.5 * a[2]
     if abs(out.imag) > 1e-9 * max(1.0, abs(out)):
         raise QuadratureError("action integral has a nonreal value")
     return out.real
@@ -729,6 +699,9 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     (k - s w sin t)(k + s w sin t) + w^2 - k^2, G = G(e) + (G - G(e)), and
     dt/(k + s w sin t) integrates to pi/sqrt(k^2 - w^2), with
     k^2 - w^2 = (1 + s u1)(1 + s u2) >= 0.  The two k - s w sin t sum to 2.
+    Next to a pole that gap is smaller than the rounding of the roots, so
+    it is taken from the exact g(-s) = -(a1 + s a3)^2/4 as
+    s (a1 + s a3)^2 / (8 (1 + s u3)), unless u3 is nearer the pole than u2.
     """
     gpoly = _action_cubic_polynomial(a)
     rs = poly_roots(gpoly, tol=1e-13)
@@ -740,11 +713,16 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):
         raise DegenerateInputError("cubic form has a repeated root")
     c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
+    a1, _, a3 = a
     # (s, k^2 - w^2 clamped against rounding, G at the near endpoint)
-    poles = [
-        (s, max(0.0, (1.0 + s * u1) * (1.0 + s * u2)), math.sqrt(2.0 * (u3 - e)))
-        for s, e in ((1.0, u1), (-1.0, u2))
-    ]
+    poles = []
+    for s, e in ((1.0, u1), (-1.0, u2)):
+        near, far = 1.0 + s * u2, 1.0 + s * u3
+        if abs(far) > abs(near):
+            gap = s * (a1 + s * a3) ** 2 / (8.0 * far)
+        else:
+            gap = (1.0 + s * u1) * near
+        poles.append((s, max(0.0, gap), math.sqrt(2.0 * (u3 - e))))
     closed = sum(ge * math.sqrt(gap) for _, gap, ge in poles)
 
     def value(n):

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInputError, RootFindingError, ValidationError
+from .errors import RootFindingError, ValidationError
 
 _ABERTH_BUDGET = 400
 
@@ -313,13 +313,6 @@ def _to_fractions(p: ComplexPoly):
     return [Fraction(c.real) for c in p.coeffs]
 
 
-def _frac_eval(cs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def _frac_rem(a, b):
     """Remainder of a by b over the rationals (ascending coefficient lists)."""
     a = a[:]
@@ -352,50 +345,15 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def real_root_count(p: ComplexPoly, interval=None) -> int:
-    """Number of distinct real roots of p, exactly, via a Sturm sequence.
-
-    `interval` is an optional (lo, hi) pair of reals; the default counts over
-    all of R.  A root exactly at a finite endpoint raises
-    DegenerateInputError, so open/closed endpoint semantics never matter.
-    """
+def real_root_count(p: ComplexPoly) -> int:
+    """Number of distinct real roots of p over all of R, exactly, via a
+    Sturm sequence."""
     if p.degree < 1:
         raise ValidationError("real_root_count requires degree >= 1")
-    cs = _to_fractions(p)
-    chain = _sturm_chain(cs)
-
-    def signs_at_minus_inf():
-        out = []
-        for poly in chain:
-            c = poly[-1]
-            deg = len(poly) - 1
-            out.append(c if deg % 2 == 0 else -c)
-        return out
-
-    def signs_at_plus_inf():
-        return [poly[-1] for poly in chain]
-
-    if interval is None:
-        lo_signs, hi_signs = signs_at_minus_inf(), signs_at_plus_inf()
-    else:
-        lo, hi = interval
-        if not lo < hi:
-            raise ValidationError("interval must satisfy lo < hi")
-        if math.isinf(lo):
-            lo_signs = signs_at_minus_inf()
-        else:
-            lo_f = Fraction(lo)
-            if _frac_eval(cs, lo_f) == 0:
-                raise DegenerateInputError("root exactly at interval endpoint %r" % lo)
-            lo_signs = [_frac_eval(poly, lo_f) for poly in chain]
-        if math.isinf(hi):
-            hi_signs = signs_at_plus_inf()
-        else:
-            hi_f = Fraction(hi)
-            if _frac_eval(cs, hi_f) == 0:
-                raise DegenerateInputError("root exactly at interval endpoint %r" % hi)
-            hi_signs = [_frac_eval(poly, hi_f) for poly in chain]
-    return _sign_changes(lo_signs) - _sign_changes(hi_signs)
+    chain = _sturm_chain(_to_fractions(p))
+    # signs at -infinity: the leading coefficients, flipped for odd degree
+    lo = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return _sign_changes(lo) - _sign_changes([c[-1] for c in chain])
 
 
 def real_roots(p: ComplexPoly, tol: float = 1e-9):

@@ -495,8 +495,8 @@ def _chart_point(point):
 class _March:
     """Root (and optionally cable) transport along chart segments.
 
-    Coordinates may be complex (genus 1 only); the action's a2 deformation
-    marches through the complex a2 plane with this same tracker.
+    Coordinates may be complex (genus 1 only).  The action's a2
+    deformation marches along real a2 with this same tracker.
     """
 
     def __init__(self, g, point, with_cables):

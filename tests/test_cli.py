@@ -354,6 +354,13 @@ class TestActionsCommand:
         assert data["I2"] == pytest.approx(0.05)
         assert data["I3"] == pytest.approx(0.025)
 
+    def test_cross_check_holds_on_the_plane_a1_eq_a3(self, capsys):
+        # u = +1 is a root of the cubic form on this plane
+        point = "-1.3828034002325569,2.9336608602621728,-1.3828034002325569"
+        code, data = run_cli(capsys, "actions", f"--point={point}")
+        assert code == 0
+        assert data["cross_check_residual"] <= data["tolerances"]["cross_check"]
+
     def test_area_scales(self, capsys):
         _, one = run_cli(capsys, "actions", "--point", "0.1,1.2,0.05")
         _, two = run_cli(capsys, "actions", "--point", "0.1,1.2,0.05", "--area", "2")

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import Ellipse, ellipse_fit_ref, on_ellipse
 from topmonodromy import tracking
-from topmonodromy.discriminant import (
-    classify_special_points,
-    in_component_C,
-    quartic_poly,
-)
+from topmonodromy.discriminant import in_component_C, quartic_poly
 from topmonodromy.errors import (
     DegenerateInputError,
     NearDiscriminantError,
@@ -455,19 +451,82 @@ def test_action_routes_match_the_oracle_next_to_the_plane_a1_eq_a3(a):
     assert abs(action_I1_cubic(a) - ref) < 1e-8
 
 
-def test_palindromic_detour_is_centred_on_the_closed_form_double_pair():
-    a = (0.3, 2.4225, 0.3)
-    waypoints, _ = _a2_deformation_path(*a, roots(quartic_poly(a)))
-    (pair,) = [
-        p for p in classify_special_points(a[2])
-        if p.kind == "isolated-complex-double-pair"
-    ]
-    z = pair.location[1]
-    arc = waypoints[1:-1]
-    assert len(arc) == 25 and arc[0].imag == 0.0 and arc[12].imag > 0.0
-    r = arc[0].real - z
-    assert abs(0.5 * (arc[0] + arc[-1]).real - z) <= 4e-16 * z
-    assert all(abs(w - z) == pytest.approx(r, rel=1e-13) for w in arc)
+@pytest.mark.parametrize("a", [(0.3, 2.4225, 0.3), (-0.2, 2.6, -0.2), (0.0, 2.2, 0.0)])
+def test_action_on_the_palindromic_stratum_reads_the_pair_off_the_roots(
+    a, monkeypatch
+):
+    def no_march(self, *args, **kwargs):
+        raise AssertionError("the stratum needs no march")
+
+    monkeypatch.setattr(tracking._March, "traverse", no_march)
+    rs, (i, j), stratum = _vanishing_pair(a)
+    assert stratum
+    assert rs[i].imag > 0.0 and abs(rs[i]) < 1.0
+    assert abs(rs[j] - rs[i].conjugate()) <= 1e-12
+    assert abs(action_I1(a) - cubic_form_action(a)) < 1e-12
+
+
+# Next to the plane a1 = a3 above the double pair, 1 - u2 is below the
+# rounding of the root u2, so the pole gap must come from the coefficients.
+@pytest.mark.parametrize(
+    "a",
+    [(0.3, 2.4225, 0.3 + 1e-8), (0.3, 2.4225, 0.3 + 3e-8), (-0.2, 2.5, -0.2 + 3e-8)],
+)
+def test_cubic_action_takes_the_pole_gap_from_the_exact_coefficients(a):
+    assert abs(action_I1_cubic(a) - cubic_form_action(a)) < 1e-13
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    a3=st.floats(-3.5, 3.5),
+    gap=st.floats(0.05, 2.0),
+    side=st.sampled_from((-1.0, 1.0)),
+)
+def test_action_routes_match_the_oracle_on_the_plane_a1_eq_a3(a3, gap, side):
+    # a2 on both sides of the complex double pair at a2 = 2 + a3^2/4, a
+    # point of the discriminant, and kept clear of it
+    a = (a3, 2.0 + a3 * a3 / 4.0 + side * gap, a3)
+    try:
+        inside = in_component_C(quartic_poly(a))
+        i1 = action_I1(a) if inside else None
+    except NearDiscriminantError:
+        inside = False  # on or next to the discriminant: refused by design
+    assume(inside)
+    ref = cubic_form_action(a)
+    assert abs(i1 - ref) < 1e-11
+    assert abs(action_I1_cubic(a) - ref) < 1e-11
+
+
+def _known_failure(a, error, reason):
+    return pytest.param(
+        a, marks=pytest.mark.xfail(raises=error, strict=True, reason=reason)
+    )
+
+
+# Open defects next to the double pair on the plane a1 = a3, each point's
+# action well defined there (the cubic form agrees with the oracle)
+@pytest.mark.parametrize(
+    "a",
+    [
+        _known_failure(
+            (0.6224867020115319, 2.1104594774699157, 0.6224867020115319),
+            NearDiscriminantError,
+            "the double-pair guard refuses a2 0.014 above the pair",
+        ),
+        _known_failure(
+            (0.5919404470764031, 2.114679316105728, 0.5919404470764031),
+            NearDiscriminantError,
+            "the double-pair guard refuses a2 0.027 above the pair",
+        ),
+        _known_failure(
+            (0.0, 2.0 - 6.103515625e-05, 0.0),
+            QuadratureError,
+            "quadrature fails 6e-5 below the double pair",
+        ),
+    ],
+)
+def test_action_next_to_the_double_pair_on_the_plane_a1_eq_a3(a):
+    assert abs(action_I1(a) - cubic_form_action(a)) < 1e-11
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=24)
@@ -497,7 +556,7 @@ def fixed_grid_vanishing_pair(a):
     """
     a1, a2, a3 = a
     rs = roots(ComplexPoly.of((1.0, a3, a2, a1, 1.0)))
-    waypoints, _ = _a2_deformation_path(a1, a2, a3, rs)
+    waypoints = [complex(a2), complex(_a2_deformation_path(a1, a2, a3)[0])]
     per_seg = 40
     while per_seg <= 5120:
         samples = []
@@ -527,8 +586,9 @@ def fixed_grid_vanishing_pair(a):
 
 
 def seeded_component_points(seed, count, palindromic, detour):
-    """Points of C away from a1 + a3 = 0; detour asks for a path around a
-    complex double root (palindromic only)."""
+    """Points of C away from a1 + a3 = 0; detour asks for points of the
+    palindromic stratum, where lowering a2 to the stop value would pass the
+    complex double pair at a2 = 2 + a3^2/4 (palindromic only)."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -542,10 +602,14 @@ def seeded_component_points(seed, count, palindromic, detour):
         try:
             if not in_component_C(f):
                 continue
-            waypoints, _ = _a2_deformation_path(a1, a2, a3, roots(f))
+            stop, _ = _a2_deformation_path(a1, a2, a3)
         except NearDiscriminantError:
             continue
-        if (len(waypoints) > 2) == detour:
+        double = 2.0 + a3 * a3 / 4.0
+        stratum = a1 == a3 and abs(a3) < 4.0 and stop < double < a2
+        if stratum and a2 - double < 0.01 * (a2 - stop):
+            continue  # refused as too close to the double pair
+        if stratum == detour:
             out.append((a1, a2, a3))
     return out
 
@@ -555,9 +619,18 @@ def seeded_component_points(seed, count, palindromic, detour):
 )
 def test_vanishing_pair_matches_fixed_grid_reference(palindromic, detour):
     for a in seeded_component_points(2718, 5, palindromic, detour):
-        rs, pair = _vanishing_pair(a)
-        ref_rs, ref_pair = fixed_grid_vanishing_pair(a)
-        assert pair == ref_pair
+        rs, pair, stratum = _vanishing_pair(a)
+        assert stratum == detour
+        if detour:
+            # the stratum reads the conjugate pair inside the unit circle,
+            # upper root first, off the base roots
+            ref_rs = roots(ComplexPoly.of((1.0, a[2], a[1], a[0], 1.0)))
+            i, j = pair
+            assert rs[i].imag > 0.0 and abs(rs[i]) < 1.0
+            assert abs(rs[j] - rs[i].conjugate()) <= 1e-12
+        else:
+            ref_rs, ref_pair = fixed_grid_vanishing_pair(a)
+            assert pair == ref_pair
         assert [(r.real.hex(), r.imag.hex()) for r in rs] == [
             (r.real.hex(), r.imag.hex()) for r in ref_rs
         ]
@@ -599,15 +672,14 @@ def real_axis_sign_ref(x, fv, y):
 
 
 def action_ellipse_ref(a):
-    """The former action_I1 (A = 1), on ellipses: the pair loop avoiding the
-    origin, or else the loop of _action_origin_blocked with the origin
-    residue stripped when the origin lies inside the ellipse."""
-    a1, _, a3 = a
-    rs, (i, j) = _vanishing_pair(a)
+    """The former action_I1 (A = 1), on ellipses: off the palindromic stratum
+    the pair loop avoiding the origin where it fits, else the plain pair
+    loop with the origin residue stripped when the origin lies inside the
+    ellipse."""
+    a3 = a[2]
+    rs, (i, j), stratum = _vanishing_pair(a)
     fpoly = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0)).poly()
-    scale = max(1.0, max(abs(r) for r in rs))
-    conjugate = abs(rs[i] - rs[j].conjugate()) <= 1e-8 * scale
-    if conjugate:
+    if not stratum:
         try:
             e = ellipse_fit_ref(rs, (i, j), avoid=(0.0,))
         except DegenerateInputError:
@@ -615,14 +687,6 @@ def action_ellipse_ref(a):
         if e is not None:
             val, _, _ = ellipse_values_ref(fpoly, e, -1, 1e-10, real_axis_sign_ref)
             return ((1j / (2.0 * math.pi)) * val).real
-    else:
-        assert abs(a1 - a3) <= 1e-8 * scale
-        upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
-        i = min(upper, key=lambda k: abs(rs[k]))
-        j = min(
-            (k for k in range(len(rs)) if rs[k].imag < 0.0),
-            key=lambda k: abs(rs[k] - rs[i].conjugate()),
-        )
     e = ellipse_fit_ref(rs, (i, j))
     val, x, y = ellipse_values_ref(fpoly, e, -1, 1e-10, real_axis_sign_ref)
     out = (1j / (2.0 * math.pi)) * val

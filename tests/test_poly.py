@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topmonodromy.errors import DegenerateInputError, RootFindingError, ValidationError
+from topmonodromy.errors import RootFindingError, ValidationError
 from topmonodromy.poly import (
     ComplexPoly,
     _aberth_kernel,
@@ -342,20 +342,6 @@ def test_real_root_count_distinct_semantics():
     # (x-1)^2 (x^2+1): one distinct real root
     p = ComplexPoly.from_roots([1.0, 1.0, 1j, -1j])
     assert real_root_count(p) == 1
-
-
-def test_real_root_count_cubic_interval():
-    # g(u) = 2u^3 - a2 u^2 + (a1 a3/2 - 2) u + a2 - (a1^2+a3^2)/4
-    # at (a1,a2,a3) = (0,3,0): 2u^3 - 3u^2 - 2u + 3, two roots in [-1,1]
-    g = ComplexPoly.of([3.0, -2.0, -3.0, 2.0])
-    assert real_root_count(g, (-1.0 - 1e-9, 1.0 + 1e-9)) == 2
-    assert real_root_count(g) == 3
-
-
-def test_real_root_count_endpoint_error():
-    p = ComplexPoly.from_roots([1.0, 2.0])
-    with pytest.raises(DegenerateInputError):
-        real_root_count(p, (1.0, 3.0))
 
 
 def test_real_root_count_rejects_complex():
