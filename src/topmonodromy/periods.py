@@ -19,11 +19,11 @@ carried by the monodromy tracker ("cables") integrate on the sheet of a
 square root pinned at their first vertex, and the basis cables are oriented
 on those same polygons: normalized_basis_contours counts their signed
 same-sheet crossings and reverses each cable whose sign is -1.  The
-action's vanishing cycle is read off the roots: on the palindromic stratum
-(a1 = a3 above the complex double pair) it is the conjugate pair inside
-the unit circle, and elsewhere the tracker (tracking._March) marches the
-branch points down real a2 to the real-root boundary, where the pair that
-collides is the cycle; this module has no root tracker of its own.
+action's vanishing cycle is read off the base roots, with no root
+continuation: the conjugate pair on the real touch point's side of the
+unit circle, or on the plane a1 = a3 (where roots sit on that circle) the
+pair inside it above the complex double pair and the pair nearest the
+touch point below it.
 """
 
 from __future__ import annotations
@@ -560,11 +560,10 @@ def _palindromic(a1, a3, rs):
 
 
 def _a2_deformation_path(a1, a2, a3):
-    """(stop, x*) of the downward a2 deformation at fixed (a1, a3).
+    """(a2_low, x*) of the downward a2 deformation at fixed (a1, a3).
 
-    The boundary is the a2 value where the quartic first touches the real
-    axis, with a real double root at the touch point x*; stop lies above it
-    by 1e-3 of the way up to a2.
+    a2_low is the a2 value where the quartic first touches the real axis,
+    with a real double root at the touch point x*.
     """
     # a real double root x sits at the critical points of
     # -(x^4 + a1 x^3 + a3 x + 1)/x^2, which are the points of the section
@@ -577,55 +576,52 @@ def _a2_deformation_path(a1, a2, a3):
     a2_low = delta_c_section(a3, x_star)[1]
     if a2 - a2_low < 1e-7 * max(1.0, abs(a2)):
         raise NearDiscriminantError("parameters lie on or near the discriminant")
-    return a2_low + 1e-3 * (a2 - a2_low), x_star
+    return a2_low, x_star
 
 
 def _vanishing_pair(a):
     """Roots of the action quartic, the cycle-defining pair, and whether a
     lies on the palindromic stratum.
 
-    The distinguished cycle is the one that vanishes when a2 is lowered to
-    the no-real-root boundary at fixed (a1, a3).  On the stratum, a1 = a3
-    (_palindromic) with the double pair's a2 = 2 + a3^2/4 between the stop
-    value and a2, the deformation must pass the double pair through
-    complex a2, and either way round it ends on a mixed pair (one upper, one
-    lower branch point); the cycle's value is then the average of the two
-    images, which is the loop around the conjugate pair inside the unit
-    circle, so that pair is read off the roots with no march.  Elsewhere
-    the monodromy tracker marches the roots along real a2 to the stop value,
-    and the two that end nearest the real touch point are the pair that
-    collides there; a real path keeps that pair conjugate.
+    The cycle vanishes when a2 is lowered at fixed (a1, a3) to a2_low, where
+    a conjugate pair meets at the real touch point x*.  The roots are r,
+    conj(r), s, conj(s) with |r| |s| = 1 (f is monic with f(0) = 1), and
+    Im e^{-2it} f(e^{it}) = (a1 - a3) sin t, so off the plane a1 = a3 no
+    root crosses the unit circle as a2 falls and x* is off it: the pair is
+    the conjugate pair on x*'s side.  On the plane below the double pair at
+    a2 = 2 + a3^2/4, every root and x* = +-1 lie on the circle, and the
+    pair is the one nearest x*.  On the stratum (the plane, with a2_low <
+    2 + a3^2/4 < a2) the deformation passes the double pair through complex
+    a2 and ends on a mixed pair either way round; the cycle's value is the
+    average of the two images, the loop around the conjugate pair inside the
+    unit circle (upper root first).
     """
-    from .tracking import _March  # tracking imports this module
-
     a1, a2, a3 = a
-    state = _March(1, a, with_cables=False)
-    if real_root_count(state.fpoly) > 0:
+    fpoly = quartic_poly(a)
+    rs = poly_roots(fpoly)
+    if real_root_count(fpoly) > 0:
         raise ValidationError("parameters are outside component C (real roots)")
-    rs = state.fibers[0]
-    scale = max(1.0, max(abs(r) for r in rs))
-    stop, x_star = _a2_deformation_path(a1, a2, a3)
+    a2_low, x_star = _a2_deformation_path(a1, a2, a3)
     double = complex_double_pair_a2(a3)
-    if _palindromic(a1, a3, rs) and double is not None and stop < double < a2:
-        if a2 - double < 0.01 * (a2 - stop):
+    plane = _palindromic(a1, a3, rs) and double is not None
+    stratum = plane and a2_low < double < a2
+    upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
+    if stratum:
+        if a2 - double < 0.01 * (a2 - a2_low):
             raise NearDiscriminantError("parameters are too close to the discriminant")
-        upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
         i = min(upper, key=lambda k: abs(rs[k]))
-        j = min(
-            (k for k in range(len(rs)) if rs[k].imag < 0.0),
-            key=lambda k: abs(rs[k] - rs[i].conjugate()),
-        )
-        return rs, (i, j), True
-    state.traverse((a1, stop, a3))
-    nearest = sorted(range(len(rs)), key=lambda k: abs(state.rs[k] - x_star))
-    i, j = sorted(nearest[:2])
-    if abs(state.rs[i] - state.rs[j]) > 0.2 * scale:
-        raise DegenerateInputError("no vanishing pair found at the boundary touch")
-    if abs(rs[i] - rs[j].conjugate()) > 1e-8 * scale:
-        raise DegenerateInputError(
-            "mixed vanishing pair away from the palindromic stratum"
-        )
-    return rs, (i, j), False
+    elif plane and a2 < double:
+        i = min(upper, key=lambda k: abs(rs[k] - x_star))
+    else:
+        side = [k for k in upper if (abs(rs[k]) < 1.0) == (abs(x_star) < 1.0)]
+        if len(side) != 1:
+            raise DegenerateInputError("no single pair on the touch point's side")
+        i = side[0]
+    j = min(
+        (k for k in range(len(rs)) if rs[k].imag < 0.0),
+        key=lambda k: abs(rs[k] - rs[i].conjugate()),
+    )
+    return rs, ((i, j) if stratum else tuple(sorted((i, j)))), stratum
 
 
 def _sheet_sign_at_origin(fpoly, x, y):
@@ -648,9 +644,10 @@ def _sheet_sign_at_origin(fpoly, x, y):
 def action_I1(a, A: float = 1.0) -> float:
     """Action integral I1 = (A i/2pi) * integral of y dx/x^2 over gamma_1.
 
-    gamma_1 is realized as a negatively oriented loop around the pair of
-    _vanishing_pair, with the lift positive where the loop crosses the real
-    axis.  The loop keeps clear of the origin pole when such a loop fits,
+    gamma_1 is realized as a negatively oriented loop around the conjugate
+    pair that _vanishing_pair reads off the base roots (|r| |s| = 1 sorts
+    them by the unit circle), with the lift positive where the loop crosses
+    the real axis.  The loop keeps clear of the origin pole when it fits,
     except on the palindromic stratum, where the plain loop is kept (loops
     that avoid the origin there move the value by up to about 1e-10 and
     can fail quadrature).  A loop that winds the origin loses the pole's

@@ -495,8 +495,7 @@ def _chart_point(point):
 class _March:
     """Root (and optionally cable) transport along chart segments.
 
-    Coordinates may be complex (genus 1 only).  The action's a2
-    deformation marches along real a2 with this same tracker.
+    Coordinates may be complex (genus 1 only).
     """
 
     def __init__(self, g, point, with_cables):

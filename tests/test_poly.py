@@ -349,6 +349,33 @@ def test_real_root_count_rejects_complex():
         real_root_count(ComplexPoly.of([1j, 0, 1]))
 
 
+def _exact_divmod(num, den):
+    """Quotient and remainder of exact polynomials, coefficients ascending."""
+    num, quo = list(num), []
+    while len(num) >= len(den):
+        f = num[-1] / den[-1]
+        quo.append(f)
+        shift = len(num) - len(den)
+        for k, c in enumerate(den):
+            num[shift + k] -= f * c
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return quo[::-1], num
+
+
+def square_free_part(coeffs):
+    """p / gcd(p, p') of the float polynomial p (ascending), in exact
+    rationals, converted back to floats: p's distinct roots, each simple."""
+    p = [Fraction(c) for c in coeffs]
+    a, b = p, [k * c for k, c in enumerate(p)][1:]
+    while b:
+        a, b = b, _exact_divmod(a, b)[1]
+    # a monic gcd keeps the quotient monic, like p
+    quo, _ = _exact_divmod(p, [c / a[-1] for c in a])
+    return [float(c) for c in quo]
+
+
 @given(
     st.lists(
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -356,13 +383,18 @@ def test_real_root_count_rejects_complex():
         max_size=7,
     )
 )
+# x^7 - x^6: a solver splits the six-fold root 0 into a ring about 5e-3
+# wide, so the roots of p itself would count one real root, not two
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
 @settings(max_examples=150, deadline=None)
 def test_real_root_count_matches_numeric_roots(coeffs):
     coeffs = coeffs + [1.0]
     p = ComplexPoly.of(coeffs)
     if p.degree < 1:
         return
-    rs = roots(p, tol=1e-13)
+    # real_root_count counts distinct roots, so the oracle reads them off
+    # the square-free part, whose roots are simple
+    rs = roots(ComplexPoly.of(square_free_part(coeffs)), tol=1e-13)
     # demand well-separated roots so the near-real classification is stable
     n = len(rs)
     if n > 1:
