@@ -34,8 +34,11 @@ def quartic_poly(a) -> ComplexPoly:
 
 
 def sextic_poly(abc) -> ComplexPoly:
-    """(x^2+1)^3 + x^3 (a x^2 + b x + c) from the reduced chart (a, b, c)."""
-    a, b, c = (float(v) for v in abc)
+    """(x^2+1)^3 + x^3 (a x^2 + b x + c) from the reduced chart (a, b, c).
+
+    Coordinates may be complex, as at complex chart points of a march.
+    """
+    a, b, c = (complex(v) for v in abc)
     return ComplexPoly.of((1.0, 0.0, 3.0, c, 3.0 + b, a, 1.0))
 
 

@@ -41,10 +41,9 @@ class TrackingError(TopmonodromyError):
     is the fraction of that arc the continuation had reached.
     """
 
-    def __init__(self, message, arc=None, residual=None, parameter=None):
+    def __init__(self, message, arc=None, parameter=None):
         super().__init__(message)
         self.arc = arc
-        self.residual = residual
         self.parameter = parameter
 
 

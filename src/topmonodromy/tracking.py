@@ -32,16 +32,28 @@ keeps a residue at the two punctures over infinity) are computed only at the
 base fiber, before and after the circuit; the transported cycles are then
 expressed over the starting frame by a least-squares fit whose entries must
 round to integers.  The reported residual is the distance of that fit from
-the integer lattice, so it reflects quadrature noise only.  Both routes
-raise QuadratureError rather than report a matrix when a fit residual
-exceeds 1e3 * tol or when the matrix does not preserve the intersection form.
+the integer lattice, so it reflects quadrature noise only.
+
+The second route (picard_lefschetz_route) carries no contour.  It marches
+the branch points alone and reads off the braid they make: ordered by a
+projection p(z) = Re(exp(-i theta) z), with theta taken from the base roots,
+each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  A
+half-twist of two branch points acts on H1 as the Picard-Lefschetz twist
+about the cycle of a loop round the segment joining them, so the matrix is
+the product of one twist per letter, about cycles fitted once at the base.
+
+Both routes raise QuadratureError rather than report a matrix when a fit
+residual exceeds 1e3 * tol or when the matrix does not preserve the
+intersection form.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -59,7 +71,6 @@ from .homology import (
     _intersection_matrix,
     build_basis,
     cycle_labels,
-    intersection,
     picard_lefschetz,
 )
 from .periods import (
@@ -84,7 +95,6 @@ _EDGE_CLEAR = 0.95  # edges are refined below this * margin of clearance
 _SIMPLIFY_AT = 170  # polygons above this vertex count get re-simplified
 _MAX_DEPTH = 24  # dyadic subdivision limit per marched segment
 _SEP_FLOOR = 1e-6  # relative root-separation floor before giving up
-_NEAR_STOP = 0.05  # relative separation at which a vanishing pair is close
 _WAYPOINT_DISC_FLOOR = 1e-8
 _COND_LIMIT = 1e8
 _FIT_LIMIT = 1e3  # reject an integer fit whose residual exceeds this * tol
@@ -495,15 +505,18 @@ def _chart_point(point):
 class _March:
     """Root (and optionally cable) transport along chart segments.
 
-    Coordinates may be complex (genus 1 only).
+    Coordinates may be complex in both genera.  points[s] is the chart point
+    of fibers[s], the roots after s accepted steps; rs, when given, are the
+    starting roots in the order to keep.
     """
 
-    def __init__(self, g, point, with_cables):
+    def __init__(self, g, point, with_cables, rs=None):
         self.g = g
         self.point = _chart_point(point)
         self.fpoly = fiber_polynomial(g, self.point)
-        self.rs = roots(self.fpoly)
+        self.rs = roots(self.fpoly) if rs is None else list(rs)
         self.min_sep = _pairwise_min_sep(self.rs)
+        self.points = [self.point]
         self.fibers = [tuple(self.rs)]
         self.steps_used = 0
         self.bundle = None
@@ -577,25 +590,24 @@ class _March:
         self.fpoly = fp_new
         self.rs = matched
         self.min_sep = sep_new
+        self.points.append(self.point)
         self.fibers.append(tuple(matched))
         self.steps_used += 1
         self.bundle = bundle
         return True
 
-    def traverse(self, target, presplit=1, stop=None):
-        """March to target; an optional stop predicate ends the walk early."""
+    def traverse(self, target, presplit=1):
+        """March to target, bisecting any step that is not accepted."""
         start = self.point
         end = _chart_point(target)
         if end == start:
-            return False
+            return
         k = max(1, int(presplit))
         stack = [(i / k, (i + 1) / k) for i in reversed(range(k))]
         while stack:
             t0, t1 = stack.pop()
             q = tuple((1.0 - t1) * a + t1 * b for a, b in zip(start, end))
             if self._try_advance(q):
-                if stop is not None and stop(self):
-                    return True
                 continue
             if (t1 - t0) <= 2.0**-_MAX_DEPTH:
                 raise TrackingError(
@@ -607,7 +619,6 @@ class _March:
             tm = 0.5 * (t0 + t1)
             stack.append((tm, t1))
             stack.append((t0, tm))
-        return False
 
 
 def _run_march(loop, steps=0):
@@ -722,95 +733,126 @@ def track_roots(loop: ParameterLoop, steps: int = 64):
     return np.asarray(state.fibers, dtype=complex), perm
 
 
-def _half_turns(fibers, i, j):
-    """Signed half-turn count of the separation r_i - r_j along the fibers.
+def _projection(rs):
+    """exp(-i theta) for the theta at which the roots' projections
+    p(z) = Re(exp(-i theta) z) are most distinct.
 
-    A count that is not near a whole number of half-turns means the pair
-    found near the stratum is not the one the loop turns around, which the
-    twist formula cannot express: the loop is outside this route's reach.
+    Two roots share a projection when theta is arg(r_i - r_j) + pi/2 mod pi.
+    At a real chart point, conjugate roots share their real part and real
+    roots their imaginary part, so 0 and pi/2 are degenerate there too.
+    theta is the midpoint of the widest gap between those directions.
     """
-    s = np.array([f[i] - f[j] for f in fibers])
-    total = float(np.sum(np.angle(s[1:] / s[:-1])))
-    n = int(round(total / math.pi))
-    residual = abs(total - n * math.pi)
-    if residual > 0.5:
-        raise TrackingError(
-            "the Picard-Lefschetz route does not support this loop: the "
-            f"separation of roots {i} and {j} winds {total:.6g} rad, "
-            "not a half-turn multiple",
-            arc=f"separation r{i} - r{j} around the loop",
-            residual=residual,
-        )
-    return n
+    dirs = [0.0, 0.5 * math.pi] + [
+        (cmath.phase(a - b) + 0.5 * math.pi) % math.pi for a, b in combinations(rs, 2)
+    ]
+    dirs.sort()
+    width, start = max(
+        (b - a, a) for a, b in zip(dirs, dirs[1:] + [dirs[0] + math.pi])
+    )
+    return cmath.exp(-1j * (start + 0.5 * width))
+
+
+def _braid_word(g, points, fibers, rot):
+    """Braid letters (k, e) of the marched fibers in path order, and the
+    march steps spent refining.
+
+    The roots are labelled by their index in each fiber and kept in order of
+    projection.  A pair whose projections swap between two fibers crosses
+    once (a root moves less than min_sep / 12 per step); it is the letter
+    sigma_k^e at its current positions k, k + 1, with e = +1 when the left
+    root passes at the larger Im(exp(-i theta) z) at the linearly
+    interpolated crossing.  Crossings that share no root commute; when two
+    in one step share a root, that step is marched again in halves.
+    """
+    order = sorted(range(len(fibers[0])), key=lambda i: (fibers[0][i] * rot).real)
+    word = []
+    refined = 0
+
+    def read(pa, fa, pb, fb, depth):
+        nonlocal refined
+        za = [r * rot for r in fa]
+        zb = [r * rot for r in fb]
+        events = []
+        for i, j in combinations(range(len(fa)), 2):
+            da, db = za[i].real - za[j].real, zb[i].real - zb[j].real
+            if (da < 0.0) != (db < 0.0):
+                events.append((da / (da - db), i, j))
+        labels = [r for _, i, j in events for r in (i, j)]
+        if len(set(labels)) == len(labels):
+            for t, i, j in sorted(events):
+                k = min(order.index(i), order.index(j))
+                left, right = order[k], order[k + 1]
+                ql = ((1.0 - t) * za[left] + t * zb[left]).imag
+                qr = ((1.0 - t) * za[right] + t * zb[right]).imag
+                order[k], order[k + 1] = right, left
+                word.append((k, 1 if ql > qr else -1))
+            return
+        if depth >= _MAX_DEPTH:
+            raise TrackingError(
+                "two braid crossings that share a root stay in one step "
+                f"between {pa} and {pb}",
+                arc=(pa, pb),
+                parameter=min(events)[0],
+            )
+        sub = _March(g, pa, with_cables=False, rs=fa)
+        sub.traverse(pb, presplit=2)
+        refined += sub.steps_used
+        if _match_roots(sub.rs, fb)[0] != list(range(len(fb))):
+            raise TrackingError(
+                f"a refined march between {pa} and {pb} ends on other roots",
+                arc=(pa, pb),
+            )
+        sub.fibers[-1] = tuple(fb)
+        for c in range(sub.steps_used):
+            pts, fbs = sub.points[c : c + 2], sub.fibers[c : c + 2]
+            read(pts[0], fbs[0], pts[1], fbs[1], depth + 1)
+
+    for c in range(len(fibers) - 1):
+        read(points[c], fibers[c], points[c + 1], fibers[c + 1], 0)
+    return word, refined
 
 
 def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
-    """Lattice monodromy assembled from local twists at the loop's stratum.
+    """Lattice monodromy as a product of Picard-Lefschetz twists, one per
+    crossing of the braid the branch points make around the loop.
 
-    Marches straight from the base toward the stratum until the vanishing
-    pairs stand out, expresses their cycles over the transported frame by
-    integer fits, counts each pair's half-turns around the full loop, and
-    applies the twist formula once per half-turn.  Assumes the loop is a
-    meridian of the stratum it names.
+    At the base the roots are ordered by a projection p; the cycle c_k of
+    the pair of p-neighbours k, k + 1 is a pair loop expressed over the base
+    frame by an integer fit.  The roots alone are marched around the loop,
+    and each swap of p-neighbours is a letter sigma_k^e of the braid word.
+    A half-twist of two branch points acts on H1 as the twist about their
+    cycle, so every column starts as a unit class and takes the twist about
+    c_k with orientation -e for each letter in path order.
     """
-    if loop.stratum is None:
-        raise ValidationError("this route needs a loop with a stratum point")
     g = loop.g
     diffs = _differentials(g)
+    march = _run_march(loop)
+    perm = _closure_permutation(march, march.fibers[0])
+    rs0 = march.fibers[0]
+    rot = _projection(rs0)
+    word, refined = _braid_word(g, march.points, march.fibers, rot)
+    base_order = sorted(range(len(rs0)), key=lambda i: (rs0[i] * rot).real)
 
-    root_state = _run_march(loop)
-    perm = _closure_permutation(root_state, root_state.fibers[0])
-
-    state = _March(g, loop.path_points()[0], with_cables=True)
-
-    def near(st):
-        scale = max(1.0, max(abs(r) for r in st.rs))
-        return st.min_sep <= _NEAR_STOP * scale
-
-    if not state.traverse(loop.stratum, presplit=8, stop=near):
-        raise ValidationError(
-            "no vanishing pair emerged on the way to the stratum point"
-        )
-    rs_near = state.rs
-    d_min = state.min_sep
-    n = len(rs_near)
-    close = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(rs_near[i] - rs_near[j]) < 5.0 * d_min
-    ]
-    seen = [i for pair in close for i in pair]
-    if not close or len(set(seen)) != len(seen):
-        raise DegenerateInputError("ambiguous vanishing-cycle identification")
-
+    state = _March(g, march.points[0], with_cables=True)
     frame = _period_rows(state.fpoly, state.bundle.cables(), diffs, tol)
     condition = _frame_condition(frame)
-    twists = []
+    cycles = {}
     residual = 0.0
-    for i, j in close:
-        verts = pair_loop(tuple(rs_near), (i, j)).vertices
+    for k in sorted({k for k, _ in word}):
+        verts = pair_loop(rs0, base_order[k : k + 2]).vertices
         y0 = _vertex_sqrt(state.fpoly, verts[0])
         q = _period_rows(state.fpoly, [(verts, y0)], diffs, tol)
         coords, fit_res = _integer_fit(frame, q, tol)
         residual = max(residual, fit_res)
-        v = CycleClass.of(g, tuple(int(c) for c in coords[0]))
-        if v.is_zero():
+        cycles[k] = CycleClass.of(g, coords[0])
+        if cycles[k].is_zero():
             raise QuadratureError("a vanishing-cycle fit collapsed to zero")
-        w = _half_turns(root_state.fibers, i, j)
-        twists.append((v, w))
-    if len(twists) == 2 and intersection(twists[0][0], twists[1][0]) != 0:
-        raise DegenerateInputError("vanishing cycles fail to be disjoint")
 
-    dim = 2 * g + 1
     columns = []
-    for idx in range(dim):
-        unit = [0] * dim
-        unit[idx] = 1
+    for unit in np.eye(2 * g + 1, dtype=int):
         c = CycleClass.of(g, unit)
-        for v, w in twists:
-            for _ in range(abs(w)):
-                c = picard_lefschetz(c, v, orientation=1 if w > 0 else -1)
+        for k, e in word:
+            c = picard_lefschetz(c, cycles[k], orientation=-e)
         columns.append(c.coeffs)
     matrix = tuple(tuple(int(v) for v in row) for row in np.array(columns).T)
     _check_form(matrix, g)
@@ -821,7 +863,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
         residual=residual,
         permutation=perm,
         orientation=loop.orientation,
-        steps_used=root_state.steps_used + state.steps_used,
+        steps_used=march.steps_used + refined,
         condition=condition,
     )
 

@@ -11,7 +11,9 @@ import numpy as np
 
 from topmonodromy.errors import DegenerateInputError, ValidationError
 from topmonodromy.periods import _PAIR_PAD
+from topmonodromy.poly import discriminant
 from topmonodromy.topsys import TopState
+from topmonodromy.tracking import ParameterLoop, fiber_polynomial
 
 
 def random_top_state(rng, g, m=None, scale=1.0):
@@ -133,3 +135,38 @@ def basis_ellipses_ref(config):
 def on_ellipse(e, t):
     """Point of the ellipse at parameter t (the former parametrisation)."""
     return e.center + e.axis * (e.semi_major * np.cos(t) + 1j * e.semi_minor * np.sin(t))
+
+
+# (fixed coordinates) -> chart point of a complex line, and its real base
+LINE_BASE = {1: 3.0, 2: 0.0}
+
+
+def line_point(g, fixed, w):
+    """Point w of the complex line: a2 = w at (a1, a3) = fixed in genus 1,
+    c = w at (a, b) = fixed in genus 2."""
+    return (fixed[0], w, fixed[1]) if g == 1 else (fixed[0], fixed[1], w)
+
+
+def critical_values(g, fixed):
+    """Where the line meets the discriminant, sorted: the roots of the
+    discriminant along it (degree 2g + 2), fitted on a radius-4 circle."""
+    deg = 2 * g + 2
+    ws = 4.0 * np.exp(2j * np.pi * np.arange(32) / 32)
+    disc = [discriminant(fiber_polynomial(g, line_point(g, fixed, w))) for w in ws]
+    coeffs = np.fft.fft(disc)[: deg + 1] / (32 * 4.0 ** np.arange(deg + 1))
+    return np.sort_complex(np.roots(coeffs[::-1]))
+
+
+def star_loop(g, fixed, near):
+    """Loop from the line's real base round the critical value nearest
+    `near`: a straight tail to the top of a 96-waypoint circle of 0.2 times
+    the distance to the next critical value, run counter-clockwise."""
+    crit = critical_values(g, fixed)
+    k = int(np.argmin(np.abs(crit - near)))
+    centre = complex(crit[k])
+    radius = 0.2 * float(np.min(np.abs(np.delete(crit, k) - centre)))
+    turns = np.exp(1j * (np.pi / 2 + 2 * np.pi * np.arange(97) / 96))
+    circle = [line_point(g, fixed, complex(centre + radius * z)) for z in turns]
+    base = line_point(g, fixed, LINE_BASE[g])
+    stratum = line_point(g, fixed, centre)
+    return ParameterLoop(g=g, waypoints=(base, *circle, base), stratum=stratum)

@@ -45,6 +45,16 @@ class TestMonodromyCommand:
         assert local["lattice_matrix"] == periods["lattice_matrix"]
         assert local["permutation"] == periods["permutation"]
 
+    def test_local_route_on_a_waypoint_loop(self, capsys):
+        # a custom loop names no stratum; the local route needs none
+        loop = ("--g", "1", "--waypoints", "0,1,0;0.2,1.4,0.1;-0.2,1.3,0;0,1,0")
+        code, local = run_cli(capsys, "monodromy", *loop, "--route", "local")
+        _, periods = run_cli(capsys, "monodromy", *loop)
+        assert code == 0
+        assert local["route"] == "local"
+        assert local["lattice_matrix"] == periods["lattice_matrix"]
+        assert local["permutation"] == periods["permutation"]
+
     def test_waypoint_loop(self, capsys):
         code, data = run_cli(
             capsys,

@@ -1,4 +1,4 @@
-"""Property tests of the periods route over random small loops.
+"""Property tests of both monodromy routes over random small loops.
 
 Examples are derandomized, so every run checks the same loops.
 """
@@ -6,7 +6,8 @@ Examples are derandomized, so every run checks the same loops.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from conftest import critical_values, star_loop
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from topmonodromy.tracking import (
@@ -52,14 +53,16 @@ def _ball_loop(g, hops):
 @settings(PROPERTY, max_examples=16)
 @given(g=st.sampled_from((1, 2)), hops=st.lists(waypoint, min_size=3, max_size=4))
 def test_contractible_loops_are_the_identity(g, hops):
-    res = monodromy_periods(_ball_loop(g, hops))
-    assert res.as_array().tolist() == _identity(2 * g + 1)
-    assert res.permutation == tuple(range(2 * g + 2))
+    loop = _ball_loop(g, hops)
+    for res in (monodromy_periods(loop), picard_lefschetz_route(loop)):
+        assert res.as_array().tolist() == _identity(2 * g + 1)
+        assert res.permutation == tuple(range(2 * g + 2))
 
 
-def _meridian(name, radius, count, orientation):
+def _meridian(name, radius, count, orientation, phase=0.0):
     """Circle about the named loop's stratum point in the plane of its
-    circle, starting at the same phase and joined to the same base."""
+    circle, starting `phase` rad past the named loop's start and joined to
+    the same base."""
     named = named_loop(name)
     wp = np.array(named.waypoints)
     centre = np.array(named.stratum)
@@ -70,7 +73,7 @@ def _meridian(name, radius, count, orientation):
     u2 = u2 / np.linalg.norm(u2)
     pts = [named.base]
     for k in range(count + 1):
-        ph = 2.0 * math.pi * k / count
+        ph = phase + 2.0 * math.pi * k / count
         p = centre + radius * (math.cos(ph) * u1 + math.sin(ph) * u2)
         pts.append(tuple(float(c) for c in p))
     pts.append(named.base)
@@ -131,6 +134,41 @@ def test_a_composed_loop_multiplies_the_matrices(data, g):
 def test_the_two_routes_agree_on_a_meridian(name, u, count, orientation):
     lo, hi = RADIUS[name]
     loop = _meridian(name, lo + (hi - lo) * u, count, orientation)
+    lattice = monodromy_periods(loop)
+    local = picard_lefschetz_route(loop)
+    assert local.matrix == lattice.matrix
+    assert local.permutation == lattice.permutation
+
+
+@settings(PROPERTY, max_examples=6)
+@given(
+    name=st.sampled_from(sorted(RADIUS)),
+    u=st.floats(0.0, 1.0),
+    count=st.integers(32, 64),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_the_two_routes_agree_on_a_meridian_entered_at_any_phase(name, u, count, phase):
+    lo, hi = RADIUS[name]
+    loop = _meridian(name, lo + (hi - lo) * u, count, 1, phase)
+    lattice = monodromy_periods(loop)
+    local = picard_lefschetz_route(loop)
+    assert local.matrix == lattice.matrix
+    assert local.permutation == lattice.permutation
+
+
+@settings(PROPERTY, max_examples=6)
+@given(
+    g=st.just(1),
+    line=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+    pick=st.integers(0, 5),
+)
+@example(g=2, line=(0.1, 0.5), pick=2)
+def test_the_two_routes_agree_on_a_complex_star_loop(g, line, pick):
+    # A loop of complex chart points round one simple critical value of a
+    # complex line through a real base; a1 = a3 lines have double ones.
+    crit = critical_values(g, line)
+    assume(min(abs(a - b) for i, a in enumerate(crit) for b in crit[i + 1 :]) > 0.05)
+    loop = star_loop(g, line, crit[pick % len(crit)])
     lattice = monodromy_periods(loop)
     local = picard_lefschetz_route(loop)
     assert local.matrix == lattice.matrix

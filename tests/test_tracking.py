@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import star_loop
 
-from topmonodromy.discriminant import quartic_poly
+from topmonodromy.discriminant import quartic_poly, sextic_poly
 from topmonodromy.errors import (
     NearDiscriminantError,
     QuadratureError,
@@ -21,9 +22,11 @@ from topmonodromy.tracking import (
     ParameterLoop,
     _check_form,
     _March,
+    _braid_word,
     _match_roots,
     _g2_branch_frame,
     _integer_fit,
+    _run_march,
     compose_loops,
     fiber_polynomial,
     monodromy_actions_g1,
@@ -44,7 +47,9 @@ NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
 # Accepted march steps; a change to the step control or the cable upkeep that
 # moves these changes the work done per loop and must say why.
 PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
-LOCAL_STEPS = {"cushman": 99, "kappa1": 119, "kappa2": 119, "kappa3": 158}
+# The local route marches the roots alone, as the periods route does, plus
+# the steps that split a march step holding two crossings with a common root.
+LOCAL_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 122}
 # Unimodular (det 1) genus-1 map that sends <gamma_2, delta_1> = -1 to 0.
 SHEAR = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
@@ -216,14 +221,19 @@ class TestRoutesAgree:
         assert pl.matrix == kappa_results["kappa1"].matrix
         assert pl.permutation == kappa_results["kappa1"].permutation
 
-    def test_route_needs_a_stratum(self):
-        loop = parameter_loop(1, [(0, 1, 0), (0, 1.5, 0), (0, 1, 0)])
-        with pytest.raises(ValidationError):
-            picard_lefschetz_route(loop)
+    def test_a_loop_without_a_stratum_gets_the_periods_matrix(self):
+        # the braid route reads everything off the roots: no stratum needed
+        loop = parameter_loop(
+            1, [(0, 1, 0), (0.2, 1.4, 0.1), (-0.2, 1.3, 0), (0, 1, 0)]
+        )
+        assert loop.stratum is None
+        local, periods = picard_lefschetz_route(loop), monodromy_periods(loop)
+        assert local.matrix == periods.matrix
+        assert local.permutation == periods.permutation
 
-    def test_phase_shifted_meridian_is_reported_as_unsupported(self):
-        # a kappa3 meridian entered at phase 4.73 rad: the route's straight
-        # tail to the stratum finds a pair the loop does not turn around
+    def test_phase_shifted_meridian(self):
+        # a kappa3 meridian entered at phase 4.73 rad, which a straight tail
+        # from the base to the stratum would take past the wrong pair
         c2, sign, direction = _KAPPA_GEOMETRY["kappa3"]
         b0, n1, n2 = _g2_branch_frame(c2, sign)
         pts = [_KAPPA_BASE]
@@ -233,11 +243,10 @@ class TestRoutesAgree:
             pts.append(tuple(float(v) for v in p))
         pts.append(_KAPPA_BASE)
         loop = parameter_loop(2, pts, stratum=tuple(float(v) for v in b0))
-        with pytest.raises(TrackingError, match="does not support this loop") as err:
-            picard_lefschetz_route(loop)
-        assert err.value.residual > 0.5
-        assert err.value.arc.startswith("separation r")
-        m = np.array(monodromy_periods(loop).matrix)
+        local, periods = picard_lefschetz_route(loop), monodromy_periods(loop)
+        assert local.matrix == periods.matrix
+        assert local.permutation == periods.permutation
+        m = np.array(local.matrix)
         assert np.trace(m) == 5
         assert np.linalg.matrix_rank(m - np.eye(5, dtype=int)) == 2
 
@@ -353,6 +362,31 @@ def test_real_chart_points_stay_python_floats():
     assert all(type(v) is float for v in state.point)
 
 
+def test_real_sextic_coefficients_are_unchanged_bits():
+    # sextic_poly takes complex coordinates, but at the real waypoints of the
+    # named loops it builds the float coefficients bit for bit
+    for name in ("kappa1", "kappa2", "kappa3"):
+        for a, b, c in named_loop(name).waypoints:
+            got = sextic_poly((a, b, c)).coeffs
+            want = (1.0, 0.0, 3.0, c, 3.0 + b, a, 1.0)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (float(w).hex(), (0.0).hex()) for w in want
+            ]
+
+
+def test_simultaneous_crossings_raise_with_their_arc():
+    # With the projection p = Im z every real root of a real fiber shares
+    # p = 0, so crossings stay simultaneous however finely the step is
+    # split; the route's projection keeps clear of that direction.
+    loop = star_loop(1, (0.3, -0.2), -2.0846)
+    march = _run_march(loop)
+    with pytest.raises(TrackingError, match="share a root") as err:
+        _braid_word(1, march.points, march.fibers, -1j)
+    pa, pb = err.value.arc
+    assert pa[1].imag * pb[1].imag <= 0.0  # the step crosses the real line
+    assert 0.0 <= err.value.parameter <= 1.0
+
+
 def test_both_routes_march_a_loop_of_complex_chart_points():
     # On the complex line (a1, a3) = (0.3, -0.2) the discriminant is a
     # quartic in a2; circle its root near 2.0006 + 0.5i counter-clockwise,
@@ -375,6 +409,16 @@ def test_both_routes_march_a_loop_of_complex_chart_points():
     )
     periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
     assert periods.matrix == local.matrix == ((2, -1, 1), (0, 1, 0), (-1, 1, 0))
+    assert periods.permutation == local.permutation
+
+
+def test_routes_agree_round_a_real_critical_value_past_another():
+    # The straight segment from the base to this loop's centre a2 = -2.0846
+    # meets the critical value -1.884 first; the braid of the roots does not
+    # depend on that segment.
+    loop = star_loop(1, (0.3, -0.2), -2.0846)
+    periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
+    assert periods.matrix == local.matrix == ((1, 0, 0), (0, 1, -1), (0, 0, 1))
     assert periods.permutation == local.permutation
 
 
