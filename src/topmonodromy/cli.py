@@ -68,11 +68,12 @@ def _tolerance(opts):
 
 
 def _parse_floats(text, label):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+    """Numbers from a comma-separated string or a (config file) list."""
     try:
+        if isinstance(text, (list, tuple)):
+            return [float(v) for v in text]
         return [float(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValidationError(f"{label} must be a comma-separated number list")
 
 

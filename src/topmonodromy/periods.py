@@ -547,16 +547,22 @@ def residue_check(a, tol: float = 1e-10) -> float:
     return abs(complex(vals[0]) + 1j * math.pi * a[0])
 
 
-def _palindromic(a1, a3, rs):
-    """a1 = a3 up to 1e-8 of the scale of the roots rs.
+# Below the double pair the roots and x* lie within about |a1 - a3| of the
+# unit circle, so next to the plane the side test rounds either way; within
+# this band of the plane the pair nearest x* is read instead.
+_PLANE_BAND = 1e-8
 
-    There the quartic is palindromic, its roots come as r, conj(r), 1/r,
-    1/conj(r), and real a2 = 2 + a3^2/4 gives the complex double pair
+
+def _palindromic(a1, a3):
+    """a1 = a3, exactly: above the double pair a point off the plane, however
+    close, must not read the stratum pair.
+
+    On the plane the quartic is palindromic, its roots come as r, conj(r),
+    1/r, 1/conj(r), and real a2 = 2 + a3^2/4 gives the complex double pair
     (x^2 + (a3/2) x + 1)^2 when |a3| < 4: the one place where lowering a2
     can bring two branch points together off the real axis.
     """
-    scale = max(1.0, max(abs(r) for r in rs))
-    return abs(a1 - a3) <= 1e-8 * scale
+    return a1 == a3
 
 
 def _a2_deformation_path(a1, a2, a3):
@@ -590,11 +596,12 @@ def _vanishing_pair(a):
     root crosses the unit circle as a2 falls and x* is off it: the pair is
     the conjugate pair on x*'s side.  On the plane below the double pair at
     a2 = 2 + a3^2/4, every root and x* = +-1 lie on the circle, and the
-    pair is the one nearest x*.  On the stratum (the plane, with a2_low <
-    2 + a3^2/4 < a2) the deformation passes the double pair through complex
-    a2 and ends on a mixed pair either way round; the cycle's value is the
-    average of the two images, the loop around the conjugate pair inside the
-    unit circle (upper root first).
+    pair is the one nearest x*; so it is within _PLANE_BAND of the plane,
+    where the side test is decided by rounding.  On the stratum (the plane,
+    with a2_low < 2 + a3^2/4 < a2) the deformation passes the double pair
+    through complex a2 and ends on a mixed pair either way round; the
+    cycle's value is the average of the two images, the loop around the
+    conjugate pair inside the unit circle (upper root first).
     """
     a1, a2, a3 = a
     fpoly = quartic_poly(a)
@@ -603,14 +610,13 @@ def _vanishing_pair(a):
         raise ValidationError("parameters are outside component C (real roots)")
     a2_low, x_star = _a2_deformation_path(a1, a2, a3)
     double = complex_double_pair_a2(a3)
-    plane = _palindromic(a1, a3, rs) and double is not None
-    stratum = plane and a2_low < double < a2
+    stratum = _palindromic(a1, a3) and double is not None and a2_low < double < a2
     upper = [k for k in range(len(rs)) if rs[k].imag > 0.0]
     if stratum:
         if a2 - double < 0.01 * (a2 - a2_low):
             raise NearDiscriminantError("parameters are too close to the discriminant")
         i = min(upper, key=lambda k: abs(rs[k]))
-    elif plane and a2 < double:
+    elif double is not None and a2 < double and abs(a1 - a3) <= _PLANE_BAND:
         i = min(upper, key=lambda k: abs(rs[k] - x_star))
     else:
         side = [k for k in upper if (abs(rs[k]) < 1.0) == (abs(x_star) < 1.0)]

@@ -108,9 +108,6 @@ class ComplexPoly:
 
     __rmul__ = __mul__
 
-    def monic(self) -> "ComplexPoly":
-        return self * (1.0 / self.lead)
-
     def coeff_scale(self) -> float:
         return max((abs(c) for c in self.coeffs), default=0.0)
 

@@ -37,7 +37,9 @@ the integer lattice, so it reflects quadrature noise only.
 The second route (picard_lefschetz_route) carries no contour.  It marches
 the branch points alone and reads off the braid they make: ordered by a
 projection p(z) = Re(exp(-i theta) z), with theta taken from the base roots,
-each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  A
+each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  Its march
+also rejects, and so bisects, a step in which two swaps share a root, since
+those do not commute; each step's swaps are then read in order of time.  A
 half-twist of two branch points acts on H1 as the Picard-Lefschetz twist
 about the cycle of a loop round the segment joining them, so the matrix is
 the product of one twist per letter, about cycles fitted once at the base.
@@ -505,18 +507,19 @@ def _chart_point(point):
 class _March:
     """Root (and optionally cable) transport along chart segments.
 
-    Coordinates may be complex in both genera.  points[s] is the chart point
-    of fibers[s], the roots after s accepted steps; rs, when given, are the
-    starting roots in the order to keep.
+    Coordinates may be complex in both genera.  fibers[s] holds the roots
+    after s accepted steps.  A braided march fixes the projection rot of
+    the base roots and also rejects a step in which two swaps of projection
+    neighbours share a root, so traverse bisects it like any other step.
     """
 
-    def __init__(self, g, point, with_cables, rs=None):
+    def __init__(self, g, point, with_cables, braided=False):
         self.g = g
         self.point = _chart_point(point)
         self.fpoly = fiber_polynomial(g, self.point)
-        self.rs = roots(self.fpoly) if rs is None else list(rs)
+        self.rs = roots(self.fpoly)
         self.min_sep = _pairwise_min_sep(self.rs)
-        self.points = [self.point]
+        self.rot = _projection(self.rs) if braided else None
         self.fibers = [tuple(self.rs)]
         self.steps_used = 0
         self.bundle = None
@@ -556,6 +559,13 @@ class _March:
         margin = _MARGIN_FRAC * min(self.min_sep, sep_new)
         if disp >= _STEP_FRAC * margin:
             return False
+        if self.rot is not None:
+            # crossings that share a root do not commute, so their order
+            # must come from a shorter step
+            swaps = _swaps(self.rs, matched, self.rot)
+            labels = [r for _, i, j in swaps for r in (i, j)]
+            if len(set(labels)) != len(labels):
+                return False
         bundle = self.bundle
         if bundle is not None:
             # Any cable that cannot be lifted or maintained rejects the
@@ -590,7 +600,6 @@ class _March:
         self.fpoly = fp_new
         self.rs = matched
         self.min_sep = sep_new
-        self.points.append(self.point)
         self.fibers.append(tuple(matched))
         self.steps_used += 1
         self.bundle = bundle
@@ -621,10 +630,10 @@ class _March:
             stack.append((t0, tm))
 
 
-def _run_march(loop, steps=0):
+def _run_march(loop, steps=0, braided=False):
     """Roots marched around the loop, each hop presplit by its share of steps."""
     path = loop.path_points()
-    state = _March(loop.g, path[0], with_cables=False)
+    state = _March(loop.g, path[0], with_cables=False, braided=braided)
     hops = list(zip(path, path[1:]))
     # abs() of each coordinate difference, so complex chart points work too
     lengths = [math.hypot(*(abs(x - y) for x, y in zip(a, b))) for a, b in hops]
@@ -752,64 +761,42 @@ def _projection(rs):
     return cmath.exp(-1j * (start + 0.5 * width))
 
 
-def _braid_word(g, points, fibers, rot):
-    """Braid letters (k, e) of the marched fibers in path order, and the
-    march steps spent refining.
+def _swaps(fa, fb, rot):
+    """(t, i, j) for each pair i < j whose projections swap between the
+    fibers fa and fb, t the linearly interpolated time of the swap."""
+    pa = [(r * rot).real for r in fa]
+    pb = [(r * rot).real for r in fb]
+    events = []
+    for i, j in combinations(range(len(fa)), 2):
+        da, db = pa[i] - pa[j], pb[i] - pb[j]
+        if (da < 0.0) != (db < 0.0):
+            events.append((da / (da - db), i, j))
+    return events
+
+
+def _braid_word(fibers, rot):
+    """Braid letters (k, e) of a braided march's fibers in path order.
 
     The roots are labelled by their index in each fiber and kept in order of
     projection.  A pair whose projections swap between two fibers crosses
     once (a root moves less than min_sep / 12 per step); it is the letter
     sigma_k^e at its current positions k, k + 1, with e = +1 when the left
     root passes at the larger Im(exp(-i theta) z) at the linearly
-    interpolated crossing.  Crossings that share no root commute; when two
-    in one step share a root, that step is marched again in halves.
+    interpolated crossing.  The braided march bisects every step in which
+    two crossings share a root, so the crossings of one step commute and
+    are read in order of time.
     """
     order = sorted(range(len(fibers[0])), key=lambda i: (fibers[0][i] * rot).real)
     word = []
-    refined = 0
-
-    def read(pa, fa, pb, fb, depth):
-        nonlocal refined
-        za = [r * rot for r in fa]
-        zb = [r * rot for r in fb]
-        events = []
-        for i, j in combinations(range(len(fa)), 2):
-            da, db = za[i].real - za[j].real, zb[i].real - zb[j].real
-            if (da < 0.0) != (db < 0.0):
-                events.append((da / (da - db), i, j))
-        labels = [r for _, i, j in events for r in (i, j)]
-        if len(set(labels)) == len(labels):
-            for t, i, j in sorted(events):
-                k = min(order.index(i), order.index(j))
-                left, right = order[k], order[k + 1]
-                ql = ((1.0 - t) * za[left] + t * zb[left]).imag
-                qr = ((1.0 - t) * za[right] + t * zb[right]).imag
-                order[k], order[k + 1] = right, left
-                word.append((k, 1 if ql > qr else -1))
-            return
-        if depth >= _MAX_DEPTH:
-            raise TrackingError(
-                "two braid crossings that share a root stay in one step "
-                f"between {pa} and {pb}",
-                arc=(pa, pb),
-                parameter=min(events)[0],
-            )
-        sub = _March(g, pa, with_cables=False, rs=fa)
-        sub.traverse(pb, presplit=2)
-        refined += sub.steps_used
-        if _match_roots(sub.rs, fb)[0] != list(range(len(fb))):
-            raise TrackingError(
-                f"a refined march between {pa} and {pb} ends on other roots",
-                arc=(pa, pb),
-            )
-        sub.fibers[-1] = tuple(fb)
-        for c in range(sub.steps_used):
-            pts, fbs = sub.points[c : c + 2], sub.fibers[c : c + 2]
-            read(pts[0], fbs[0], pts[1], fbs[1], depth + 1)
-
-    for c in range(len(fibers) - 1):
-        read(points[c], fibers[c], points[c + 1], fibers[c + 1], 0)
-    return word, refined
+    for fa, fb in zip(fibers, fibers[1:]):
+        for t, i, j in sorted(_swaps(fa, fb, rot)):
+            k = min(order.index(i), order.index(j))
+            left, right = order[k], order[k + 1]
+            ql = ((1.0 - t) * (fa[left] * rot) + t * (fb[left] * rot)).imag
+            qr = ((1.0 - t) * (fa[right] * rot) + t * (fb[right] * rot)).imag
+            order[k], order[k + 1] = right, left
+            word.append((k, 1 if ql > qr else -1))
+    return word
 
 
 def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
@@ -826,14 +813,13 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     """
     g = loop.g
     diffs = _differentials(g)
-    march = _run_march(loop)
+    march = _run_march(loop, braided=True)
     perm = _closure_permutation(march, march.fibers[0])
     rs0 = march.fibers[0]
-    rot = _projection(rs0)
-    word, refined = _braid_word(g, march.points, march.fibers, rot)
-    base_order = sorted(range(len(rs0)), key=lambda i: (rs0[i] * rot).real)
+    word = _braid_word(march.fibers, march.rot)
+    base_order = sorted(range(len(rs0)), key=lambda i: (rs0[i] * march.rot).real)
 
-    state = _March(g, march.points[0], with_cables=True)
+    state = _March(g, loop.base, with_cables=True)
     frame = _period_rows(state.fpoly, state.bundle.cables(), diffs, tol)
     condition = _frame_condition(frame)
     cycles = {}
@@ -863,7 +849,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
         residual=residual,
         permutation=perm,
         orientation=loop.orientation,
-        steps_used=march.steps_used + refined,
+        steps_used=march.steps_used,
         condition=condition,
     )
 

@@ -440,6 +440,23 @@ class TestConfigFile:
         assert data["error"]["type"] == "ValidationError"
         assert next(iter(extra)) in data["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("actions", {"point": ["a", 2.5, 0.1]}),
+            ("actions", {"point": [None, 2.5, 0.1]}),
+            ("monodromy", {"g": 1, "waypoints": [[0, 1, 0], [0, "x", 0], [0, 1, 0]]}),
+            ("simulate", {"m": 1.0, "state": [[0.1, 0.2, 0.3], [0.5, [], 0.1]]}),
+        ],
+    )
+    def test_config_lists_of_non_numbers_fail(self, capsys, tmp_path, command, config):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(config))
+        code, data = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert "number list" in data["error"]["message"]
+
     def test_broken_config_fails(self, capsys, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text("{not json")

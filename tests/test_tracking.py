@@ -1,6 +1,8 @@
 """Tests for parameter-space loops and period-lattice monodromy."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from topmonodromy.tracking import (
     _g2_branch_frame,
     _integer_fit,
     _run_march,
+    _swaps,
     compose_loops,
     fiber_polynomial,
     monodromy_actions_g1,
@@ -49,7 +52,22 @@ NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
 PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
 # The local route marches the roots alone, as the periods route does, plus
 # the steps that split a march step holding two crossings with a common root.
-LOCAL_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 122}
+LOCAL_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 120}
+# Braid words (k, e) the local route reads on the named loops, by orientation.
+BRAID_WORDS = {
+    ("cushman", 1): [(2, -1), (0, 1)],
+    ("cushman", -1): [(0, -1), (2, 1)],
+    ("kappa1", 1): [(4, 1), (1, -1), (0, -1), (1, 1)],
+    ("kappa1", -1): [(1, -1), (0, 1), (1, 1), (4, -1)],
+    ("kappa2", 1): [(0, 1), (3, -1), (4, -1), (3, 1)],
+    ("kappa2", -1): [(3, -1), (4, 1), (3, 1), (0, -1)],
+    ("kappa3", 1): [
+        (0, 1), (3, -1), (1, 1), (1, -1), (0, -1), (1, 1), (0, 1), (0, -1)
+    ],
+    ("kappa3", -1): [
+        (0, 1), (0, -1), (1, -1), (0, 1), (1, 1), (1, -1), (3, 1), (0, -1)
+    ],
+}
 # Unimodular (det 1) genus-1 map that sends <gamma_2, delta_1> = -1 to 0.
 SHEAR = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
@@ -349,6 +367,25 @@ class TestTypedFailures:
         assert state.steps_used == 0
         assert state.point == self.BASE
 
+    def test_braided_step_whose_swaps_share_a_root_is_rejected(self):
+        # Four real roots and a projection just off p = Im z: on a step into
+        # complex a2 root 2 passes both roots 0 and 1, so the braided march
+        # rejects the step (and traverse bisects it), which a plain march
+        # accepts.
+        point, target = (0.3, -2.1246, -0.2), (0.3, -2.1246 - 1e-4j, -0.2)
+        state = _March(1, point, with_cables=False, braided=True)
+        state.rot = cmath.exp(-1j * (0.5 * math.pi - 1e-6))
+        rs = list(state.rs)
+        new = roots(fiber_polynomial(1, target), initial=rs)
+        perm, _ = _match_roots(rs, new)
+        swaps = _swaps(rs, [new[j] for j in perm], state.rot)
+        assert [(i, j) for _, i, j in swaps] == [(0, 2), (1, 2)]
+        assert state._try_advance(target) is False
+        assert state.point == point
+        assert state.rs == rs
+        assert state.steps_used == 0
+        assert _March(1, point, with_cables=False)._try_advance(target) is True
+
 
 def test_real_chart_points_stay_python_floats():
     # complex chart coordinates are accepted, but a real point builds the
@@ -378,13 +415,22 @@ def test_simultaneous_crossings_raise_with_their_arc():
     # With the projection p = Im z every real root of a real fiber shares
     # p = 0, so crossings stay simultaneous however finely the step is
     # split; the route's projection keeps clear of that direction.
-    loop = star_loop(1, (0.3, -0.2), -2.0846)
-    march = _run_march(loop)
-    with pytest.raises(TrackingError, match="share a root") as err:
-        _braid_word(1, march.points, march.fibers, -1j)
+    path = star_loop(1, (0.3, -0.2), -2.0846).path_points()
+    march = _March(1, path[0], with_cables=False, braided=True)
+    march.rot = -1j
+    with pytest.raises(TrackingError, match="root tracking stalled") as err:
+        for b in path[1:]:
+            march.traverse(b)
     pa, pb = err.value.arc
-    assert pa[1].imag * pb[1].imag <= 0.0  # the step crosses the real line
+    assert pa[1].imag * pb[1].imag <= 0.0  # the stretch crosses the real line
     assert 0.0 <= err.value.parameter <= 1.0
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("name", NAMED)
+def test_braid_words_are_pinned(name, orientation):
+    march = _run_march(named_loop(name, orientation), braided=True)
+    assert _braid_word(march.fibers, march.rot) == BRAID_WORDS[name, orientation]
 
 
 def test_both_routes_march_a_loop_of_complex_chart_points():
