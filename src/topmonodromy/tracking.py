@@ -14,16 +14,26 @@ orientation is measured on the polygons that are carried.
 
 The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
 array with a start offset, a pinned square root and a row of winding numbers
-per cable.  A march attempt makes one pass of each kind (push, clearance
-test, midpoint insertion, winding count, square-root continuation) over all
-vertices at once.  The upkeep after a step re-checks only what moved: its
-first round tests every vertex and edge, each later round only the
-midpoints the round before inserted and the edges at them.  That makes the
-decisions a full re-test would: the margin disks are disjoint, so a pushed
-vertex lands outside every disk; a vertex that was not pushed was outside
-already; and an edge found clear stays clear while its endpoints stay put.
-An attempt is rejected, and the step bisected, when any cable cannot be
-maintained; a stalled bisection, or a winding number that changed, raises
+per cable.  Every accepted step continues each pinned square root along
+the step at its cable's first vertex, but the cables themselves are kept up
+on demand, as the skin of a Verlet neighbour list is.  The march adds each
+step's largest root move to a drift total; a step is an upkeep step when
+that total, this step included, reaches a third of the smaller of the last
+upkeep's margin m and this step's margin, and every step onto the base is
+one, so the loop's last step leaves the cables maintained where they are
+integrated.  Skipping is safe: after an upkeep every vertex lies at least
+m and every edge at least 0.95 m from every root, so roots that have
+drifted less than m/3 in all stay 0.62 m from every edge, and no root can
+reach a cable between upkeeps.  An upkeep makes one pass of each kind
+(push, clearance test, midpoint insertion, winding count) over all vertices
+at once and re-checks only what moved: its first round tests every vertex
+and edge, each later round only the midpoints the round before inserted
+and the edges at them.  That makes the decisions a full re-test would: the
+margin disks are disjoint, so a pushed vertex lands outside every disk; a
+vertex that was not pushed was outside already; and an edge found clear
+stays clear while its endpoints stay put.  An attempt is rejected, and the
+step bisected, when any cable cannot be lifted or maintained; a stalled
+bisection, or a winding number that changed by the next upkeep, raises
 TrackingError with the stretch of the loop where it happened.
 
 No integration happens at intermediate fibers.  The periods of the carried
@@ -508,9 +518,16 @@ class _March:
     """Root (and optionally cable) transport along chart segments.
 
     Coordinates may be complex in both genera.  fibers[s] holds the roots
-    after s accepted steps.  A braided march fixes the projection rot of
-    the base roots and also rejects a step in which two swaps of projection
-    neighbours share a root, so traverse bisects it like any other step.
+    after s accepted steps.  With cables, drift is the root travel since
+    the last upkeep (the sum of each step's largest root move),
+    upkeep_margin that upkeep's margin and upkeeps the number of upkeeps
+    made, the one at the base included.  A step runs the upkeep only when
+    drift, this step included, reaches _STEP_FRAC of the smaller of
+    upkeep_margin and its own margin, or when it lands on the base point;
+    other steps only continue each cable's y_ref.  A braided march fixes
+    the projection rot of the base roots and also rejects a step in which
+    two swaps of projection neighbours share a root, so traverse bisects it
+    like any other step.
     """
 
     def __init__(self, g, point, with_cables, braided=False):
@@ -522,7 +539,10 @@ class _March:
         self.rot = _projection(self.rs) if braided else None
         self.fibers = [tuple(self.rs)]
         self.steps_used = 0
+        self.base = self.point
         self.bundle = None
+        self.drift = 0.0
+        self.upkeeps = 0
         if with_cables:
             config = build_basis(tuple(self.rs), g)
             polygons = [spec.vertices for spec in basis_contours(config)]
@@ -543,6 +563,8 @@ class _March:
             bundle = _Bundle.of(polygons, y0)
             bundle.windings = _winding_numbers(bundle.verts, bundle.starts, self.rs)
             self.bundle = bundle
+            self.upkeep_margin = margin
+            self.upkeeps = 1
 
     def _try_advance(self, target):
         fp_new = fiber_polynomial(self.g, target)
@@ -567,6 +589,7 @@ class _March:
             if len(set(labels)) != len(labels):
                 return False
         bundle = self.bundle
+        drift = self.drift + disp
         if bundle is not None:
             # Any cable that cannot be lifted or maintained rejects the
             # attempt; windings are compared only once every cable is.
@@ -578,24 +601,27 @@ class _March:
             )
             if y_new is None:
                 return False
-            moved = _maintain_bundle(
-                _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings),
-                matched,
-                margin,
-                fp_new,
-            )
-            if moved is None:
-                return False
-            moved = _simplify_bundle(moved, matched, margin)
-            windings = _winding_numbers(moved.verts, moved.starts, matched)
-            crossed = np.flatnonzero(np.any(windings != bundle.windings, axis=1))
-            if len(crossed):
-                raise TrackingError(
-                    "a branch point crossed a transported contour: cable "
-                    f"{crossed[0]} on the step to {tuple(target)}",
-                    arc=(self.point, tuple(target)),
-                )
-            bundle = moved
+            bundle = _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings)
+            # Upkeep on demand (see the module docstring); a step onto the
+            # base is always one, so the cables integrated there are kept up.
+            due = _STEP_FRAC * min(self.upkeep_margin, margin)
+            if drift >= due or tuple(target) == self.base:
+                moved = _maintain_bundle(bundle, matched, margin, fp_new)
+                if moved is None:
+                    return False
+                moved = _simplify_bundle(moved, matched, margin)
+                windings = _winding_numbers(moved.verts, moved.starts, matched)
+                crossed = np.flatnonzero(np.any(windings != bundle.windings, axis=1))
+                if len(crossed):
+                    raise TrackingError(
+                        "a branch point crossed a transported contour: cable "
+                        f"{crossed[0]} on the step to {tuple(target)}",
+                        arc=(self.point, tuple(target)),
+                    )
+                bundle = moved
+                drift = 0.0
+                self.upkeep_margin = margin
+                self.upkeeps += 1
         self.point = tuple(target)
         self.fpoly = fp_new
         self.rs = matched
@@ -603,6 +629,7 @@ class _March:
         self.fibers.append(tuple(matched))
         self.steps_used += 1
         self.bundle = bundle
+        self.drift = drift
         return True
 
     def traverse(self, target, presplit=1):

@@ -407,6 +407,69 @@ def test_real_root_count_matches_numeric_roots(coeffs):
     assert real_root_count(p) == numeric
 
 
+def fraction_sturm_count(coeffs):
+    """Independent oracle: distinct real roots of the float polynomial
+    (ascending coefficients), from a Sturm chain of exact rational
+    remainders."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    chain = [cs, [k * c for k, c in enumerate(cs)][1:]]
+    while True:
+        _, r = _exact_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_minus_inf = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return changes(at_minus_inf) - changes([c[-1] for c in chain])
+
+
+def _with_repeats(roots_, times, quad, exp):
+    """Coefficients of 2^exp (x^2 + quad) prod (x - r), the first root
+    repeated `times` times (no quadratic factor when quad is None)."""
+    p = ComplexPoly.from_roots(roots_ + roots_[:1] * (times - 1))
+    if quad is not None:
+        p = p * ComplexPoly.of([quad, 0.0, 1.0])
+    return [c.real * 2.0**exp for c in p.coeffs]
+
+
+# wide: m * 10^e from 1e-300 to 1e300; subnormal: multiples of 2^-1074
+_WIDE = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 300)
+)
+_SUBNORMAL = st.integers(-(2**52) + 1, 2**52 - 1).map(lambda k: k * 5e-324)
+_MIXED = st.lists(
+    st.one_of(_WIDE, _SUBNORMAL, st.sampled_from([0.0, 1.0, -1.0])),
+    min_size=2,
+    max_size=7,
+)
+_REPEATED = st.builds(
+    _with_repeats,
+    st.lists(st.integers(-12, 12).map(lambda k: k / 4), min_size=1, max_size=4),
+    st.integers(2, 3),
+    st.sampled_from([None, 0.25, 1.0, 3.0]),
+    st.integers(-1000, 900),
+)
+
+
+@given(st.one_of(_MIXED, _REPEATED))
+@example([1.0, 0.0, 1.0, 0.0, 1.0])
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0])
+@example([5e-324, -1e300, 1e-300, 1.0])
+@example([-5e-324, 0.0, 5e-324])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_real_root_count_matches_the_fraction_chain(coeffs):
+    p = ComplexPoly.of(coeffs)
+    if p.degree < 1:
+        return
+    assert real_root_count(p) == fraction_sturm_count(coeffs)
+
+
 def test_resultant_shared_root():
     p = ComplexPoly.from_roots([1.0, 2.0])
     q = ComplexPoly.from_roots([2.0, 5.0])

@@ -16,10 +16,14 @@ from topmonodromy.errors import (
     ValidationError,
 )
 from topmonodromy.homology import _intersection_matrix
+from topmonodromy.periods import _next_index, _segment_distances
 from topmonodromy.poly import discriminant, roots
 from topmonodromy.tracking import (
+    _EDGE_CLEAR,
     _KAPPA_BASE,
     _KAPPA_GEOMETRY,
+    _MARGIN_FRAC,
+    _STEP_FRAC,
     MonodromyResult,
     ParameterLoop,
     _check_form,
@@ -27,6 +31,7 @@ from topmonodromy.tracking import (
     _braid_word,
     _match_roots,
     _g2_branch_frame,
+    _pairwise_min_sep,
     _integer_fit,
     _run_march,
     _swaps,
@@ -50,6 +55,14 @@ NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
 # Accepted march steps; a change to the step control or the cable upkeep that
 # moves these changes the work done per loop and must say why.
 PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
+# Cable upkeeps of the periods route by orientation, the one at the base
+# included; every step used to be one (steps + 1).
+UPKEEPS = {
+    ("cushman", 1): 28, ("cushman", -1): 28,
+    ("kappa1", 1): 33, ("kappa1", -1): 34,
+    ("kappa2", 1): 33, ("kappa2", -1): 34,
+    ("kappa3", 1): 51, ("kappa3", -1): 51,
+}
 # The local route marches the roots alone, as the periods route does, plus
 # the steps that split a march step holding two crossings with a common root.
 LOCAL_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 120}
@@ -83,6 +96,20 @@ def kappa_results():
         name: monodromy_periods(named_loop(name))
         for name in ("kappa1", "kappa2", "kappa3")
     }
+
+
+@pytest.fixture(scope="module")
+def cable_marches():
+    """The periods route's march with cables round each named loop."""
+    marches = {}
+    for name in NAMED:
+        for orientation in (1, -1):
+            path = named_loop(name, orientation).path_points()
+            state = _March(1 if name == "cushman" else 2, path[0], with_cables=True)
+            for b in path[1:]:
+                state.traverse(b)
+            marches[name, orientation] = state
+    return marches
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +302,25 @@ class TestNamedLoopInvariants:
         assert {n: r.steps_used for n, r in periods.items()} == PERIODS_STEPS
         assert {n: r.steps_used for n, r in local_results.items()} == LOCAL_STEPS
 
+    def test_upkeeps_are_pinned(self, cable_marches):
+        assert {k: m.upkeeps for k, m in cable_marches.items()} == UPKEEPS
+        assert {k: m.steps_used for k, m in cable_marches.items()} == {
+            (n, o): PERIODS_STEPS[n] for n, o in UPKEEPS
+        }
+
+    def test_march_ends_with_the_margin_invariant_at_the_base(self, cable_marches):
+        # the last step lands on the base and is an upkeep step, so the
+        # cables the route integrates keep their margin from the base roots
+        for key, state in cable_marches.items():
+            assert state.point == state.base and state.drift == 0.0, key
+            bundle, margin = state.bundle, state.upkeep_margin
+            base = np.array(state.fibers[0])
+            assert margin <= _MARGIN_FRAC * _pairwise_min_sep(state.rs), key
+            assert np.abs(bundle.verts[:, None] - base).min() >= margin, key
+            ends = bundle.verts[_next_index(bundle.starts, len(bundle.verts))]
+            edges = _segment_distances(bundle.verts, ends, base)
+            assert edges.min() >= _EDGE_CLEAR * margin, key
+
     def test_intersection_form_preserved(
         self, cushman_result, kappa_results, local_results
     ):
@@ -342,8 +388,24 @@ class TestTypedFailures:
         assert state._try_advance(self.TARGET) is True
         assert state.steps_used == 1
 
-    def test_crossing_names_the_cable_and_the_target(self):
+    @staticmethod
+    def _due(state):
+        """Make the next step an upkeep step: a march whose roots have
+        drifted a whole margin since its last upkeep."""
+        state.drift = state.upkeep_margin
+        return state
+
+    def test_a_small_step_is_lazy(self):
         state = _March(1, self.BASE, with_cables=True)
+        bundle = state.bundle
+        assert state._try_advance(self.TARGET) is True
+        assert state.upkeeps == 1
+        assert 0.0 < state.drift < _STEP_FRAC * state.upkeep_margin
+        assert state.bundle.verts is bundle.verts
+        assert state.bundle.y_ref.tolist() != bundle.y_ref.tolist()
+
+    def test_crossing_names_the_cable_and_the_target(self):
+        state = self._due(_March(1, self.BASE, with_cables=True))
         state.bundle.windings[1, 0] += 1
         with pytest.raises(
             TrackingError,
@@ -357,7 +419,7 @@ class TestTypedFailures:
         # Cable 0's windings no longer match, but cable 2 cannot be
         # maintained at the target: the attempt is rejected (so the march
         # bisects the step) instead of reporting a crossing.
-        state = _March(1, self.BASE, with_cables=True)
+        state = self._due(_March(1, self.BASE, with_cables=True))
         new = roots(fiber_polynomial(1, self.TARGET), initial=state.rs)
         perm, _ = _match_roots(state.rs, new)
         bundle = state.bundle
@@ -366,6 +428,34 @@ class TestTypedFailures:
         assert state._try_advance(self.TARGET) is False
         assert state.steps_used == 0
         assert state.point == self.BASE
+
+    def test_tampered_windings_raise_at_the_step_whose_drift_is_due(self):
+        # lazy steps compare no windings; the first step that takes the
+        # drift to a third of a margin is an upkeep step, and raises
+        state = _March(1, self.BASE, with_cables=True)
+        state.bundle.windings[2, 1] -= 1
+        targets = [(0.0, 1.0 + 0.02 * k, 0.0) for k in range(1, 40)]
+        with pytest.raises(TrackingError, match="cable 2 on the step to") as err:
+            for target in targets:
+                assert state._try_advance(target) is True
+        assert state.steps_used >= 2 and state.upkeeps == 1
+        assert err.value.arc == (state.point, targets[state.steps_used])
+        assert 0.0 < state.drift < _STEP_FRAC * state.upkeep_margin
+
+    def test_tampered_windings_raise_on_the_step_onto_the_base(self):
+        # the step back onto the base is an upkeep step however small
+        state = _March(1, self.BASE, with_cables=True)
+        state.bundle.windings[2, 1] -= 1
+        assert state._try_advance(self.TARGET) is True
+        assert state.upkeeps == 1
+        with pytest.raises(
+            TrackingError,
+            match=r"crossed a transported contour: cable 2 on the step to "
+            r"\(0\.0, 1\.0, 0\.0\)",
+        ) as err:
+            state._try_advance(self.BASE)
+        assert err.value.arc == (self.TARGET, self.BASE)
+        assert state.steps_used == 1
 
     def test_braided_step_whose_swaps_share_a_root_is_rejected(self):
         # Four real roots and a projection just off p = Im z: on a step into
