@@ -14,27 +14,35 @@ orientation is measured on the polygons that are carried.
 
 The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
 array with a start offset, a pinned square root and a row of winding numbers
-per cable.  Every accepted step continues each pinned square root along
-the step at its cable's first vertex, but the cables themselves are kept up
-on demand, as the skin of a Verlet neighbour list is.  The march adds each
-step's largest root move to a drift total; a step is an upkeep step when
-that total, this step included, reaches a third of the smaller of the last
-upkeep's margin m and this step's margin, and every step onto the base is
-one, so the loop's last step leaves the cables maintained where they are
-integrated.  Skipping is safe: after an upkeep every vertex lies at least
-m and every edge at least 0.95 m from every root, so roots that have
-drifted less than m/3 in all stay 0.62 m from every edge, and no root can
-reach a cable between upkeeps.  An upkeep makes one pass of each kind
-(push, clearance test, midpoint insertion, winding count) over all vertices
-at once and re-checks only what moved: its first round tests every vertex
-and edge, each later round only the midpoints the round before inserted
-and the edges at them.  That makes the decisions a full re-test would: the
-margin disks are disjoint, so a pushed vertex lands outside every disk; a
-vertex that was not pushed was outside already; and an edge found clear
-stays clear while its endpoints stay put.  An attempt is rejected, and the
-step bisected, when any cable cannot be lifted or maintained; a stalled
-bisection, or a winding number that changed by the next upkeep, raises
-TrackingError with the stretch of the loop where it happened.
+per cable.  The cables are kept up on demand, as the skin of a Verlet
+neighbour list is.  The march adds each step's largest root move to a drift
+total; a step is an upkeep step when that total, this step included,
+reaches a third of the smaller of the last upkeep's margin m and this
+step's margin, and every step onto the base is one, so the loop's last step
+leaves the cables maintained where they are integrated.  Skipping is safe:
+after an upkeep every vertex lies at least m and every edge at least 0.95 m
+from every root, so roots that have drifted less than m/3 in all stay 0.62 m
+from every edge, and no root can reach a cable between upkeeps.  An upkeep
+makes one pass of each kind (push, clearance test, midpoint insertion,
+winding count) over all vertices at once and re-checks only what moved: its
+first round tests every vertex and edge, each later round only the
+midpoints the round before inserted and the edges at them.  That makes the
+decisions a full re-test would: the margin disks are disjoint, so a pushed
+vertex lands outside every disk; a vertex that was not pushed was outside
+already; and an edge found clear stays clear while its endpoints stay put.
+
+The pinned square roots are continued at upkeeps too, over the recorded
+path.  A step that is not an upkeep step only records f at each cable's
+first vertex; an upkeep step lifts each pinned root, from the value the
+last upkeep left, over the blended samples of every step since.  The same
+argument keeps that safe: first vertices do not move between upkeeps and
+stay at least 2m/3 from every root, so f keeps clear of zero along the
+recorded path.  Consecutive blends share their joint sample exactly, so
+the lift ends on the value that continuing step by step would give.  An
+attempt is rejected, and the step bisected, when any cable cannot be lifted
+or maintained; a stalled bisection (a lift that stays ambiguous included,
+never a wrong sheet), or a winding number that changed by the next upkeep,
+raises TrackingError with the stretch of the loop where it happened.
 
 No integration happens at intermediate fibers.  The periods of the carried
 differentials x^k dx/y, k = 0..g (a rank 2g+1 real frame, since x^g dx/y
@@ -43,6 +51,10 @@ base fiber, before and after the circuit; the transported cycles are then
 expressed over the starting frame by a least-squares fit whose entries must
 round to integers.  The reported residual is the distance of that fit from
 the integer lattice, so it reflects quadrature noise only.
+Every loop from a base point is read over the same lattice, so the base
+fiber's maintained and oriented cables and its period frame are built once
+per (genus, base point, tol) and kept, read-only, for both routes; a march
+starts from private copies of those cables.
 
 The second route (picard_lefschetz_route) carries no contour.  It marches
 the branch points alone and reads off the braid they make: ordered by a
@@ -62,9 +74,11 @@ intersection form.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 from itertools import combinations
 
 import numpy as np
@@ -514,57 +528,116 @@ def _chart_point(point):
     )
 
 
+class _BaseFrame(NamedTuple):
+    """A base fiber with its maintained, oriented cables and period frame."""
+
+    fpoly: object
+    rs: tuple
+    min_sep: float
+    margin: float
+    bundle: _Bundle
+    frame: np.ndarray
+    condition: float
+
+
+@functools.lru_cache(maxsize=16)
+def _base_frame(g, base, tol):
+    """The base record of a chart point, built once per (g, base, tol).
+
+    The basis polygons are maintained first and then oriented against the
+    intersection form, so the orientation is measured on the polygons that
+    are carried; the frame holds their periods.  The record's arrays are
+    read-only, since every caller shares them.  A base that cannot be
+    realized raises, and raises again on every call, since exceptions are
+    not cached.
+    """
+    point = _chart_point(base)
+    fpoly = fiber_polynomial(g, point)
+    rs = tuple(roots(fpoly))
+    min_sep = _pairwise_min_sep(rs)
+    margin = _MARGIN_FRAC * min_sep
+    polygons = [spec.vertices for spec in basis_contours(build_basis(rs, g))]
+    y0 = [_vertex_sqrt(fpoly, p[0]) for p in polygons]
+    bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, margin, fpoly)
+    if bundle is None:
+        raise DegenerateInputError(
+            "cannot realize a basis contour with a safety margin"
+        )
+    # orient the maintained polygons: the raw polygon of a thin pair loop
+    # can pass too close to a branch point to lift
+    polygons, y0 = zip(*normalized_basis_contours(fpoly, bundle.cables()))
+    bundle = _Bundle.of(polygons, y0)
+    bundle.windings = _winding_numbers(bundle.verts, bundle.starts, rs)
+    frame = _period_rows(fpoly, bundle.cables(), _differentials(g), tol)
+    condition = _frame_condition(frame)
+    for arr in (bundle.verts, bundle.starts, bundle.y_ref, bundle.windings, frame):
+        arr.flags.writeable = False
+    return _BaseFrame(fpoly, rs, min_sep, margin, bundle, frame, condition)
+
+
+def _anchor_values(fpoly, bundle):
+    """f at each cable's first vertex, one Horner evaluation per cable."""
+    return np.array([complex(fpoly(x)) for x in bundle.verts[bundle.starts].tolist()])
+
+
+def _blended_path(f_rows):
+    """Samples of f at each cable's first vertex along the recorded steps.
+
+    f_rows holds one row of values per fiber since the last upkeep.  Each
+    step is sampled at _BLEND between its two rows; consecutive steps share
+    their joint sample ((1 - 1) f0 + 1 f1 = f1 exactly), which is kept once.
+    """
+    legs = [
+        (1.0 - _BLEND) * f0[:, None] + _BLEND * f1[:, None]
+        for f0, f1 in zip(f_rows, f_rows[1:])
+    ]
+    return np.hstack([leg[:, :-1] for leg in legs] + [legs[-1][:, -1:]])
+
+
 class _March:
     """Root (and optionally cable) transport along chart segments.
 
     Coordinates may be complex in both genera.  fibers[s] holds the roots
-    after s accepted steps.  With cables, drift is the root travel since
-    the last upkeep (the sum of each step's largest root move),
+    after s accepted steps.  A march with cables starts from writable copies
+    of the base record's cables (_base_frame at tol).  Its drift is the root
+    travel since the last upkeep (the sum of each step's largest root move),
     upkeep_margin that upkeep's margin and upkeeps the number of upkeeps
     made, the one at the base included.  A step runs the upkeep only when
     drift, this step included, reaches _STEP_FRAC of the smaller of
     upkeep_margin and its own margin, or when it lands on the base point;
-    other steps only continue each cable's y_ref.  A braided march fixes
+    other steps only append f at each cable's first vertex to f_rows, the
+    path since the last upkeep (whose own row comes first), and leave the
+    bundle, y_ref included, as that upkeep left it.  A braided march fixes
     the projection rot of the base roots and also rejects a step in which
     two swaps of projection neighbours share a root, so traverse bisects it
     like any other step.
     """
 
-    def __init__(self, g, point, with_cables, braided=False):
+    def __init__(self, g, point, with_cables, braided=False, tol=1e-9):
         self.g = g
         self.point = _chart_point(point)
-        self.fpoly = fiber_polynomial(g, self.point)
-        self.rs = roots(self.fpoly)
-        self.min_sep = _pairwise_min_sep(self.rs)
-        self.rot = _projection(self.rs) if braided else None
-        self.fibers = [tuple(self.rs)]
-        self.steps_used = 0
         self.base = self.point
+        self.steps_used = 0
         self.bundle = None
         self.drift = 0.0
         self.upkeeps = 0
         if with_cables:
-            config = build_basis(tuple(self.rs), g)
-            polygons = [spec.vertices for spec in basis_contours(config)]
-            y0 = [_vertex_sqrt(self.fpoly, p[0]) for p in polygons]
-            margin = _MARGIN_FRAC * self.min_sep
-            bundle = _maintain_bundle(
-                _Bundle.of(polygons, y0), self.rs, margin, self.fpoly
+            base = _base_frame(g, self.point, tol)
+            self.fpoly, rs, self.min_sep = base.fpoly, base.rs, base.min_sep
+            b = base.bundle
+            self.bundle = _Bundle(
+                *(np.array(a) for a in (b.verts, b.starts, b.y_ref, b.windings))
             )
-            if bundle is None:
-                raise DegenerateInputError(
-                    "cannot realize a basis contour with a safety margin"
-                )
-            # orient the maintained polygons: the raw polygon of a thin
-            # pair loop can pass too close to a branch point to lift
-            polygons, y0 = zip(
-                *normalized_basis_contours(self.fpoly, bundle.cables())
-            )
-            bundle = _Bundle.of(polygons, y0)
-            bundle.windings = _winding_numbers(bundle.verts, bundle.starts, self.rs)
-            self.bundle = bundle
-            self.upkeep_margin = margin
+            self.f_rows = [_anchor_values(self.fpoly, self.bundle)]
+            self.upkeep_margin = base.margin
             self.upkeeps = 1
+        else:
+            self.fpoly = fiber_polynomial(g, self.point)
+            rs = roots(self.fpoly)
+            self.min_sep = _pairwise_min_sep(rs)
+        self.rs = list(rs)
+        self.rot = _projection(self.rs) if braided else None
+        self.fibers = [tuple(self.rs)]
 
     def _try_advance(self, target):
         fp_new = fiber_polynomial(self.g, target)
@@ -591,21 +664,17 @@ class _March:
         bundle = self.bundle
         drift = self.drift + disp
         if bundle is not None:
-            # Any cable that cannot be lifted or maintained rejects the
-            # attempt; windings are compared only once every cable is.
-            x0 = bundle.verts[bundle.starts].tolist()
-            f0 = np.array([complex(self.fpoly(x)) for x in x0])
-            f1 = np.array([complex(fp_new(x)) for x in x0])
-            y_new = _continue_sqrt(
-                (1.0 - _BLEND) * f0[:, None] + _BLEND * f1[:, None], bundle.y_ref
-            )
-            if y_new is None:
-                return False
-            bundle = _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings)
+            f_rows = self.f_rows + [_anchor_values(fp_new, bundle)]
             # Upkeep on demand (see the module docstring); a step onto the
             # base is always one, so the cables integrated there are kept up.
             due = _STEP_FRAC * min(self.upkeep_margin, margin)
             if drift >= due or tuple(target) == self.base:
+                # Any cable that cannot be lifted or maintained rejects the
+                # attempt; windings are compared only once every cable is.
+                y_new = _continue_sqrt(_blended_path(f_rows), bundle.y_ref)
+                if y_new is None:
+                    return False
+                bundle = _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings)
                 moved = _maintain_bundle(bundle, matched, margin, fp_new)
                 if moved is None:
                     return False
@@ -619,9 +688,11 @@ class _March:
                         arc=(self.point, tuple(target)),
                     )
                 bundle = moved
+                f_rows = [_anchor_values(fp_new, bundle)]
                 drift = 0.0
                 self.upkeep_margin = margin
                 self.upkeeps += 1
+            self.f_rows = f_rows
         self.point = tuple(target)
         self.fpoly = fp_new
         self.rs = matched
@@ -729,20 +800,16 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
     matrix are the images of (gamma_1..gamma_{g+1}, delta_1..delta_g).
     """
     g = loop.g
-    diffs = _differentials(g)
     path = loop.path_points()
-    state = _March(g, path[0], with_cables=True)
-    rs0 = tuple(state.rs)
-    base_poly = state.fpoly
-    frame = _period_rows(base_poly, state.bundle.cables(), diffs, tol)
-    condition = _frame_condition(frame)
+    base = _base_frame(g, path[0], tol)
+    state = _March(g, path[0], with_cables=True, tol=tol)
     for b in path[1:]:
         state.traverse(b)
-    rows = _period_rows(base_poly, state.bundle.cables(), diffs, tol)
-    m_row, residual = _integer_fit(frame, rows, tol)
+    rows = _period_rows(base.fpoly, state.bundle.cables(), _differentials(g), tol)
+    m_row, residual = _integer_fit(base.frame, rows, tol)
     if abs(int(round(float(np.linalg.det(m_row))))) != 1:
         raise QuadratureError("the transported lattice map is not unimodular")
-    perm = _closure_permutation(state, rs0)
+    perm = _closure_permutation(state, base.rs)
     matrix = tuple(tuple(int(v) for v in row) for row in m_row.T)
     _check_form(matrix, g)
     return MonodromyResult(
@@ -753,7 +820,7 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
         permutation=perm,
         orientation=loop.orientation,
         steps_used=state.steps_used,
-        condition=condition,
+        condition=base.condition,
     )
 
 
@@ -846,16 +913,14 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     word = _braid_word(march.fibers, march.rot)
     base_order = sorted(range(len(rs0)), key=lambda i: (rs0[i] * march.rot).real)
 
-    state = _March(g, loop.base, with_cables=True)
-    frame = _period_rows(state.fpoly, state.bundle.cables(), diffs, tol)
-    condition = _frame_condition(frame)
+    base = _base_frame(g, loop.base, tol)
     cycles = {}
     residual = 0.0
     for k in sorted({k for k, _ in word}):
         verts = pair_loop(rs0, base_order[k : k + 2]).vertices
-        y0 = _vertex_sqrt(state.fpoly, verts[0])
-        q = _period_rows(state.fpoly, [(verts, y0)], diffs, tol)
-        coords, fit_res = _integer_fit(frame, q, tol)
+        y0 = _vertex_sqrt(base.fpoly, verts[0])
+        q = _period_rows(base.fpoly, [(verts, y0)], diffs, tol)
+        coords, fit_res = _integer_fit(base.frame, q, tol)
         residual = max(residual, fit_res)
         cycles[k] = CycleClass.of(g, coords[0])
         if cycles[k].is_zero():
@@ -877,7 +942,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
         permutation=perm,
         orientation=loop.orientation,
         steps_used=march.steps_used,
-        condition=condition,
+        condition=base.condition,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from topmonodromy.cli import main
 from topmonodromy.topsys import TopState, first_integrals
+from topmonodromy.tracking import _base_frame
 
 CUSHMAN_ACTION_MATRIX = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
 KAPPA1_BLOCK = [[1, 0, 0], [-1, 1, 0], [1, 0, 1]]
@@ -82,6 +83,20 @@ class TestMonodromyCommand:
         main(["monodromy", "--g", "1", "--loop", "cushman"])
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
+
+    @pytest.mark.parametrize("route", ["periods", "local"])
+    def test_rerun_from_a_cold_and_a_warm_base_record_is_byte_identical(
+        self, capsys, route
+    ):
+        argv = ["monodromy", "--g", "2", "--loop", "kappa1", "--route", route]
+        _base_frame.cache_clear()
+        main(argv)
+        cold = capsys.readouterr().out
+        assert _base_frame.cache_info().currsize == 1
+        main(argv)
+        warm = capsys.readouterr().out
+        assert _base_frame.cache_info().hits >= 1
+        assert cold.encode() == warm.encode()
 
     def test_base_mismatch_fails(self, capsys):
         code, data = run_cli(

@@ -224,6 +224,8 @@ def test_root_rounding_at_the_kappa_base_does_not_flip_a_cable(monkeypatch, vari
     fv = complex(fpoly(complex(gamma2[0])))
     assert fv.real < 0.0 and abs(fv.imag) <= 1e-12 * abs(fv)  # a real tie
     monkeypatch.setattr(tracking, "roots", lambda p, **kw: list(varied))
+    # build the base record afresh from the varied roots, outside the cache
+    monkeypatch.setattr(tracking, "_base_frame", tracking._base_frame.__wrapped__)
     got = _March(2, KAPPA_BASE, with_cables=True).bundle
     assert np.array_equal(got.starts, base.starts)
     np.testing.assert_allclose(got.verts, base.verts, rtol=0.0, atol=1e-12)

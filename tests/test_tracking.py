@@ -9,7 +9,9 @@ import pytest
 from conftest import star_loop
 
 from topmonodromy.discriminant import quartic_poly, sextic_poly
+from topmonodromy import tracking
 from topmonodromy.errors import (
+    DegenerateInputError,
     NearDiscriminantError,
     QuadratureError,
     TrackingError,
@@ -19,6 +21,7 @@ from topmonodromy.homology import _intersection_matrix
 from topmonodromy.periods import _next_index, _segment_distances
 from topmonodromy.poly import discriminant, roots
 from topmonodromy.tracking import (
+    _BLEND,
     _EDGE_CLEAR,
     _KAPPA_BASE,
     _KAPPA_GEOMETRY,
@@ -26,7 +29,9 @@ from topmonodromy.tracking import (
     _STEP_FRAC,
     MonodromyResult,
     ParameterLoop,
+    _base_frame,
     _check_form,
+    _continue_sqrt,
     _March,
     _braid_word,
     _match_roots,
@@ -396,13 +401,50 @@ class TestTypedFailures:
         return state
 
     def test_a_small_step_is_lazy(self):
+        # a step short of an upkeep leaves the bundle, pinned roots
+        # included, as the last upkeep left it and records one row of f
         state = _March(1, self.BASE, with_cables=True)
-        bundle = state.bundle
+        bundle, rows = state.bundle, list(state.f_rows)
         assert state._try_advance(self.TARGET) is True
         assert state.upkeeps == 1
         assert 0.0 < state.drift < _STEP_FRAC * state.upkeep_margin
         assert state.bundle.verts is bundle.verts
-        assert state.bundle.y_ref.tolist() != bundle.y_ref.tolist()
+        assert state.bundle.y_ref is bundle.y_ref
+        assert len(state.f_rows) == len(rows) + 1 == 2
+        assert state.f_rows[0] is rows[0]
+        x0 = bundle.verts[bundle.starts].tolist()
+        fp = fiber_polynomial(1, self.TARGET)
+        assert state.f_rows[1].tolist() == [complex(fp(x)) for x in x0]
+
+    def test_an_ambiguous_recorded_path_rejects_the_upkeep(self):
+        # A recorded row whose blend from the row before jumps across the
+        # origin between two samples: the upkeep attempt is rejected and
+        # leaves the march as it was.
+        state = self._due(_March(1, self.BASE, with_cables=True))
+        f0 = state.f_rows[0]
+        bad = -1.2857 * cmath.exp(1e-3j) * f0  # blend crosses 0 at t = 0.4375
+        path = (1.0 - _BLEND) * f0[:, None] + _BLEND * bad[:, None]
+        assert _continue_sqrt(path, state.bundle.y_ref) is None
+        state.f_rows.append(bad)
+        rows, bundle, drift = list(state.f_rows), state.bundle, state.drift
+        y_ref, verts = bundle.y_ref.copy(), bundle.verts.copy()
+        assert state._try_advance(self.TARGET) is False
+        assert len(state.f_rows) == 2
+        assert all(a is b for a, b in zip(state.f_rows, rows))
+        assert state.bundle is bundle
+        assert bundle.y_ref.tobytes() == y_ref.tobytes()
+        assert bundle.verts.tobytes() == verts.tobytes()
+        assert (state.steps_used, state.upkeeps, state.point) == (0, 1, self.BASE)
+        assert state.drift == drift
+
+    def test_a_lift_that_stays_ambiguous_stalls_with_its_arc(self):
+        state = self._due(_March(1, self.BASE, with_cables=True))
+        state.f_rows.append(-1.2857 * cmath.exp(1e-3j) * state.f_rows[0])
+        with pytest.raises(TrackingError, match="root tracking stalled") as err:
+            state.traverse(self.TARGET)
+        assert err.value.arc == (self.BASE, self.TARGET)
+        assert err.value.parameter == 0.0
+        assert state.steps_used == 0
 
     def test_crossing_names_the_cable_and_the_target(self):
         state = self._due(_March(1, self.BASE, with_cables=True))
@@ -457,6 +499,16 @@ class TestTypedFailures:
         assert err.value.arc == (self.TARGET, self.BASE)
         assert state.steps_used == 1
 
+    def test_tampering_with_a_march_leaves_the_base_record_intact(self):
+        # the tests above tamper with marches from this base in place; the
+        # routes still read the pinned matrix off the record they share
+        state = _March(1, self.BASE, with_cables=True)
+        state.bundle.windings[1, 0] += 1
+        state.bundle.verts[state.bundle.starts[2] + 5] = state.rs[0]
+        state.bundle.y_ref *= -1.0
+        for route in (monodromy_periods, picard_lefschetz_route):
+            assert route(named_loop("cushman")).matrix == CUSHMAN_MATRIX
+
     def test_braided_step_whose_swaps_share_a_root_is_rejected(self):
         # Four real roots and a projection just off p = Im z: on a step into
         # complex a2 root 2 passes both roots 0 and 1, so the braided march
@@ -475,6 +527,58 @@ class TestTypedFailures:
         assert state.rs == rs
         assert state.steps_used == 0
         assert _March(1, point, with_cables=False)._try_advance(target) is True
+
+
+def _bits(res):
+    return (res.matrix, res.permutation, res.residual.hex(), res.steps_used,
+            res.condition.hex())
+
+
+class TestBaseRecord:
+    def test_cold_and_warm_records_give_identical_results(self):
+        for name in NAMED:
+            loop = named_loop(name)
+            for route in (monodromy_periods, picard_lefschetz_route):
+                _base_frame.cache_clear()
+                cold = route(loop)
+                assert _base_frame.cache_info().misses == 1
+                warm = route(loop)
+                assert _base_frame.cache_info().hits >= 1
+                assert _bits(cold) == _bits(warm), (name, route.__name__)
+
+    def test_the_record_is_read_only(self):
+        base = _base_frame(2, _KAPPA_BASE, 1e-9)
+        bundle = base.bundle
+        for arr in (base.frame, bundle.verts, bundle.starts, bundle.y_ref,
+                    bundle.windings):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+        state = _March(2, _KAPPA_BASE, with_cables=True)
+        assert state.bundle.verts.flags.writeable
+        assert not np.shares_memory(state.bundle.verts, bundle.verts)
+
+    def test_both_routes_orient_the_base_cables_once(self, monkeypatch):
+        calls = []
+        orient = tracking.normalized_basis_contours
+
+        def counted(f, cables):
+            calls.append(1)
+            return orient(f, cables)
+
+        monkeypatch.setattr(tracking, "normalized_basis_contours", counted)
+        _base_frame.cache_clear()
+        loop = named_loop("kappa1")
+        monodromy_periods(loop)
+        picard_lefschetz_route(loop)
+        assert len(calls) == 1
+
+    def test_a_base_that_cannot_be_realized_raises_every_time(self, monkeypatch):
+        monkeypatch.setattr(tracking, "_maintain_bundle", lambda *args: None)
+        _base_frame.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError, match="safety margin"):
+                monodromy_periods(named_loop("cushman"))
+        assert _base_frame.cache_info().currsize == 0
 
 
 def test_real_chart_points_stay_python_floats():
