@@ -15,21 +15,27 @@ orientation is measured on the polygons that are carried.
 The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
 array with a start offset, a pinned square root and a row of winding numbers
 per cable.  The cables are kept up on demand, as the skin of a Verlet
-neighbour list is.  The march adds each step's largest root move to a drift
-total; a step is an upkeep step when that total, this step included,
-reaches a third of the smaller of the last upkeep's margin m and this
-step's margin, and every step onto the base is one, so the loop's last step
-leaves the cables maintained where they are integrated.  Skipping is safe:
-after an upkeep every vertex lies at least m and every edge at least 0.95 m
-from every root, so roots that have drifted less than m/3 in all stay 0.62 m
-from every edge, and no root can reach a cable between upkeeps.  An upkeep
-makes one pass of each kind (push, clearance test, midpoint insertion,
-winding count) over all vertices at once and re-checks only what moved: its
-first round tests every vertex and edge, each later round only the
-midpoints the round before inserted and the edges at them.  That makes the
-decisions a full re-test would: the margin disks are disjoint, so a pushed
-vertex lands outside every disk; a vertex that was not pushed was outside
-already; and an edge found clear stays clear while its endpoints stay put.
+neighbour list is (L. Verlet, Phys. Rev. 159, 98 (1967)), and with a wide
+skin: the margin m (a quarter of the least root separation) sets which
+steps are accepted, while an upkeep keeps the cables a cable margin
+M = 1.5 m clear, and falls back to M = m where that cannot be done.  The
+march adds each step's largest root move to a drift total; a step is an
+upkeep step when that total, this step included, reaches
+(0.95 (M/m - 1) + 1/3) times the smaller of the last upkeep's margin m and
+this step's margin (0.81 for M = 1.5 m, a third for M = m), and every step
+onto the base is one, so the loop's last step leaves the cables maintained
+where they are integrated.  Skipping is safe: after an upkeep every vertex
+lies at least M and every edge at least 0.95 M from every root, so roots
+that have drifted less than that allowance stay (0.95 - 1/3) m = 0.62 m
+from every edge whatever M is, and no root can reach a cable between
+upkeeps.  An upkeep makes one pass of each kind (push, clearance test,
+midpoint insertion, winding count) over all vertices at once and re-checks
+only what moved: its first round tests every vertex and edge, each later
+round only the midpoints the round before inserted and the edges at them.
+That makes the decisions a full re-test would: the disks of radius M are
+disjoint and M <= min_sep / 2.15, so a pushed vertex lands outside every
+disk; a vertex that was not pushed was outside already; and an edge found
+clear stays clear while its endpoints stay put.
 
 The pinned square roots are continued at upkeeps too, over the recorded
 path.  A step that is not an upkeep step only records f at each cable's
@@ -116,6 +122,7 @@ from .poly import normalized_discriminant, real_root_count, roots
 
 _MARGIN_FRAC = 0.25  # margin = this fraction of the minimal root separation
 _STEP_FRAC = 1.0 / 3.0  # accept a step when roots move less than margin * this
+_BERTH = 1.5  # cables are kept up this * margin clear where they can be
 _PUSH_TARGET = 1.15  # vertices inside a margin disk are pushed to this * margin
 _EDGE_CLEAR = 0.95  # edges are refined below this * margin of clearance
 _SIMPLIFY_AT = 170  # polygons above this vertex count get re-simplified
@@ -422,8 +429,9 @@ def _maintain_bundle(bundle, rs, margin, fpoly):
 
     Only the first round tests every vertex and edge; a later round tests
     the midpoints the round before inserted and the two edges at each.  That
-    needs margin <= min_sep / 4: a pushed vertex then lands 1.15 margins from
-    its root and at least 2.85 from any other, outside every disk.
+    needs margin <= min_sep / (1 + _PUSH_TARGET): a pushed vertex then lands
+    _PUSH_TARGET margins from its root and at least min_sep - _PUSH_TARGET
+    margins >= one margin from any other, outside every disk.
     """
     verts = np.array(bundle.verts, dtype=complex)
     starts = bundle.starts
@@ -521,6 +529,25 @@ def _simplify_bundle(bundle, rs, margin):
     return _Bundle.of(polygons, bundle.y_ref, bundle.windings)
 
 
+def _allowance(berth):
+    """Root drift between upkeeps, in margins, that cables kept up berth
+    margins clear allow: the extra clearance of their edges plus the step
+    limit, so that roots keep (_EDGE_CLEAR - _STEP_FRAC) margins from every
+    edge whatever the berth."""
+    return _EDGE_CLEAR * (berth - 1.0) + _STEP_FRAC
+
+
+def _keep_up(bundle, rs, margin, fpoly):
+    """(bundle, berth): the cables maintained and simplified _BERTH margins
+    clear of rs, or one margin clear where that cannot be done; None when
+    neither can."""
+    for berth in (_BERTH, 1.0):
+        moved = _maintain_bundle(bundle, rs, berth * margin, fpoly)
+        if moved is not None:
+            return _simplify_bundle(moved, rs, berth * margin), berth
+    return None
+
+
 def _chart_point(point):
     """Chart coordinates as Python floats, complex only where not real."""
     return tuple(
@@ -535,9 +562,24 @@ class _BaseFrame(NamedTuple):
     rs: tuple
     min_sep: float
     margin: float
+    berth: float
     bundle: _Bundle
     frame: np.ndarray
     condition: float
+
+
+def _oriented_cables(fpoly, rs, polygons, margin):
+    """The basis polygons maintained at margin, then oriented."""
+    y0 = [_vertex_sqrt(fpoly, p[0]) for p in polygons]
+    bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, margin, fpoly)
+    if bundle is None:
+        raise DegenerateInputError(
+            "cannot realize a basis contour with a safety margin"
+        )
+    # orient the maintained polygons: the raw polygon of a thin pair loop
+    # can pass too close to a branch point to lift
+    polygons, y0 = zip(*normalized_basis_contours(fpoly, bundle.cables()))
+    return _Bundle.of(polygons, y0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -546,7 +588,9 @@ def _base_frame(g, base, tol):
 
     The basis polygons are maintained first and then oriented against the
     intersection form, so the orientation is measured on the polygons that
-    are carried; the frame holds their periods.  The record's arrays are
+    are carried; the frame holds their periods.  They are kept _BERTH
+    margins clear, or one margin clear (berth 1) where the wider build
+    cannot be maintained or oriented.  The record's arrays are
     read-only, since every caller shares them.  A base that cannot be
     realized raises, and raises again on every call, since exceptions are
     not cached.
@@ -557,22 +601,16 @@ def _base_frame(g, base, tol):
     min_sep = _pairwise_min_sep(rs)
     margin = _MARGIN_FRAC * min_sep
     polygons = [spec.vertices for spec in basis_contours(build_basis(rs, g))]
-    y0 = [_vertex_sqrt(fpoly, p[0]) for p in polygons]
-    bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, margin, fpoly)
-    if bundle is None:
-        raise DegenerateInputError(
-            "cannot realize a basis contour with a safety margin"
-        )
-    # orient the maintained polygons: the raw polygon of a thin pair loop
-    # can pass too close to a branch point to lift
-    polygons, y0 = zip(*normalized_basis_contours(fpoly, bundle.cables()))
-    bundle = _Bundle.of(polygons, y0)
+    try:
+        berth, bundle = _BERTH, _oriented_cables(fpoly, rs, polygons, _BERTH * margin)
+    except (DegenerateInputError, QuadratureError):
+        berth, bundle = 1.0, _oriented_cables(fpoly, rs, polygons, margin)
     bundle.windings = _winding_numbers(bundle.verts, bundle.starts, rs)
     frame = _period_rows(fpoly, bundle.cables(), _differentials(g), tol)
     condition = _frame_condition(frame)
     for arr in (bundle.verts, bundle.starts, bundle.y_ref, bundle.windings, frame):
         arr.flags.writeable = False
-    return _BaseFrame(fpoly, rs, min_sep, margin, bundle, frame, condition)
+    return _BaseFrame(fpoly, rs, min_sep, margin, berth, bundle, frame, condition)
 
 
 def _anchor_values(fpoly, bundle):
@@ -601,16 +639,17 @@ class _March:
     after s accepted steps.  A march with cables starts from writable copies
     of the base record's cables (_base_frame at tol).  Its drift is the root
     travel since the last upkeep (the sum of each step's largest root move),
-    upkeep_margin that upkeep's margin and upkeeps the number of upkeeps
-    made, the one at the base included.  A step runs the upkeep only when
-    drift, this step included, reaches _STEP_FRAC of the smaller of
-    upkeep_margin and its own margin, or when it lands on the base point;
-    other steps only append f at each cable's first vertex to f_rows, the
-    path since the last upkeep (whose own row comes first), and leave the
-    bundle, y_ref included, as that upkeep left it.  A braided march fixes
-    the projection rot of the base roots and also rejects a step in which
-    two swaps of projection neighbours share a root, so traverse bisects it
-    like any other step.
+    upkeep_margin that upkeep's margin m, berth the cable margin it kept, in
+    margins (_BERTH, or 1 where _keep_up fell back), and upkeeps the number
+    of upkeeps made, the one at the base included.  A step runs the upkeep
+    only when drift, this step included, reaches _allowance(berth) times
+    the smaller of upkeep_margin and its own margin, or when it lands on the
+    base point; other steps only append f at each cable's first vertex to
+    f_rows, the path since the last upkeep (whose own row comes first), and
+    leave the bundle, y_ref included, as that upkeep left it.  A braided
+    march fixes the projection rot of the base roots and also rejects a step
+    in which two swaps of projection neighbours share a root, so traverse
+    bisects it like any other step.
     """
 
     def __init__(self, g, point, with_cables, braided=False, tol=1e-9):
@@ -629,7 +668,7 @@ class _March:
                 *(np.array(a) for a in (b.verts, b.starts, b.y_ref, b.windings))
             )
             self.f_rows = [_anchor_values(self.fpoly, self.bundle)]
-            self.upkeep_margin = base.margin
+            self.upkeep_margin, self.berth = base.margin, base.berth
             self.upkeeps = 1
         else:
             self.fpoly = fiber_polynomial(g, self.point)
@@ -667,7 +706,7 @@ class _March:
             f_rows = self.f_rows + [_anchor_values(fp_new, bundle)]
             # Upkeep on demand (see the module docstring); a step onto the
             # base is always one, so the cables integrated there are kept up.
-            due = _STEP_FRAC * min(self.upkeep_margin, margin)
+            due = _allowance(self.berth) * min(self.upkeep_margin, margin)
             if drift >= due or tuple(target) == self.base:
                 # Any cable that cannot be lifted or maintained rejects the
                 # attempt; windings are compared only once every cable is.
@@ -675,10 +714,10 @@ class _March:
                 if y_new is None:
                     return False
                 bundle = _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings)
-                moved = _maintain_bundle(bundle, matched, margin, fp_new)
-                if moved is None:
+                kept = _keep_up(bundle, matched, margin, fp_new)
+                if kept is None:
                     return False
-                moved = _simplify_bundle(moved, matched, margin)
+                moved, berth = kept
                 windings = _winding_numbers(moved.verts, moved.starts, matched)
                 crossed = np.flatnonzero(np.any(windings != bundle.windings, axis=1))
                 if len(crossed):
@@ -690,7 +729,7 @@ class _March:
                 bundle = moved
                 f_rows = [_anchor_values(fp_new, bundle)]
                 drift = 0.0
-                self.upkeep_margin = margin
+                self.upkeep_margin, self.berth = margin, berth
                 self.upkeeps += 1
             self.f_rows = f_rows
         self.point = tuple(target)

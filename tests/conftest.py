@@ -137,6 +137,18 @@ def on_ellipse(e, t):
     return e.center + e.axis * (e.semi_major * np.cos(t) + 1j * e.semi_minor * np.sin(t))
 
 
+# Cable upkeeps of the periods route on the named loops by orientation, the
+# one at the base included: one per 0.81 margins of root drift, since the
+# cables are kept 1.5 margins clear.  A change to the step control or the
+# upkeep schedule that moves these changes the work done per loop.
+UPKEEPS = {
+    ("cushman", 1): 13, ("cushman", -1): 13,
+    ("kappa1", 1): 17, ("kappa1", -1): 18,
+    ("kappa2", 1): 17, ("kappa2", -1): 18,
+    ("kappa3", 1): 26, ("kappa3", -1): 25,
+}
+
+
 # (fixed coordinates) -> chart point of a complex line, and its real base
 LINE_BASE = {1: 3.0, 2: 0.0}
 

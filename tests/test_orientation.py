@@ -28,6 +28,7 @@ from topmonodromy.periods import (
 )
 from topmonodromy.poly import ComplexPoly, real_root_count
 from topmonodromy.tracking import (
+    _BERTH,
     _MARGIN_FRAC,
     _Bundle,
     _maintain_bundle,
@@ -35,6 +36,9 @@ from topmonodromy.tracking import (
     _pairwise_min_sep,
     _winding_numbers,
     fiber_polynomial,
+    monodromy_periods,
+    parameter_loop,
+    picard_lefschetz_route,
 )
 
 KAPPA_BASE = (0.0, 0.5, 0.0)
@@ -102,8 +106,9 @@ def _ellipse_intersection_ref(fpoly, spec_a, spec_b):
     return total
 
 
-def _bundle_ref(g, point):
-    """(signs, bundle) of the former pass: orient ellipses, then polygonize."""
+def _bundle_ref(g, point, berths=(_BERTH, 1.0)):
+    """(signs, bundle) of the former pass: orient ellipses, then polygonize
+    and maintain at the first of berths * margin that can be maintained."""
     fpoly = fiber_polynomial(g, point)
     rs = tracking.roots(fpoly)
     specs = basis_ellipses_ref(build_basis(tuple(rs), g))
@@ -122,8 +127,11 @@ def _bundle_ref(g, point):
         polygons.append(verts if e == 1 else [verts[0]] + verts[1:][::-1])
     y0 = [complex(np.sqrt(fpoly(p[0]))) for p in polygons]
     margin = _MARGIN_FRAC * _pairwise_min_sep(rs)
-    bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, margin, fpoly)
-    if bundle is None:
+    for berth in berths:
+        bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, berth * margin, fpoly)
+        if bundle is not None:
+            break
+    else:
         raise DegenerateInputError("cannot realize a basis contour")
     bundle.windings = _winding_numbers(bundle.verts, bundle.starts, rs)
     return eps, bundle
@@ -184,6 +192,33 @@ def test_thin_ellipse_base_is_oriented_on_the_maintained_polygon():
     eps, ref = _bundle_ref(1, THIN_BASE)
     assert eps == [1, -1, -1]
     assert bundle.verts.tobytes() == ref.verts.tobytes()
+
+
+def test_thin_ellipse_base_falls_back_to_the_one_margin_build():
+    # The thin delta polygon cannot be kept _BERTH margins clear, so the
+    # base keeps its cables one margin clear: byte for byte the build that
+    # maintains at one margin alone, whose drift allowance is a third of a
+    # margin.
+    with pytest.raises(DegenerateInputError):
+        _bundle_ref(1, THIN_BASE, berths=(_BERTH,))
+    base = tracking._base_frame(1, THIN_BASE, 1e-9)
+    assert base.berth == 1.0
+    assert tracking._allowance(base.berth) == tracking._STEP_FRAC
+    _, ref = _bundle_ref(1, THIN_BASE, berths=(1.0,))
+    got = _March(1, THIN_BASE, with_cables=True)
+    assert (got.berth, got.upkeep_margin) == (1.0, base.margin)
+    for name in ("verts", "starts", "y_ref", "windings"):
+        assert getattr(got.bundle, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_a_loop_from_the_thin_ellipse_base_is_the_identity_by_both_routes():
+    # the loop of the console-script smoke test, which runs the fallback
+    # through the installed entry point
+    a1, a2, a3 = THIN_BASE
+    corners = [(0.1857207135624321, a2, a3), (a1, 2.410726848175201, a3)]
+    loop = parameter_loop(1, [THIN_BASE, *corners, THIN_BASE])
+    for route in (monodromy_periods, picard_lefschetz_route):
+        assert route(loop).matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import star_loop
+from conftest import UPKEEPS, star_loop
 
 from topmonodromy.discriminant import quartic_poly, sextic_poly
 from topmonodromy import tracking
@@ -21,6 +21,7 @@ from topmonodromy.homology import _intersection_matrix
 from topmonodromy.periods import _next_index, _segment_distances
 from topmonodromy.poly import discriminant, roots
 from topmonodromy.tracking import (
+    _BERTH,
     _BLEND,
     _EDGE_CLEAR,
     _KAPPA_BASE,
@@ -29,6 +30,7 @@ from topmonodromy.tracking import (
     _STEP_FRAC,
     MonodromyResult,
     ParameterLoop,
+    _allowance,
     _base_frame,
     _check_form,
     _continue_sqrt,
@@ -60,14 +62,6 @@ NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
 # Accepted march steps; a change to the step control or the cable upkeep that
 # moves these changes the work done per loop and must say why.
 PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
-# Cable upkeeps of the periods route by orientation, the one at the base
-# included; every step used to be one (steps + 1).
-UPKEEPS = {
-    ("cushman", 1): 28, ("cushman", -1): 28,
-    ("kappa1", 1): 33, ("kappa1", -1): 34,
-    ("kappa2", 1): 33, ("kappa2", -1): 34,
-    ("kappa3", 1): 51, ("kappa3", -1): 51,
-}
 # The local route marches the roots alone, as the periods route does, plus
 # the steps that split a march step holding two crossings with a common root.
 LOCAL_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 120}
@@ -321,10 +315,12 @@ class TestNamedLoopInvariants:
             bundle, margin = state.bundle, state.upkeep_margin
             base = np.array(state.fibers[0])
             assert margin <= _MARGIN_FRAC * _pairwise_min_sep(state.rs), key
-            assert np.abs(bundle.verts[:, None] - base).min() >= margin, key
+            assert state.berth == _BERTH, key
+            cable_margin = _BERTH * margin
+            assert np.abs(bundle.verts[:, None] - base).min() >= cable_margin, key
             ends = bundle.verts[_next_index(bundle.starts, len(bundle.verts))]
             edges = _segment_distances(bundle.verts, ends, base)
-            assert edges.min() >= _EDGE_CLEAR * margin, key
+            assert edges.min() >= _EDGE_CLEAR * cable_margin, key
 
     def test_intersection_form_preserved(
         self, cushman_result, kappa_results, local_results
@@ -471,18 +467,73 @@ class TestTypedFailures:
         assert state.steps_used == 0
         assert state.point == self.BASE
 
+    @staticmethod
+    def _lazy_steps(state, targets, allowance):
+        """How many of the steps to targets a march with cables, standing
+        where state stands, takes before one falls due under the given
+        allowance; a plain march accepts the same steps and meets the same
+        roots."""
+        plain = _March(state.g, state.point, with_cables=False)
+        drift = state.drift
+        for lazy, target in enumerate(targets):
+            assert plain._try_advance(target) is True
+            a, b = plain.fibers[-2:]
+            drift += max(abs(x - y) for x, y in zip(a, b))
+            m = _MARGIN_FRAC * min(_pairwise_min_sep(a), _pairwise_min_sep(b))
+            if drift >= allowance * min(state.upkeep_margin, m):
+                return lazy
+        raise AssertionError("no step falls due")
+
     def test_tampered_windings_raise_at_the_step_whose_drift_is_due(self):
         # lazy steps compare no windings; the first step that takes the
-        # drift to a third of a margin is an upkeep step, and raises
+        # drift to the allowance of the base's berth is an upkeep step, and
+        # raises
         state = _March(1, self.BASE, with_cables=True)
         state.bundle.windings[2, 1] -= 1
         targets = [(0.0, 1.0 + 0.02 * k, 0.0) for k in range(1, 40)]
+        assert state.berth == _BERTH
+        lazy = self._lazy_steps(state, targets, _allowance(_BERTH))
+        assert lazy >= 2
         with pytest.raises(TrackingError, match="cable 2 on the step to") as err:
             for target in targets:
                 assert state._try_advance(target) is True
-        assert state.steps_used >= 2 and state.upkeeps == 1
-        assert err.value.arc == (state.point, targets[state.steps_used])
-        assert 0.0 < state.drift < _STEP_FRAC * state.upkeep_margin
+        assert state.steps_used == lazy and state.upkeeps == 1
+        assert err.value.arc == (state.point, targets[lazy])
+        assert 0.0 < state.drift < _allowance(_BERTH) * state.upkeep_margin
+
+    def test_a_failed_wide_upkeep_falls_back_to_one_margin(self, monkeypatch):
+        # A maintain asked for more than one margin at the new roots fails:
+        # the step is still accepted, with the cables one margin clear, and
+        # the next upkeep falls due under the former allowance, a third of a
+        # margin, not under the wide berth's.
+        maintain, asked = tracking._maintain_bundle, []
+
+        def narrow_only(bundle, rs, margin, fpoly):
+            asked.append(margin)
+            if margin > _MARGIN_FRAC * _pairwise_min_sep(rs):
+                return None
+            return maintain(bundle, rs, margin, fpoly)
+
+        monkeypatch.setattr(tracking, "_maintain_bundle", narrow_only)
+        state = self._due(_March(1, self.BASE, with_cables=True))
+        assert state._try_advance(self.TARGET) is True
+        assert (state.steps_used, state.upkeeps, state.drift) == (1, 2, 0.0)
+        margin = state.upkeep_margin
+        assert state.berth == 1.0 and asked == [_BERTH * margin, margin]
+        rs, bundle = np.array(state.rs), state.bundle
+        assert np.abs(bundle.verts[:, None] - rs).min() >= margin
+        ends = bundle.verts[_next_index(bundle.starts, len(bundle.verts))]
+        assert _segment_distances(bundle.verts, ends, rs).min() >= _EDGE_CLEAR * margin
+
+        assert _allowance(1.0) == _STEP_FRAC
+        targets = [(0.0, 1.01 + 0.02 * k, 0.0) for k in range(1, 40)]
+        lazy = self._lazy_steps(state, targets, _STEP_FRAC)
+        assert 2 <= lazy < self._lazy_steps(state, targets, _allowance(_BERTH))
+        for target in targets[:lazy]:
+            assert state._try_advance(target) is True
+        assert state.upkeeps == 2
+        assert state._try_advance(targets[lazy]) is True
+        assert state.upkeeps == 3 and state.drift == 0.0
 
     def test_tampered_windings_raise_on_the_step_onto_the_base(self):
         # the step back onto the base is an upkeep step however small
