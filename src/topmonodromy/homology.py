@@ -119,12 +119,30 @@ def _cuts_disjoint(roots, pairs, margin):
     return True
 
 
+def _chords_clear(roots, pairing, margin):
+    """Whether the gamma and delta chords of an ordered pairing keep more
+    than margin from each branch point off their ends and from each chord
+    they share no end with.  Branch points enter as chords (k, k)."""
+    chords = list(pairing) + [
+        (pairing[j][1], pairing[j + 1][0]) for j in range(len(pairing) - 1)
+    ]
+    segments = chords + [(k, k) for k in range(len(roots))]
+    return all(
+        _segment_distance(roots[a], roots[b], roots[c], roots[d]) > margin
+        for (a, b), (c, d) in combinations(segments, 2)
+        if not {a, b} & {c, d}
+    )
+
+
 def build_basis(roots, g, tol=1e-9) -> BranchConfig:
     """Canonical disjoint-cut pairing of 2g+2 labeled branch points.
 
     Conjugate pairs ordered by real part when they exist and give disjoint
-    vertical cuts; otherwise the shortest disjoint-cut matching.  Real roots
-    force a lexicographic consecutive pairing with the fallback flag set.
+    vertical cuts; otherwise the shortest disjoint-cut matching, preferring
+    those whose gamma and delta chords all keep a margin from the other
+    branch points and from each other (a chord that another one crosses
+    breaks the canonical intersection form).  Real roots force a
+    lexicographic consecutive pairing with the fallback flag set.
     """
     pts = tuple(complex(r) for r in roots)
     if len(pts) != 2 * g + 2:
@@ -169,12 +187,16 @@ def build_basis(roots, g, tol=1e-9) -> BranchConfig:
                 conjugate=True,
                 fallback=False,
             )
-    # nested or skew configurations: shortest disjoint-cut matching
+    # nested or skew configurations: shortest disjoint-cut matching, among
+    # those whose chords, the delta ones included, keep clear of the other
+    # branch points and chords when there are any
     order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
+    disjoint = [
+        m for m in _all_matchings(tuple(order)) if _cuts_disjoint(pts, m, margin)
+    ]
+    clear = [m for m in disjoint if _chords_clear(pts, _order_pairing(pts, m), margin)]
     best_pairs, best_len = None, math.inf
-    for matching in _all_matchings(tuple(order)):
-        if not _cuts_disjoint(pts, matching, margin):
-            continue
+    for matching in clear or disjoint:
         total = sum(abs(pts[i] - pts[k]) for i, k in matching)
         if total < best_len - 1e-12 * scale:
             best_pairs, best_len = matching, total

@@ -14,11 +14,11 @@ which behaves like +x^{g+1} at large positive real x; because the branch is
 evaluated pointwise, homotopic contours always integrate on the same sheet.
 The action and the residue check anchor y = +sqrt(f) where the contour
 crosses the real axis right of the branch points it encloses (f > 0 there),
-which normalizes the vanishing cycle the same way at every cut.  Polygons
-carried by the monodromy tracker ("cables") integrate on the sheet of a
-square root pinned at their first vertex, and the basis cables are oriented
-on those same polygons: normalized_basis_contours counts their signed
-same-sheet crossings and reverses each cable whose sign is -1.  The
+which normalizes the vanishing cycle the same way at every cut.  The
+monodromy tracker's basis polygons integrate on the sheet of a square root
+pinned at their first vertex, and are oriented on those same polygons:
+normalized_basis_contours counts their signed same-sheet crossings and
+reverses each polygon whose sign is -1.  The
 action's vanishing cycle is read off the base roots, with no root
 continuation: the conjugate pair on the real touch point's side of the
 unit circle, or on the plane a1 = a3 (where roots sit on that circle) the
@@ -326,7 +326,7 @@ def _real_axis_anchor(x, fv):
     return j, np.sqrt(fv[j])
 
 
-_HOLOMORPHIC = {"dx/y": 0, "x dx/y": 1, "x^2 dx/y": 2, "x^3 dx/y": 3}
+_HOLOMORPHIC = {"dx/y": 0, "x dx/y": 1, "x^2 dx/y": 2, "x^3 dx/y": 3, "x^4 dx/y": 4}
 
 
 def _integrand_values(differential, x, y):
@@ -422,7 +422,7 @@ def basis_contours(config: BranchConfig):
 
 
 def _vertex_sqrt(fpoly, x):
-    """Square root of f pinned at a cable's first vertex x.
+    """Square root of f pinned at a polygon's first vertex x.
 
     The principal root, except where f(x) lies on the negative real axis up
     to rounding (as at conjugate-symmetric fibers): there the principal
@@ -462,19 +462,20 @@ def _lift_at(fpoly, verts, y_ref, u):
     raise QuadratureError("ambiguous lift while locating a crossing")
 
 
-def realized_intersection(f, cable_a, cable_b) -> int:
+def realized_intersection(f, poly_a, poly_b) -> int:
     """Signed same-sheet crossing count of two closed polygons.
 
-    A cable is (vertices, y_ref): the vertex order carries the orientation
-    and y_ref is the square root at vertices[0].  Two edges cross when each
-    one's endpoints lie strictly on opposite sides of the other's line; a
-    vertex on the other polygon, or an overlap of collinear edges, raises
-    QuadratureError.  A crossing counts, with sign +1 when (edge of a, edge
-    of b) is a positive frame, when the lifts of both cables, each continued
-    from its own y_ref along its own edges, land on the same sheet there.
+    A pinned polygon is (vertices, y_ref): the vertex order carries the
+    orientation and y_ref is the square root at vertices[0].  Two edges
+    cross when each one's endpoints lie strictly on opposite sides of the
+    other's line; a vertex on the other polygon, or an overlap of collinear
+    edges, raises QuadratureError.  A crossing counts, with sign +1 when
+    (edge of a, edge of b) is a positive frame, when the lifts of both
+    polygons, each continued from its own y_ref along its own edges, land
+    on the same sheet there.
     """
     fpoly = _as_poly(f)
-    a, b = (np.asarray(c[0], dtype=complex) for c in (cable_a, cable_b))
+    a, b = (np.asarray(c[0], dtype=complex) for c in (poly_a, poly_b))
     sa = _sides(a, b)  # [i, j]: vertex i of a against edge j of b
     sb = _sides(b, a).T  # [i, j]: vertex j of b against edge i of a
     ca = np.sign(sa) * np.sign(np.roll(sa, -1, axis=0))
@@ -493,32 +494,33 @@ def realized_intersection(f, cable_a, cable_b) -> int:
         return 0
     s = sa[ei, ej] / (sa[ei, ej] - sa[(ei + 1) % len(a), ej])
     t = sb[ei, ej] / (sb[ei, ej] - sb[ei, (ej + 1) % len(b)])
-    ya = _lift_at(fpoly, a, complex(cable_a[1]), ei + s)
-    yb = _lift_at(fpoly, b, complex(cable_b[1]), ej + t)
+    ya = _lift_at(fpoly, a, complex(poly_a[1]), ei + s)
+    yb = _lift_at(fpoly, b, complex(poly_b[1]), ej + t)
     da, db = (np.roll(a, -1) - a)[ei], (np.roll(b, -1) - b)[ej]
     turn = np.where(da.real * db.imag - da.imag * db.real > 0.0, 1, -1)
     return int(np.sum(turn[np.abs(ya - yb) < np.abs(ya + yb)]))
 
 
-def normalized_basis_contours(f, cables):
-    """Basis cables with orientations fixed against the intersection form.
+def normalized_basis_contours(f, polygons):
+    """Basis polygons with orientations fixed against the intersection form.
 
-    cables are the (vertices, y_ref) polygons of (gamma_1..gamma_{g+1},
-    delta_1..delta_g).  Crossing numbers measured along the chain gamma_1,
-    delta_1, ..., delta_g, gamma_{g+1} give each cable the sign that makes
-    <gamma_j, delta_j> and <gamma_{j+1}, delta_j> canonical; a cable whose
-    sign is -1 comes back with every vertex but vertex 0 reversed, so its
-    y_ref still holds.  The global sign cannot affect a monodromy matrix.
+    polygons are the pinned (vertices, y_ref) polygons of
+    (gamma_1..gamma_{g+1}, delta_1..delta_g).  Crossing numbers measured
+    along the chain gamma_1, delta_1, ..., delta_g, gamma_{g+1} give each
+    polygon the sign that makes <gamma_j, delta_j> and <gamma_{j+1},
+    delta_j> canonical; a polygon whose sign is -1 comes back with every
+    vertex but vertex 0 reversed, so its y_ref still holds.  The global sign
+    cannot affect a monodromy matrix.
     """
     fpoly = _as_poly(f)
-    cables = [(np.asarray(v, dtype=complex), complex(y)) for v, y in cables]
-    g = (len(cables) - 1) // 2
+    polygons = [(np.asarray(v, dtype=complex), complex(y)) for v, y in polygons]
+    g = (len(polygons) - 1) // 2
     eps = [0] * (2 * g + 1)
     eps[0] = 1
     for j in range(1, g + 1):
         gi, di = j - 1, g + j
-        s = realized_intersection(fpoly, cables[gi], cables[di])
-        s2 = realized_intersection(fpoly, cables[j], cables[di])
+        s = realized_intersection(fpoly, polygons[gi], polygons[di])
+        s2 = realized_intersection(fpoly, polygons[j], polygons[di])
         if abs(s) != 1 or abs(s2) != 1:
             raise QuadratureError(
                 f"unexpected crossing counts {s}, {s2} between basis contours"
@@ -527,7 +529,7 @@ def normalized_basis_contours(f, cables):
         eps[j] = _GAMMA_DELTA_NEXT * eps[di] * s2
     return [
         (v if e == 1 else np.concatenate((v[:1], v[:0:-1])), y)
-        for (v, y), e in zip(cables, eps)
+        for (v, y), e in zip(polygons, eps)
     ]
 
 

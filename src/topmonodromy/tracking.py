@@ -1,68 +1,38 @@
 """Numerical monodromy of the period lattice along loops in parameter space.
 
 A loop in the reduced coefficient chart is traversed by continuing the
-branch points (adaptive-bisection root tracking) while the canonical basis
-contours are carried along as polygons.  Each polygon keeps a guaranteed
-margin from every branch point: vertices inside a margin disk are pushed
-radially outward, crowded edges gain midpoints, and straight stretches are
-re-simplified, so the transported polygon never changes homology class.  A
-reference square root pinned at each polygon's first vertex is continued in
-both the fiber and the position, which fixes the transported cycle's sheet.
-At the base the basis polygons are maintained first and then oriented
-against the intersection form (periods.normalized_basis_contours), so the
-orientation is measured on the polygons that are carried.
+branch points (adaptive-bisection root tracking), and the periods ride
+along on the Gauss-Manin connection: no contour leaves the base fiber.
+At the base the canonical basis polygons, each with a square root pinned
+at its first vertex, are oriented against the intersection form
+(periods.normalized_basis_contours) and integrated once, on edges
+bisected where they pass close to a root, giving Pi0[k, c], the period
+of x^k dx/y over cycle c for k = 0..2g.  Those forms span the first
+cohomology of the affine curve, so Pi is a fundamental solution of a
+linear ODE in the chart.  The chart is affine,
+with df/da_j = x^{e_j} (e = (3, 2, 1) for g = 1 and (5, 4, 3) for g = 2),
+so d/da_j of the period of x^k dx/y is -1/2 that of x^{k+e_j} dx/y^3.
+Writing x^m = A f + B f' (a Sylvester system of size 4g + 3, singular
+only on the discriminant) gives x^m dx/y^3 = (A + 2B') dx/y - 2 d(B/y),
+with A + 2B' of degree at most 2g.  Along a march step p -> q, then,
+dPi/ds = Omega(s) Pi with Omega = -1/2 sum_j (q - p)_j R_j, where row k
+of R_j holds the coefficients of A + 2B' for m = k + e_j (Griffiths,
+Ann. of Math. 90, 1969).  Each accepted step is one step of 6-stage
+Gauss-Legendre collocation (order 12), solved for blocks of 8 steps at
+once.  The march's own steps suffice, with no error control: an accepted
+step moves every root by less than min_sep / 12, and Omega is singular
+only where two roots collide, so its nearest singularity lies several
+step lengths away.
 
-The 2g+1 polygons ("cables") travel as one bundle: a single complex vertex
-array with a start offset, a pinned square root and a row of winding numbers
-per cable.  The cables are kept up on demand, as the skin of a Verlet
-neighbour list is (L. Verlet, Phys. Rev. 159, 98 (1967)), and with a wide
-skin: the margin m (a quarter of the least root separation) sets which
-steps are accepted, while an upkeep keeps the cables a cable margin
-M = 1.5 m clear, and falls back to M = m where that cannot be done.  The
-march adds each step's largest root move to a drift total; a step is an
-upkeep step when that total, this step included, reaches
-(0.95 (M/m - 1) + 1/3) times the smaller of the last upkeep's margin m and
-this step's margin (0.81 for M = 1.5 m, a third for M = m), and every step
-onto the base is one, so the loop's last step leaves the cables maintained
-where they are integrated.  Skipping is safe: after an upkeep every vertex
-lies at least M and every edge at least 0.95 M from every root, so roots
-that have drifted less than that allowance stay (0.95 - 1/3) m = 0.62 m
-from every edge whatever M is, and no root can reach a cable between
-upkeeps.  An upkeep makes one pass of each kind (push, clearance test,
-midpoint insertion, winding count) over all vertices at once and re-checks
-only what moved: its first round tests every vertex and edge, each later
-round only the midpoints the round before inserted and the edges at them.
-That makes the decisions a full re-test would: the disks of radius M are
-disjoint and M <= min_sep / 2.15, so a pushed vertex lands outside every
-disk; a vertex that was not pushed was outside already; and an edge found
-clear stays clear while its endpoints stay put.
+The transported periods of x^k dx/y, k = 0..g (a rank 2g+1 real frame,
+since x^g dx/y keeps a residue at the two punctures over infinity), are
+expressed over the base frame by a least-squares fit whose entries must
+round to integers.  The reported residual is the distance of that fit
+from the integer lattice.  Every loop from a base point is read over the
+same lattice, so the base fiber's periods and frame are built once per
+(genus, base point, tol) and kept, read-only, for both routes.
 
-The pinned square roots are continued at upkeeps too, over the recorded
-path.  A step that is not an upkeep step only records f at each cable's
-first vertex; an upkeep step lifts each pinned root, from the value the
-last upkeep left, over the blended samples of every step since.  The same
-argument keeps that safe: first vertices do not move between upkeeps and
-stay at least 2m/3 from every root, so f keeps clear of zero along the
-recorded path.  Consecutive blends share their joint sample exactly, so
-the lift ends on the value that continuing step by step would give.  An
-attempt is rejected, and the step bisected, when any cable cannot be lifted
-or maintained; a stalled bisection (a lift that stays ambiguous included,
-never a wrong sheet), or a winding number that changed by the next upkeep,
-raises TrackingError with the stretch of the loop where it happened.
-
-No integration happens at intermediate fibers.  The periods of the carried
-differentials x^k dx/y, k = 0..g (a rank 2g+1 real frame, since x^g dx/y
-keeps a residue at the two punctures over infinity) are computed only at the
-base fiber, before and after the circuit; the transported cycles are then
-expressed over the starting frame by a least-squares fit whose entries must
-round to integers.  The reported residual is the distance of that fit from
-the integer lattice, so it reflects quadrature noise only.
-Every loop from a base point is read over the same lattice, so the base
-fiber's maintained and oriented cables and its period frame are built once
-per (genus, base point, tol) and kept, read-only, for both routes; a march
-starts from private copies of those cables.
-
-The second route (picard_lefschetz_route) carries no contour.  It marches
+The second route (picard_lefschetz_route) carries no periods.  It marches
 the branch points alone and reads off the braid they make: ordered by a
 projection p(z) = Re(exp(-i theta) z), with theta taken from the base roots,
 each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  Its march
@@ -84,14 +54,13 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .discriminant import g2_branch, quartic_poly, sextic_poly
 from .errors import (
-    DegenerateInputError,
     NearDiscriminantError,
     QuadratureError,
     RootFindingError,
@@ -106,13 +75,9 @@ from .homology import (
     picard_lefschetz,
 )
 from .periods import (
-    _AMBIGUITY_LIMIT,
     _HOLOMORPHIC,
-    _lift_open,
-    _next_index,
     _segment_distances,
     _vertex_sqrt,
-    _winding_numbers,
     basis_contours,
     normalized_basis_contours,
     pair_loop,
@@ -122,16 +87,15 @@ from .poly import normalized_discriminant, real_root_count, roots
 
 _MARGIN_FRAC = 0.25  # margin = this fraction of the minimal root separation
 _STEP_FRAC = 1.0 / 3.0  # accept a step when roots move less than margin * this
-_BERTH = 1.5  # cables are kept up this * margin clear where they can be
-_PUSH_TARGET = 1.15  # vertices inside a margin disk are pushed to this * margin
-_EDGE_CLEAR = 0.95  # edges are refined below this * margin of clearance
-_SIMPLIFY_AT = 170  # polygons above this vertex count get re-simplified
 _MAX_DEPTH = 24  # dyadic subdivision limit per marched segment
 _SEP_FLOOR = 1e-6  # relative root-separation floor before giving up
 _WAYPOINT_DISC_FLOOR = 1e-8
 _COND_LIMIT = 1e8
 _FIT_LIMIT = 1e3  # reject an integer fit whose residual exceeds this * tol
-_BLEND = np.linspace(0.0, 1.0, 9)  # sqrt continuation samples along a step
+_EDGE_RATIO = 4.0  # integrated edges are at most this * their root distance long
+_GL_STAGES = 6  # Gauss-Legendre collocation stages per march step (order 12)
+_GL_BLOCK = 8  # march steps whose transfer matrices are solved at once
+_CHARTS = {1: quartic_poly, 2: sextic_poly}  # the reduced chart of each genus
 
 
 def fiber_polynomial(g, point):
@@ -141,11 +105,9 @@ def fiber_polynomial(g, point):
     uses (a, b, c) -> (x^2+1)^3 + x^3 (a x^2 + b x + c); both charts are
     affine in the parameters, so fibers blend linearly along segments.
     """
-    if g == 1:
-        return quartic_poly(point)
-    if g == 2:
-        return sextic_poly(point)
-    raise ValidationError("parameter loops are supported for genus 1 and 2")
+    if g not in _CHARTS:
+        raise ValidationError("parameter loops are supported for genus 1 and 2")
+    return _CHARTS[g](point)
 
 
 @dataclass(frozen=True)
@@ -330,8 +292,9 @@ class MonodromyResult:
         )
 
 
-def _differentials(g):
-    diffs = [d for d, k in _HOLOMORPHIC.items() if k <= g]
+def _differentials(top):
+    """Names of x^k dx/y for k = 0..top, in order of k."""
+    diffs = [d for d, k in _HOLOMORPHIC.items() if k <= top]
     diffs.sort(key=lambda d: _HOLOMORPHIC[d])
     return tuple(diffs)
 
@@ -366,188 +329,6 @@ def _match_roots(old, new):
     return perm, worst
 
 
-class _Bundle:
-    """All transported polygons in one complex vertex array.
-
-    Cable c owns verts[starts[c]:starts[c + 1]] (the last cable runs to the
-    end of the array); y_ref[c] is the square root pinned at its first
-    vertex and windings[c] its turn count around each branch point.
-    """
-
-    __slots__ = ("verts", "starts", "y_ref", "windings")
-
-    def __init__(self, verts, starts, y_ref, windings=None):
-        self.verts = verts
-        self.starts = starts
-        self.y_ref = y_ref
-        self.windings = windings
-
-    @classmethod
-    def of(cls, polygons, y_ref, windings=None):
-        """Bundle of the given vertex sequences, in order."""
-        lengths = [len(p) for p in polygons]
-        starts = np.concatenate(([0], np.cumsum(lengths[:-1]))).astype(np.intp)
-        verts = np.concatenate([np.asarray(p, dtype=complex) for p in polygons])
-        return cls(verts, starts, np.array(y_ref, dtype=complex), windings)
-
-    def cables(self):
-        """(vertex slice, y_ref) for each cable."""
-        ends = np.append(self.starts[1:], len(self.verts))
-        return [
-            (self.verts[a:b], complex(y))
-            for a, b, y in zip(self.starts, ends, self.y_ref)
-        ]
-
-
-def _continue_sqrt(values, y_start):
-    """End value of the square root continued along sampled f-values.
-
-    A 2-D input holds one path per row (and y_start one start per row) and
-    gives one end value per row.  None when any path meets a zero or lifts
-    ambiguously.
-    """
-    vals = np.asarray(values, dtype=complex)
-    if np.any(vals == 0.0):
-        return None
-    y, worst = _lift_open(vals, y_start=y_start)
-    if np.any(worst >= _AMBIGUITY_LIMIT):
-        return None
-    return complex(y[-1]) if y.ndim == 1 else y[:, -1]
-
-
-def _maintain_bundle(bundle, rs, margin, fpoly):
-    """Restore the margin invariant after the branch points moved.
-
-    Vertices inside a root's margin disk move radially outward (the disks are
-    disjoint, so each vertex sits in at most one disk and the move cannot
-    cross any root); edges with less clearance than the margin gain midpoints
-    until every edge clears.  A pushed first vertex carries its cable's y_ref
-    along.  Every cable goes through the same rounds: a cable that is already
-    clean does not change in a further round, so each ends exactly as it would
-    alone.  Returns None when any cable cannot be restored, which makes the
-    caller bisect the parameter step.
-
-    Only the first round tests every vertex and edge; a later round tests
-    the midpoints the round before inserted and the two edges at each.  That
-    needs margin <= min_sep / (1 + _PUSH_TARGET): a pushed vertex then lands
-    _PUSH_TARGET margins from its root and at least min_sep - _PUSH_TARGET
-    margins >= one margin from any other, outside every disk.
-    """
-    verts = np.array(bundle.verts, dtype=complex)
-    starts = bundle.starts
-    y_ref = np.array(bundle.y_ref, dtype=complex)
-    r = np.asarray(rs, dtype=complex)
-    fresh = edges = np.arange(len(verts))  # vertices and edges to test
-    for k in range(8):
-        dx = verts.real[fresh, None] - r.real
-        dy = verts.imag[fresh, None] - r.imag
-        d = np.hypot(dx, dy)
-        inside = d < margin
-        rows = np.flatnonzero(inside.any(axis=1))
-        if len(rows):
-            j = np.argmax(inside[rows], axis=1)
-            dist = d[rows, j]
-            if np.any(dist == 0.0):
-                return None
-            scale = _PUSH_TARGET * margin / dist
-            tx = r.real[j] + dx[rows, j] * scale
-            ty = r.imag[j] + dy[rows, j] * scale
-            hit = fresh[rows]
-            # the cables whose vertex 0 is pushed; hit[h[c]] is that vertex
-            h = np.searchsorted(hit, starts)
-            for c in np.flatnonzero(hit[np.minimum(h, len(hit) - 1)] == starts):
-                x0, x1 = complex(verts[starts[c]]), complex(tx[h[c]], ty[h[c]])
-                xs = np.linspace(x0, x1, 17)
-                y = _continue_sqrt(fpoly(xs), complex(y_ref[c]))
-                if y is None:
-                    return None
-                y_ref[c] = y
-            verts.real[hit] = tx
-            verts.imag[hit] = ty
-        a = verts[edges]
-        b = verts[_next_index(starts, len(verts))[edges]]
-        near = np.any(_segment_distances(a, b, r) < _EDGE_CLEAR * margin, axis=1)
-        split = edges[near]
-        if not len(split) and (k < 7 or not len(rows)):
-            # Nothing is left to test, so a further round would change
-            # nothing; a push in the last round still fails the call.
-            return _Bundle(verts, starts, y_ref, bundle.windings)
-        mids = np.empty(len(split), dtype=complex)
-        mids.real = 0.5 * (a.real[near] + b.real[near])
-        mids.imag = 0.5 * (a.imag[near] + b.imag[near])
-        starts = starts + np.searchsorted(split, starts)
-        verts = np.insert(verts, split + 1, mids)
-        fresh = split + np.arange(1, len(split) + 1)
-        edges = np.stack([fresh - 1, fresh], axis=1).ravel()
-    return None
-
-
-def _cross(ux, uy, vx, vy):
-    return ux * vy - uy * vx
-
-
-def _simplify_cable(verts, rs, margin):
-    """Drop vertices whose removal keeps clearance and crosses no root.
-
-    A vertex is safe to drop when the chord between its original neighbours
-    keeps clearance and the triangle it cuts off holds no root; the scan
-    drops safe vertices greedily, never two in a row and never vertex 0.
-    """
-    r = np.asarray(rs, dtype=complex)
-    px, py = r.real, r.imag
-    while len(verts) > _SIMPLIFY_AT:
-        a, v, b = verts[:-1], verts[1:], np.concatenate((verts[2:], verts[:1]))
-        ax, ay = a.real[:, None], a.imag[:, None]
-        vx, vy = v.real[:, None], v.imag[:, None]
-        bx, by = b.real[:, None], b.imag[:, None]
-        s1 = _cross(vx - ax, vy - ay, px - ax, py - ay)
-        s2 = _cross(bx - vx, by - vy, px - vx, py - vy)
-        s3 = _cross(ax - bx, ay - by, px - bx, py - by)
-        has_neg = (s1 < 0.0) | (s2 < 0.0) | (s3 < 0.0)
-        has_pos = (s1 > 0.0) | (s2 > 0.0) | (s3 > 0.0)
-        clear = _segment_distances(a, b, r) >= 1.05 * margin
-        safe = np.all(clear & has_neg & has_pos, axis=1).tolist()
-        keep = np.ones(len(verts), dtype=bool)
-        i = 1
-        while i < len(verts):
-            if safe[i - 1]:
-                keep[i] = False
-                i += 2
-            else:
-                i += 1
-        if keep.all():
-            break
-        verts = verts[keep]
-    return verts
-
-
-def _simplify_bundle(bundle, rs, margin):
-    """The bundle with every cable above _SIMPLIFY_AT vertices simplified."""
-    if np.diff(bundle.starts, append=len(bundle.verts)).max() <= _SIMPLIFY_AT:
-        return bundle
-    polygons = [_simplify_cable(v, rs, margin) for v, _ in bundle.cables()]
-    return _Bundle.of(polygons, bundle.y_ref, bundle.windings)
-
-
-def _allowance(berth):
-    """Root drift between upkeeps, in margins, that cables kept up berth
-    margins clear allow: the extra clearance of their edges plus the step
-    limit, so that roots keep (_EDGE_CLEAR - _STEP_FRAC) margins from every
-    edge whatever the berth."""
-    return _EDGE_CLEAR * (berth - 1.0) + _STEP_FRAC
-
-
-def _keep_up(bundle, rs, margin, fpoly):
-    """(bundle, berth): the cables maintained and simplified _BERTH margins
-    clear of rs, or one margin clear where that cannot be done; None when
-    neither can."""
-    for berth in (_BERTH, 1.0):
-        moved = _maintain_bundle(bundle, rs, berth * margin, fpoly)
-        if moved is not None:
-            return _simplify_bundle(moved, rs, berth * margin), berth
-    return None
-
-
 def _chart_point(point):
     """Chart coordinates as Python floats, complex only where not real."""
     return tuple(
@@ -555,133 +336,207 @@ def _chart_point(point):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(s):
+    """Nodes c, weights b and matrix a of s-stage Gauss-Legendre collocation
+    on [0, 1].
+
+    The nodes and weights come from the eigenpairs of the Legendre Jacobi
+    matrix (Golub and Welsch, Math. Comp. 23, 1969); a[i, j] integrates node
+    j's Lagrange polynomial over [0, c_i] with the s-point rule itself,
+    which is exact for its degree s - 1.  The arrays are shared by every
+    caller, so they are made read-only.
+    """
+    m = np.arange(1.0, s)
+    x, v = np.linalg.eigh(np.diag(m / np.sqrt(4.0 * m * m - 1.0), -1))
+    c, b = 0.5 * (1.0 + x), v[0] ** 2
+    t = c[:, None] * c  # [i, m]: node m of [0, c_i]
+    lagrange = np.ones((s, s, s))  # [i, m, j]: node j's polynomial at t[i, m]
+    for j in range(s):
+        for k in range(s):
+            if k != j:
+                lagrange[:, :, j] *= (t - c[k]) / (c[j] - c[k])
+    out = c, b, c[:, None] * np.einsum("m,imj->ij", b, lagrange)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _sylvester(c):
+    """Matrix of (A, B) -> A f + B f' in ascending powers, f of ascending
+    coefficients c and degree n, deg A <= n - 2 and deg B <= n - 1; linear
+    in c."""
+    c = np.asarray(c, dtype=complex)
+    n = len(c) - 1
+    dc = c[1:] * np.arange(1, n + 1)
+    s = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+    for i in range(n - 1):
+        s[i : i + n + 1, i] = c
+    for i in range(n):
+        s[i : i + n, n - 1 + i] = dc
+    return s
+
+
+@functools.lru_cache(maxsize=None)
+def _connection_pieces(g):
+    """(S0, S, read, idx) of genus g's chart.
+
+    The Sylvester matrix at chart point a is S0 + sum_j a_j S[j], since f
+    is affine in a; read maps a solution (A, B) to the coefficients of
+    A + 2B'; idx[j, k] = k + e_j, with x^{e_j} = df/da_j.  The arrays are
+    shared by every caller, so they are made read-only.
+    """
+    chart = _CHARTS[g]
+    c0 = np.array(chart((0.0, 0.0, 0.0)).coeffs)
+    dc = [np.array(chart(tuple(u)).coeffs) - c0 for u in np.eye(3)]
+    e = np.array([int(np.flatnonzero(c)[0]) for c in dc])
+    n = 2 * g + 2
+    read = np.zeros((n - 1, 2 * n - 1))
+    read[:, : n - 1] = np.eye(n - 1)
+    read[np.arange(n - 1), np.arange(n, 2 * n - 1)] = 2.0 * np.arange(1, n)
+    idx = e[:, None] + np.arange(n - 1)
+    out = _sylvester(c0), np.array([_sylvester(c) for c in dc]), read, idx
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _connection(g, points, directions):
+    """Omega = -1/2 sum_j da_j R_j at each chart point, da the matching row
+    of directions; row k of R_j holds A + 2B' for A f + B f' = x^{k+e_j}."""
+    s0, s, read, idx = _connection_pieces(g)
+    sylv = s0 + np.einsum("pj,jrc->prc", points, s)
+    # w[p, m, l]: coefficient of x^l in A + 2B' for x^m at point p
+    w = np.linalg.solve(np.swapaxes(sylv, 1, 2), read.T)
+    return -0.5 * np.einsum("pj,pjkl->pkl", directions, w[:, idx])
+
+
+def _step_transfers(g, p, q):
+    """Collocation transfer matrix T of each chart step p[i] -> q[i], with
+    Pi(q) = T Pi(p), by one Gauss-Legendre step in s in [0, 1]."""
+    d = q - p
+    n, s = 2 * g + 1, _GL_STAGES
+    c, b, a = _gauss_legendre(s)
+    stages = p[:, None, :] + c[:, None] * d[:, None, :]
+    omega = _connection(g, stages.reshape(-1, 3), np.repeat(d, s, axis=0))
+    omega = omega.reshape(len(p), s, n, n)
+    # stage values Z_i = I + sum_j a_ij Omega_j Z_j, one block row per stage
+    blocks = a[:, :, None, None] * omega[:, None]  # [step, i, j, k, l]
+    blocks = blocks.transpose(0, 1, 3, 2, 4).reshape(len(p), s * n, s * n)
+    lhs = np.eye(s * n) - blocks
+    z = np.linalg.solve(lhs, np.tile(np.eye(n), (s, 1))).reshape(omega.shape)
+    return np.eye(n) + np.einsum("j,ijkl->ikl", b, omega @ z)
+
+
+def _transport(g, points):
+    """Transfer matrix U of the periods along the chart polygon through
+    points, Pi(last) = U Pi(first), with one collocation step per edge."""
+    pts = np.array(points, dtype=complex)
+    u = np.eye(2 * g + 1, dtype=complex)
+    for start in range(0, len(pts) - 1, _GL_BLOCK):
+        block = pts[start : start + _GL_BLOCK + 1]
+        for t in _step_transfers(g, block[:-1], block[1:]):
+            u = t @ u
+    return u
+
+
 class _BaseFrame(NamedTuple):
-    """A base fiber with its maintained, oriented cables and period frame."""
+    """A base fiber with its basis periods and the fit frame read off them."""
 
     fpoly: object
     rs: tuple
-    min_sep: float
-    margin: float
-    berth: float
-    bundle: _Bundle
+    periods: np.ndarray
     frame: np.ndarray
     condition: float
 
 
-def _oriented_cables(fpoly, rs, polygons, margin):
-    """The basis polygons maintained at margin, then oriented."""
-    y0 = [_vertex_sqrt(fpoly, p[0]) for p in polygons]
-    bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, margin, fpoly)
-    if bundle is None:
-        raise DegenerateInputError(
-            "cannot realize a basis contour with a safety margin"
+def _oriented_basis(fpoly, rs, g):
+    """The basis polygons, each as (vertices, y_ref) with the square root
+    pinned at its first vertex, oriented against the intersection form."""
+    polygons = [spec.vertices for spec in basis_contours(build_basis(rs, g))]
+    return normalized_basis_contours(
+        fpoly, [(p, _vertex_sqrt(fpoly, p[0])) for p in polygons]
+    )
+
+
+def _split_edges(verts, rs):
+    """The polygon with each edge bisected until it is at most _EDGE_RATIO
+    times as long as its distance from the nearest root.
+
+    No vertex moves and vertex 0 stays first, so the cycle and its pinned
+    sheet are unchanged; an edge that passes close to a branch point (at
+    the tips of a thin pair loop, say) is integrated on short pieces.
+    """
+    v = np.asarray(verts, dtype=complex)
+    r = np.asarray(rs, dtype=complex)
+    for _ in range(64):  # an edge through a root never clears; quadrature fails
+        w = np.roll(v, -1)
+        k = np.flatnonzero(
+            np.abs(w - v) > _EDGE_RATIO * _segment_distances(v, w, r).min(axis=1)
         )
-    # orient the maintained polygons: the raw polygon of a thin pair loop
-    # can pass too close to a branch point to lift
-    polygons, y0 = zip(*normalized_basis_contours(fpoly, bundle.cables()))
-    return _Bundle.of(polygons, y0)
+        if not len(k):
+            break
+        v = np.insert(v, k + 1, 0.5 * (v[k] + w[k]))
+    return v
+
+
+def _periods(fpoly, rs, polygons, top, tol):
+    """Periods of x^k dx/y, k = 0..top, over each pinned (vertices, y_ref)
+    polygon, one column per polygon, with its edges split near the roots."""
+    diffs = _differentials(top)
+    return np.array(
+        [polygon_periods(fpoly, _split_edges(v, rs), y, diffs, tol)
+         for v, y in polygons]
+    ).T
 
 
 @functools.lru_cache(maxsize=16)
 def _base_frame(g, base, tol):
     """The base record of a chart point, built once per (g, base, tol).
 
-    The basis polygons are maintained first and then oriented against the
-    intersection form, so the orientation is measured on the polygons that
-    are carried; the frame holds their periods.  They are kept _BERTH
-    margins clear, or one margin clear (berth 1) where the wider build
-    cannot be maintained or oriented.  The record's arrays are
-    read-only, since every caller shares them.  A base that cannot be
-    realized raises, and raises again on every call, since exceptions are
-    not cached.
+    periods[k, c] is the period of x^k dx/y, k = 0..2g, over basis cycle c,
+    integrated on the oriented basis polygons; the frame holds the fit rows
+    of k = 0..g.  The record's arrays are read-only, since every caller
+    shares them.  A base that cannot be realized raises, and raises again on
+    every call, since exceptions are not cached.
     """
     point = _chart_point(base)
     fpoly = fiber_polynomial(g, point)
     rs = tuple(roots(fpoly))
-    min_sep = _pairwise_min_sep(rs)
-    margin = _MARGIN_FRAC * min_sep
-    polygons = [spec.vertices for spec in basis_contours(build_basis(rs, g))]
-    try:
-        berth, bundle = _BERTH, _oriented_cables(fpoly, rs, polygons, _BERTH * margin)
-    except (DegenerateInputError, QuadratureError):
-        berth, bundle = 1.0, _oriented_cables(fpoly, rs, polygons, margin)
-    bundle.windings = _winding_numbers(bundle.verts, bundle.starts, rs)
-    frame = _period_rows(fpoly, bundle.cables(), _differentials(g), tol)
+    periods = _periods(fpoly, rs, _oriented_basis(fpoly, rs, g), 2 * g, tol)
+    frame = _fit_rows(periods, g)
     condition = _frame_condition(frame)
-    for arr in (bundle.verts, bundle.starts, bundle.y_ref, bundle.windings, frame):
-        arr.flags.writeable = False
-    return _BaseFrame(fpoly, rs, min_sep, margin, berth, bundle, frame, condition)
-
-
-def _anchor_values(fpoly, bundle):
-    """f at each cable's first vertex, one Horner evaluation per cable."""
-    return np.array([complex(fpoly(x)) for x in bundle.verts[bundle.starts].tolist()])
-
-
-def _blended_path(f_rows):
-    """Samples of f at each cable's first vertex along the recorded steps.
-
-    f_rows holds one row of values per fiber since the last upkeep.  Each
-    step is sampled at _BLEND between its two rows; consecutive steps share
-    their joint sample ((1 - 1) f0 + 1 f1 = f1 exactly), which is kept once.
-    """
-    legs = [
-        (1.0 - _BLEND) * f0[:, None] + _BLEND * f1[:, None]
-        for f0, f1 in zip(f_rows, f_rows[1:])
-    ]
-    return np.hstack([leg[:, :-1] for leg in legs] + [legs[-1][:, -1:]])
+    periods.flags.writeable = False
+    frame.flags.writeable = False
+    return _BaseFrame(fpoly, rs, periods, frame, condition)
 
 
 class _March:
-    """Root (and optionally cable) transport along chart segments.
+    """Root transport along chart segments.
 
     Coordinates may be complex in both genera.  fibers[s] holds the roots
-    after s accepted steps.  A march with cables starts from writable copies
-    of the base record's cables (_base_frame at tol).  Its drift is the root
-    travel since the last upkeep (the sum of each step's largest root move),
-    upkeep_margin that upkeep's margin m, berth the cable margin it kept, in
-    margins (_BERTH, or 1 where _keep_up fell back), and upkeeps the number
-    of upkeeps made, the one at the base included.  A step runs the upkeep
-    only when drift, this step included, reaches _allowance(berth) times
-    the smaller of upkeep_margin and its own margin, or when it lands on the
-    base point; other steps only append f at each cable's first vertex to
-    f_rows, the path since the last upkeep (whose own row comes first), and
-    leave the bundle, y_ref included, as that upkeep left it.  A braided
-    march fixes the projection rot of the base roots and also rejects a step
-    in which two swaps of projection neighbours share a root, so traverse
-    bisects it like any other step.
+    and points[s] the chart point after s accepted steps.  A march starts
+    from the roots rs at point when given, and finds them otherwise.  A
+    braided march fixes the projection rot of the base roots and also
+    rejects a step in which two swaps of projection neighbours share a
+    root, so traverse bisects it like any other step.
     """
 
-    def __init__(self, g, point, with_cables, braided=False, tol=1e-9):
+    def __init__(self, g, point, braided=False, rs=None):
         self.g = g
         self.point = _chart_point(point)
-        self.base = self.point
         self.steps_used = 0
-        self.bundle = None
-        self.drift = 0.0
-        self.upkeeps = 0
-        if with_cables:
-            base = _base_frame(g, self.point, tol)
-            self.fpoly, rs, self.min_sep = base.fpoly, base.rs, base.min_sep
-            b = base.bundle
-            self.bundle = _Bundle(
-                *(np.array(a) for a in (b.verts, b.starts, b.y_ref, b.windings))
-            )
-            self.f_rows = [_anchor_values(self.fpoly, self.bundle)]
-            self.upkeep_margin, self.berth = base.margin, base.berth
-            self.upkeeps = 1
-        else:
-            self.fpoly = fiber_polynomial(g, self.point)
-            rs = roots(self.fpoly)
-            self.min_sep = _pairwise_min_sep(rs)
+        if rs is None:
+            rs = roots(fiber_polynomial(g, self.point))
         self.rs = list(rs)
+        self.min_sep = _pairwise_min_sep(self.rs)
         self.rot = _projection(self.rs) if braided else None
         self.fibers = [tuple(self.rs)]
+        self.points = [self.point]
 
     def _try_advance(self, target):
-        fp_new = fiber_polynomial(self.g, target)
         try:
-            rs_new = roots(fp_new, initial=self.rs)
+            rs_new = roots(fiber_polynomial(self.g, target), initial=self.rs)
         except RootFindingError:
             return False
         perm, disp = _match_roots(self.rs, rs_new)
@@ -700,46 +555,12 @@ class _March:
             labels = [r for _, i, j in swaps for r in (i, j)]
             if len(set(labels)) != len(labels):
                 return False
-        bundle = self.bundle
-        drift = self.drift + disp
-        if bundle is not None:
-            f_rows = self.f_rows + [_anchor_values(fp_new, bundle)]
-            # Upkeep on demand (see the module docstring); a step onto the
-            # base is always one, so the cables integrated there are kept up.
-            due = _allowance(self.berth) * min(self.upkeep_margin, margin)
-            if drift >= due or tuple(target) == self.base:
-                # Any cable that cannot be lifted or maintained rejects the
-                # attempt; windings are compared only once every cable is.
-                y_new = _continue_sqrt(_blended_path(f_rows), bundle.y_ref)
-                if y_new is None:
-                    return False
-                bundle = _Bundle(bundle.verts, bundle.starts, y_new, bundle.windings)
-                kept = _keep_up(bundle, matched, margin, fp_new)
-                if kept is None:
-                    return False
-                moved, berth = kept
-                windings = _winding_numbers(moved.verts, moved.starts, matched)
-                crossed = np.flatnonzero(np.any(windings != bundle.windings, axis=1))
-                if len(crossed):
-                    raise TrackingError(
-                        "a branch point crossed a transported contour: cable "
-                        f"{crossed[0]} on the step to {tuple(target)}",
-                        arc=(self.point, tuple(target)),
-                    )
-                bundle = moved
-                f_rows = [_anchor_values(fp_new, bundle)]
-                drift = 0.0
-                self.upkeep_margin, self.berth = margin, berth
-                self.upkeeps += 1
-            self.f_rows = f_rows
         self.point = tuple(target)
-        self.fpoly = fp_new
         self.rs = matched
         self.min_sep = sep_new
         self.fibers.append(tuple(matched))
+        self.points.append(self.point)
         self.steps_used += 1
-        self.bundle = bundle
-        self.drift = drift
         return True
 
     def traverse(self, target, presplit=1):
@@ -767,10 +588,10 @@ class _March:
             stack.append((t0, tm))
 
 
-def _run_march(loop, steps=0, braided=False):
+def _run_march(loop, steps=0, braided=False, rs=None):
     """Roots marched around the loop, each hop presplit by its share of steps."""
     path = loop.path_points()
-    state = _March(loop.g, path[0], with_cables=False, braided=braided)
+    state = _March(loop.g, path[0], braided=braided, rs=rs)
     hops = list(zip(path, path[1:]))
     # abs() of each coordinate difference, so complex chart points work too
     lengths = [math.hypot(*(abs(x - y) for x, y in zip(a, b))) for a, b in hops]
@@ -780,9 +601,10 @@ def _run_march(loop, steps=0, braided=False):
     return state
 
 
-def _period_rows(fpoly, cables, diffs, tol):
-    """One real row [Re | Im] of the differentials' periods per cable."""
-    p = np.array([polygon_periods(fpoly, v, y, diffs, tol) for v, y in cables])
+def _fit_rows(periods, g):
+    """One real row [Re | Im] of the periods of x^k dx/y, k = 0..g, per
+    cycle, from a matrix with one column per cycle."""
+    p = periods[: g + 1].T
     return np.hstack([p.real, p.imag])
 
 
@@ -832,23 +654,20 @@ def _check_form(matrix, g):
 def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
     """Integer monodromy of the period lattice around the loop.
 
-    The canonical basis contours are carried around the loop as polygons and
-    integrated only at the base fiber, before and after the circuit; the
-    transported cycles are expressed over the starting period frame by a fit
-    that must round to a unimodular integer matrix.  Columns of the returned
-    matrix are the images of (gamma_1..gamma_{g+1}, delta_1..delta_g).
+    The roots are marched around the loop and the base periods are carried
+    along the march's steps by the Gauss-Manin connection; the transported
+    periods are expressed over the starting period frame by a fit that must
+    round to a unimodular integer matrix.  Columns of the returned matrix
+    are the images of (gamma_1..gamma_{g+1}, delta_1..delta_g).
     """
     g = loop.g
-    path = loop.path_points()
-    base = _base_frame(g, path[0], tol)
-    state = _March(g, path[0], with_cables=True, tol=tol)
-    for b in path[1:]:
-        state.traverse(b)
-    rows = _period_rows(base.fpoly, state.bundle.cables(), _differentials(g), tol)
-    m_row, residual = _integer_fit(base.frame, rows, tol)
+    base = _base_frame(g, loop.path_points()[0], tol)
+    march = _run_march(loop, rs=base.rs)
+    periods = _transport(g, march.points) @ base.periods
+    m_row, residual = _integer_fit(base.frame, _fit_rows(periods, g), tol)
     if abs(int(round(float(np.linalg.det(m_row))))) != 1:
         raise QuadratureError("the transported lattice map is not unimodular")
-    perm = _closure_permutation(state, base.rs)
+    perm = _closure_permutation(march, base.rs)
     matrix = tuple(tuple(int(v) for v in row) for row in m_row.T)
     _check_form(matrix, g)
     return MonodromyResult(
@@ -858,7 +677,7 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
         residual=residual,
         permutation=perm,
         orientation=loop.orientation,
-        steps_used=state.steps_used,
+        steps_used=march.steps_used,
         condition=base.condition,
     )
 
@@ -945,7 +764,6 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     c_k with orientation -e for each letter in path order.
     """
     g = loop.g
-    diffs = _differentials(g)
     march = _run_march(loop, braided=True)
     perm = _closure_permutation(march, march.fibers[0])
     rs0 = march.fibers[0]
@@ -958,8 +776,8 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     for k in sorted({k for k, _ in word}):
         verts = pair_loop(rs0, base_order[k : k + 2]).vertices
         y0 = _vertex_sqrt(base.fpoly, verts[0])
-        q = _period_rows(base.fpoly, [(verts, y0)], diffs, tol)
-        coords, fit_res = _integer_fit(base.frame, q, tol)
+        q = _periods(base.fpoly, base.rs, [(verts, y0)], g, tol)
+        coords, fit_res = _integer_fit(base.frame, _fit_rows(q, g), tol)
         residual = max(residual, fit_res)
         cycles[k] = CycleClass.of(g, coords[0])
         if cycles[k].is_zero():

@@ -137,18 +137,6 @@ def on_ellipse(e, t):
     return e.center + e.axis * (e.semi_major * np.cos(t) + 1j * e.semi_minor * np.sin(t))
 
 
-# Cable upkeeps of the periods route on the named loops by orientation, the
-# one at the base included: one per 0.81 margins of root drift, since the
-# cables are kept 1.5 margins clear.  A change to the step control or the
-# upkeep schedule that moves these changes the work done per loop.
-UPKEEPS = {
-    ("cushman", 1): 13, ("cushman", -1): 13,
-    ("kappa1", 1): 17, ("kappa1", -1): 18,
-    ("kappa2", 1): 17, ("kappa2", -1): 18,
-    ("kappa3", 1): 26, ("kappa3", -1): 25,
-}
-
-
 # (fixed coordinates) -> chart point of a complex line, and its real base
 LINE_BASE = {1: 3.0, 2: 0.0}
 
@@ -169,16 +157,34 @@ def critical_values(g, fixed):
     return np.sort_complex(np.roots(coeffs[::-1]))
 
 
+def _star_circle(g, fixed, crit, k):
+    """96-waypoint circle, run counter-clockwise from its top, round the
+    critical value crit[k], of 0.2 times the distance to the next one."""
+    centre = complex(crit[k])
+    radius = 0.2 * float(np.min(np.abs(np.delete(crit, k) - centre)))
+    turns = np.exp(1j * (np.pi / 2 + 2 * np.pi * np.arange(97) / 96))
+    return [line_point(g, fixed, complex(centre + radius * z)) for z in turns]
+
+
 def star_loop(g, fixed, near):
     """Loop from the line's real base round the critical value nearest
     `near`: a straight tail to the top of a 96-waypoint circle of 0.2 times
     the distance to the next critical value, run counter-clockwise."""
     crit = critical_values(g, fixed)
     k = int(np.argmin(np.abs(crit - near)))
-    centre = complex(crit[k])
-    radius = 0.2 * float(np.min(np.abs(np.delete(crit, k) - centre)))
-    turns = np.exp(1j * (np.pi / 2 + 2 * np.pi * np.arange(97) / 96))
-    circle = [line_point(g, fixed, complex(centre + radius * z)) for z in turns]
     base = line_point(g, fixed, LINE_BASE[g])
-    stratum = line_point(g, fixed, centre)
+    stratum = line_point(g, fixed, complex(crit[k]))
+    circle = _star_circle(g, fixed, crit, k)
     return ParameterLoop(g=g, waypoints=(base, *circle, base), stratum=stratum)
+
+
+def chained_star_loop(g, fixed):
+    """Every star loop of the line in turn, taken counter-clockwise from
+    the downward ray at the base: the product of the stars' twists."""
+    crit = critical_values(g, fixed)
+    base = line_point(g, fixed, LINE_BASE[g])
+    turn = (np.angle(crit - LINE_BASE[g]) + 0.5 * np.pi) % (2.0 * np.pi)
+    waypoints = [base]
+    for k in np.argsort(turn):
+        waypoints += [*_star_circle(g, fixed, crit, k), base]
+    return ParameterLoop(g=g, waypoints=tuple(waypoints))

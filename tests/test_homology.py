@@ -15,6 +15,7 @@ from topmonodromy.homology import (
     picard_lefschetz,
 )
 from topmonodromy.poly import ComplexPoly, roots
+from topmonodromy.tracking import fiber_polynomial
 
 
 def quartic_unit_roots():
@@ -80,6 +81,55 @@ def test_build_basis_stable_under_small_perturbation():
         moved = [rs[0] + eps * d, rs[1] + eps * d.conjugate()] + list(rs[2:])
         cfg2 = build_basis(moved, 1)
         assert cfg2.pairing == cfg.pairing
+
+
+# The base points of the named loops, of the thin-ellipse tests and of a
+# chained-star line, with their pairings.  The last two take the
+# shortest-matching fallback, and no matching there keeps every chord a
+# margin clear of the branch points and the other chords.
+PINNED_PAIRINGS = {
+    (1, (0.0, 1.0, 0.0)): ((0, 1), (2, 3)),
+    (2, (0.0, 0.5, 0.0)): ((0, 1), (2, 3), (4, 5)),
+    (1, (0.1357207135624321, 2.360726848175201, 0.15881514855275736)): (
+        (2, 0), (1, 3)
+    ),
+    (2, (-0.2, 0.3, 0.0)): ((1, 0), (2, 4), (5, 3)),
+}
+UNCLEAR_BASE = (-0.2083501014287662, 1.0600318763097865, 0.4560335572521116)
+
+
+def _chord_clearance(cfg):
+    """Least distance from a gamma or delta chord to a branch point off it."""
+    chords = [cfg.pair_points(j) for j in range(cfg.g + 1)]
+    chords += [cfg.gap_points(j) for j in range(cfg.g)]
+    out = np.inf
+    for a, b in chords:
+        for p in cfg.roots:
+            if p not in (a, b):
+                d = b - a
+                t = ((p - a) * d.conjugate()).real / abs(d) ** 2
+                out = min(out, abs(p - (a + min(1.0, max(0.0, t)) * d)))
+    return out
+
+
+def test_pairings_at_the_pinned_bases_are_unchanged():
+    for (g, point), pairing in PINNED_PAIRINGS.items():
+        cfg = build_basis(roots(fiber_polynomial(g, point)), g)
+        assert cfg.pairing == pairing, point
+
+
+def test_the_fallback_prefers_a_matching_whose_chords_clear_the_roots():
+    # The shortest disjoint matching here, ((4, 0), (1, 5), (2, 3)), has a
+    # delta chord 3.7e-4 from a third branch point; the next, 0.4 % longer,
+    # keeps every chord 0.248 clear, past the margin of 0.139.
+    rs = roots(fiber_polynomial(2, UNCLEAR_BASE))
+    cfg = build_basis(rs, 2)
+    assert not cfg.conjugate and not cfg.fallback
+    assert cfg.pairing == ((0, 1), (4, 2), (3, 5))
+    margin = 0.25 * min(abs(a - b) for i, a in enumerate(rs) for b in rs[i + 1 :])
+    assert _chord_clearance(cfg) > margin
+    g, thin = list(PINNED_PAIRINGS)[2]
+    assert _chord_clearance(build_basis(roots(fiber_polynomial(g, thin)), g)) < 1e-3
 
 
 def test_gap_points_join_consecutive_cuts():

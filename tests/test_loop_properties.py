@@ -4,25 +4,13 @@ Examples are derandomized, so every run checks the same loops.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
-import pytest
-from conftest import UPKEEPS, critical_values, star_loop
+from conftest import critical_values, star_loop
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from topmonodromy import tracking
-from topmonodromy.periods import _next_index, _segment_distances
 from topmonodromy.tracking import (
-    _BERTH,
-    _BLEND,
-    _EDGE_CLEAR,
-    _MARGIN_FRAC,
-    _PUSH_TARGET,
-    _STEP_FRAC,
-    _continue_sqrt,
-    _March,
     compose_loops,
     monodromy_periods,
     named_loop,
@@ -185,162 +173,3 @@ def test_the_two_routes_agree_on_a_complex_star_loop(g, line, pick):
     local = picard_lefschetz_route(loop)
     assert local.matrix == lattice.matrix
     assert local.permutation == lattice.permutation
-
-
-def _hexes(ys):
-    return [(y.real.hex(), y.imag.hex()) for y in np.asarray(ys).tolist()]
-
-
-def _march_checking_each_upkeep_lift(loop):
-    """March the loop with cables and check every upkeep's lift against the
-    per-step rule, which continues each pinned root along every step.
-
-    The oracle chains one _continue_sqrt per accepted step over the step's
-    own _BLEND samples of f at the cable's first vertex.  At an upkeep the
-    y_ref handed to the maintenance must be that chain's value bit for bit;
-    a step that is not an upkeep step must leave y_ref alone.  Returns the
-    number of upkeeps compared.
-    """
-    maintain, advance = tracking._maintain_bundle, _March._try_advance
-    lifted = []  # the y_ref each upkeep attempt hands to the maintenance
-    chain = None  # y continued step by step since the last upkeep
-    compared = 0
-
-    def spy(bundle, rs, margin, fpoly):
-        lifted.append(bundle.y_ref.copy())
-        return maintain(bundle, rs, margin, fpoly)
-
-    def checked(state, target):
-        nonlocal chain, compared
-        x0 = state.bundle.verts[state.bundle.starts].tolist()
-        f0 = np.array([complex(state.fpoly(x)) for x in x0])
-        y_pinned, upkeeps = state.bundle.y_ref.copy(), state.upkeeps
-        if not advance(state, target):
-            return False
-        f1 = np.array([complex(state.fpoly(x)) for x in x0])
-        blend = (1.0 - _BLEND) * f0[:, None] + _BLEND * f1[:, None]
-        y = _continue_sqrt(blend, y_pinned if chain is None else chain)
-        assert y is not None
-        if state.upkeeps == upkeeps:
-            assert state.bundle.y_ref.tobytes() == y_pinned.tobytes()
-            chain = y
-        else:
-            assert _hexes(lifted[-1]) == _hexes(y)
-            chain = None  # the next chain starts from this upkeep's y_ref
-            compared += 1
-        return True
-
-    path = loop.path_points()
-    with mock.patch.object(tracking, "_maintain_bundle", spy), mock.patch.object(
-        _March, "_try_advance", checked
-    ):
-        state = _March(loop.g, path[0], with_cables=True)
-        for b in path[1:]:
-            state.traverse(b)
-    assert compared == state.upkeeps - 1
-    return compared
-
-
-@pytest.mark.parametrize("orientation", [1, -1])
-@pytest.mark.parametrize("name", sorted(RADIUS))
-def test_upkeep_lifts_match_the_step_by_step_chain_on_the_named_loops(
-    name, orientation
-):
-    compared = _march_checking_each_upkeep_lift(named_loop(name, orientation))
-    assert compared == UPKEEPS[name, orientation] - 1
-
-
-@settings(PROPERTY, max_examples=6)
-@given(
-    name=st.sampled_from(sorted(RADIUS)),
-    u=st.floats(0.0, 1.0),
-    count=st.integers(32, 96),
-    orientation=st.sampled_from((1, -1)),
-)
-def test_upkeep_lifts_match_the_step_by_step_chain_on_a_meridian(
-    name, u, count, orientation
-):
-    lo, hi = RADIUS[name]
-    loop = _meridian(name, lo + (hi - lo) * u, count, orientation)
-    assert _march_checking_each_upkeep_lift(loop) > 0
-
-
-def _clearances(state):
-    """Least distance from the roots to any cable vertex, to any first
-    vertex and to any cable edge."""
-    b, rs = state.bundle, np.array(state.rs)
-    ends = b.verts[_next_index(b.starts, len(b.verts))]
-    return (
-        np.abs(b.verts[:, None] - rs).min(),
-        np.abs(b.verts[b.starts][:, None] - rs).min(),
-        _segment_distances(b.verts, ends, rs).min(),
-    )
-
-
-def _march_checking_the_clearances(loop):
-    """March the loop with cables and check the clearances the upkeep
-    schedule rests on.
-
-    After every upkeep, the one at the base included, every vertex lies at
-    least the cable margin M = berth * m and every edge _EDGE_CLEAR * M
-    from every root.  At every step in between, every root keeps
-    (_EDGE_CLEAR - _STEP_FRAC) * m_u (about 0.617 m_u) from every edge and
-    2/3 m_u from every first vertex, m_u the last upkeep's margin.
-    Returns the berth of each upkeep.
-    """
-    advance = _March._try_advance
-    berths = []
-
-    def check_upkeep(state):
-        vert, _, edge = _clearances(state)
-        cable_margin = state.berth * state.upkeep_margin
-        assert vert >= cable_margin and edge >= _EDGE_CLEAR * cable_margin
-        berths.append(state.berth)
-
-    def checked(state, target):
-        upkeeps = state.upkeeps
-        if not advance(state, target):
-            return False
-        if state.upkeeps > upkeeps:
-            check_upkeep(state)
-        else:
-            _, first, edge = _clearances(state)
-            assert edge >= (_EDGE_CLEAR - _STEP_FRAC) * state.upkeep_margin
-            assert first >= 2.0 / 3.0 * state.upkeep_margin
-        return True
-
-    path = loop.path_points()
-    with mock.patch.object(_March, "_try_advance", checked):
-        state = _March(loop.g, path[0], with_cables=True)
-        check_upkeep(state)
-        for b in path[1:]:
-            state.traverse(b)
-    assert len(berths) == state.upkeeps
-    return berths
-
-
-def test_the_cable_margin_keeps_a_pushed_vertex_outside_every_disk():
-    # the incremental maintain needs a vertex pushed to _PUSH_TARGET cable
-    # margins from its root to land outside every other root's disk:
-    # min_sep - _PUSH_TARGET * M >= M
-    assert _BERTH * _MARGIN_FRAC <= 1.0 / (1.0 + _PUSH_TARGET)
-
-
-@pytest.mark.parametrize("orientation", [1, -1])
-@pytest.mark.parametrize("name", sorted(RADIUS))
-def test_the_cables_keep_their_clearance_on_the_named_loops(name, orientation):
-    berths = _march_checking_the_clearances(named_loop(name, orientation))
-    assert berths == [_BERTH] * UPKEEPS[name, orientation]
-
-
-@settings(PROPERTY, max_examples=6)
-@given(
-    name=st.sampled_from(sorted(RADIUS)),
-    u=st.floats(0.0, 1.0),
-    count=st.integers(32, 96),
-    orientation=st.sampled_from((1, -1)),
-)
-def test_the_cables_keep_their_clearance_on_a_meridian(name, u, count, orientation):
-    lo, hi = RADIUS[name]
-    loop = _meridian(name, lo + (hi - lo) * u, count, orientation)
-    assert len(_march_checking_the_clearances(loop)) > 1

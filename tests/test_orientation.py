@@ -1,11 +1,11 @@
-"""Basis-cycle orientations fixed on the transported polygons.
+"""Basis-cycle orientations fixed on the integrated polygons.
 
 The reference below is the former orientation pass, kept verbatim: it
 located the crossings of the elliptical basis contours by a 4,096-sample
 scan and a 60-step bisection, lifted both ellipses from their t = 0 node,
 and only then turned each ellipse into a polygon, reversed when its sign
-was -1.  The library now measures the crossings on the maintained polygons
-themselves; both must give the same signs and a bit-identical bundle.
+was -1.  The library measures the crossings on the basis polygons
+themselves; both must give the same signs and bit-identical polygons.
 The ellipses come from the verbatim copy of the former ellipse fit of
 pair_loop in conftest; pair_loop now returns the 48-gon on that ellipse.
 """
@@ -18,7 +18,12 @@ import pytest
 from conftest import basis_ellipses_ref, on_ellipse
 from topmonodromy import tracking
 from topmonodromy.errors import DegenerateInputError, QuadratureError
-from topmonodromy.homology import _GAMMA_DELTA_NEXT, _GAMMA_DELTA_SAME, build_basis
+from topmonodromy.homology import (
+    _GAMMA_DELTA_NEXT,
+    _GAMMA_DELTA_SAME,
+    _intersection_matrix,
+    build_basis,
+)
 from topmonodromy.periods import (
     _AMBIGUITY_LIMIT,
     _lift_open,
@@ -28,13 +33,8 @@ from topmonodromy.periods import (
 )
 from topmonodromy.poly import ComplexPoly, real_root_count
 from topmonodromy.tracking import (
-    _BERTH,
-    _MARGIN_FRAC,
-    _Bundle,
-    _maintain_bundle,
-    _March,
-    _pairwise_min_sep,
-    _winding_numbers,
+    _base_frame,
+    _oriented_basis,
     fiber_polynomial,
     monodromy_periods,
     parameter_loop,
@@ -106,9 +106,9 @@ def _ellipse_intersection_ref(fpoly, spec_a, spec_b):
     return total
 
 
-def _bundle_ref(g, point, berths=(_BERTH, 1.0)):
-    """(signs, bundle) of the former pass: orient ellipses, then polygonize
-    and maintain at the first of berths * margin that can be maintained."""
+def _oriented_ref(g, point):
+    """(signs, polygons, y0) of the former pass: orient ellipses, then
+    polygonize, reversing each polygon whose sign is -1."""
     fpoly = fiber_polynomial(g, point)
     rs = tracking.roots(fpoly)
     specs = basis_ellipses_ref(build_basis(tuple(rs), g))
@@ -126,15 +126,12 @@ def _bundle_ref(g, point, berths=(_BERTH, 1.0)):
         verts = [complex(p) for p in _polygonize_ref(spec)]
         polygons.append(verts if e == 1 else [verts[0]] + verts[1:][::-1])
     y0 = [complex(np.sqrt(fpoly(p[0]))) for p in polygons]
-    margin = _MARGIN_FRAC * _pairwise_min_sep(rs)
-    for berth in berths:
-        bundle = _maintain_bundle(_Bundle.of(polygons, y0), rs, berth * margin, fpoly)
-        if bundle is not None:
-            break
-    else:
-        raise DegenerateInputError("cannot realize a basis contour")
-    bundle.windings = _winding_numbers(bundle.verts, bundle.starts, rs)
-    return eps, bundle
+    return eps, polygons, y0
+
+
+def _library_basis(g, point):
+    fpoly = fiber_polynomial(g, point)
+    return _oriented_basis(fpoly, tuple(tracking.roots(fpoly)), g)
 
 
 def _bases():
@@ -164,61 +161,58 @@ def test_polygon_orientation_matches_the_ellipse_reference():
     compared = 0
     for g, point in _bases():
         try:
-            eps, ref = _bundle_ref(g, point)
+            eps, polygons, y0 = _oriented_ref(g, point)
         except (QuadratureError, DegenerateInputError):
             with pytest.raises((QuadratureError, DegenerateInputError)):
-                _March(g, point, with_cables=True)
+                _library_basis(g, point)
             continue
-        got = _March(g, point, with_cables=True).bundle
+        got = _library_basis(g, point)
         # the positive circuit of an ellipse runs counter-clockwise
-        signs = [1 if _signed_area(v) > 0.0 else -1 for v, _ in got.cables()]
+        signs = [1 if _signed_area(v) > 0.0 else -1 for v, _ in got]
         assert signs == eps, (g, point)
-        for name in ("verts", "starts", "y_ref", "windings"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        for (verts, y), ref, y_ref in zip(got, polygons, y0):
+            assert verts.tobytes() == np.array(ref).tobytes()
+            assert y == y_ref
         compared += 1
     assert compared >= 60
 
 
-def test_thin_ellipse_base_is_oriented_on_the_maintained_polygon():
-    st = _March(1, THIN_BASE, with_cables=False)
-    delta = basis_ellipses_ref(build_basis(tuple(st.rs), 1))[2]
+def test_thin_ellipse_base_is_oriented_on_the_raw_polygon():
+    # the raw delta polygon passes within 4e-4 of a branch point, and its
+    # tip edges far closer to its own ends; it is oriented as it is and
+    # integrated on edges split near the roots
+    rs = tracking.roots(fiber_polynomial(1, THIN_BASE))
+    delta = basis_ellipses_ref(build_basis(tuple(rs), 1))[2]
     raw = _polygonize_ref(delta)
-    gap = np.min(np.abs(raw[:, None] - np.array(st.rs)[None, :]))
+    gap = np.min(np.abs(raw[:, None] - np.array(rs)[None, :]))
     assert delta.semi_minor < 4e-4 and gap < 4e-4
-    bundle = _March(1, THIN_BASE, with_cables=True).bundle
-    margin = _MARGIN_FRAC * st.min_sep
-    for verts, _ in bundle.cables():
-        assert np.min(np.abs(verts[:, None] - np.array(st.rs)[None, :])) >= margin
-    eps, ref = _bundle_ref(1, THIN_BASE)
+    eps, polygons, _ = _oriented_ref(1, THIN_BASE)
     assert eps == [1, -1, -1]
-    assert bundle.verts.tobytes() == ref.verts.tobytes()
-
-
-def test_thin_ellipse_base_falls_back_to_the_one_margin_build():
-    # The thin delta polygon cannot be kept _BERTH margins clear, so the
-    # base keeps its cables one margin clear: byte for byte the build that
-    # maintains at one margin alone, whose drift allowance is a third of a
-    # margin.
-    with pytest.raises(DegenerateInputError):
-        _bundle_ref(1, THIN_BASE, berths=(_BERTH,))
-    base = tracking._base_frame(1, THIN_BASE, 1e-9)
-    assert base.berth == 1.0
-    assert tracking._allowance(base.berth) == tracking._STEP_FRAC
-    _, ref = _bundle_ref(1, THIN_BASE, berths=(1.0,))
-    got = _March(1, THIN_BASE, with_cables=True)
-    assert (got.berth, got.upkeep_margin) == (1.0, base.margin)
-    for name in ("verts", "starts", "y_ref", "windings"):
-        assert getattr(got.bundle, name).tobytes() == getattr(ref, name).tobytes()
+    got = _library_basis(1, THIN_BASE)
+    assert got[2][0].tobytes() == np.array(polygons[2]).tobytes()
+    assert np.all(np.isfinite(_base_frame(1, THIN_BASE, 1e-9).periods))
 
 
 def test_a_loop_from_the_thin_ellipse_base_is_the_identity_by_both_routes():
-    # the loop of the console-script smoke test, which runs the fallback
+    # the loop of the console-script smoke test, which runs the thin polygon
     # through the installed entry point
     a1, a2, a3 = THIN_BASE
     corners = [(0.1857207135624321, a2, a3), (a1, 2.410726848175201, a3)]
     loop = parameter_loop(1, [THIN_BASE, *corners, THIN_BASE])
     for route in (monodromy_periods, picard_lefschetz_route):
         assert route(loop).matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_a_basis_chosen_for_clear_chords_realizes_the_canonical_form():
+    # here build_basis passes over the shortest matching, whose delta chord
+    # runs 3.7e-4 from a third branch point; every pair of the realized
+    # basis polygons must cross as the canonical intersection form says
+    point = (-0.2083501014287662, 1.0600318763097865, 0.4560335572521116)
+    fpoly = fiber_polynomial(2, point)
+    basis = _library_basis(2, point)
+    got = [[0 if a is b else realized_intersection(fpoly, a, b) for b in basis]
+           for a in basis]
+    assert got == _intersection_matrix(2).tolist()
 
 
 @pytest.mark.parametrize(
@@ -251,21 +245,18 @@ def _on_axis_variants():
 
 
 @pytest.mark.parametrize("variant", range(4))
-def test_root_rounding_at_the_kappa_base_does_not_flip_a_cable(monkeypatch, variant):
-    base = _March(2, KAPPA_BASE, with_cables=True).bundle
+def test_root_rounding_at_the_kappa_base_does_not_flip_a_cable(variant):
+    base = _library_basis(2, KAPPA_BASE)
     varied = _on_axis_variants()[variant]
     fpoly = fiber_polynomial(2, KAPPA_BASE)
     gamma2 = basis_contours(build_basis(tuple(varied), 2))[1].vertices
     fv = complex(fpoly(complex(gamma2[0])))
     assert fv.real < 0.0 and abs(fv.imag) <= 1e-12 * abs(fv)  # a real tie
-    monkeypatch.setattr(tracking, "roots", lambda p, **kw: list(varied))
-    # build the base record afresh from the varied roots, outside the cache
-    monkeypatch.setattr(tracking, "_base_frame", tracking._base_frame.__wrapped__)
-    got = _March(2, KAPPA_BASE, with_cables=True).bundle
-    assert np.array_equal(got.starts, base.starts)
-    np.testing.assert_allclose(got.verts, base.verts, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(got.y_ref, base.y_ref, rtol=0.0, atol=1e-12)
-    assert np.array_equal(got.windings, base.windings)
+    got = _oriented_basis(fpoly, tuple(varied), 2)
+    for (verts, y), (ref, y_ref) in zip(got, base):
+        assert len(verts) == len(ref)
+        np.testing.assert_allclose(verts, ref, rtol=0.0, atol=1e-12)
+        assert abs(y - y_ref) <= 1e-12
 
 
 # branch points at |x| = 10: every polygon below lies on one sheet

@@ -863,7 +863,7 @@ def test_residue_check_matches_the_former_quadrature_with_real_roots():
 def test_march_to_complex_a2_matches_roots_of_that_quartic():
     a1, a2, a3 = 0.3, 2.9, -0.2
     target = (a1, a2 - 0.6 + 0.4j, a3)
-    state = tracking._March(1, (a1, a2, a3), with_cables=False)
+    state = tracking._March(1, (a1, a2, a3))
     state.traverse(target)
     assert state.point == target
     want = roots(quartic_poly(target))

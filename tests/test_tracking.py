@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import UPKEEPS, star_loop
+from conftest import chained_star_loop, star_loop
 
 from topmonodromy.discriminant import quartic_poly, sextic_poly
 from topmonodromy import tracking
@@ -18,27 +18,18 @@ from topmonodromy.errors import (
     ValidationError,
 )
 from topmonodromy.homology import _intersection_matrix
-from topmonodromy.periods import _next_index, _segment_distances
 from topmonodromy.poly import discriminant, roots
 from topmonodromy.tracking import (
-    _BERTH,
-    _BLEND,
-    _EDGE_CLEAR,
     _KAPPA_BASE,
     _KAPPA_GEOMETRY,
-    _MARGIN_FRAC,
-    _STEP_FRAC,
     MonodromyResult,
     ParameterLoop,
-    _allowance,
     _base_frame,
     _check_form,
-    _continue_sqrt,
     _March,
     _braid_word,
     _match_roots,
     _g2_branch_frame,
-    _pairwise_min_sep,
     _integer_fit,
     _run_march,
     _swaps,
@@ -59,8 +50,8 @@ KAPPA1_BLOCK = ((1, 0, 0), (-1, 1, 0), (1, 0, 1))
 KAPPA2_BLOCK = ((1, -1, 0), (0, 1, 0), (0, 1, 1))
 KAPPA3_BLOCK = ((0, -1, 0), (1, 2, 0), (0, 0, 1))
 NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
-# Accepted march steps; a change to the step control or the cable upkeep that
-# moves these changes the work done per loop and must say why.
+# Accepted march steps; a change to the step control that moves these changes
+# the work done per loop and must say why.
 PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
 # The local route marches the roots alone, as the periods route does, plus
 # the steps that split a march step holding two crossings with a common root.
@@ -95,20 +86,6 @@ def kappa_results():
         name: monodromy_periods(named_loop(name))
         for name in ("kappa1", "kappa2", "kappa3")
     }
-
-
-@pytest.fixture(scope="module")
-def cable_marches():
-    """The periods route's march with cables round each named loop."""
-    marches = {}
-    for name in NAMED:
-        for orientation in (1, -1):
-            path = named_loop(name, orientation).path_points()
-            state = _March(1 if name == "cushman" else 2, path[0], with_cables=True)
-            for b in path[1:]:
-                state.traverse(b)
-            marches[name, orientation] = state
-    return marches
 
 
 @pytest.fixture(scope="module")
@@ -301,27 +278,6 @@ class TestNamedLoopInvariants:
         assert {n: r.steps_used for n, r in periods.items()} == PERIODS_STEPS
         assert {n: r.steps_used for n, r in local_results.items()} == LOCAL_STEPS
 
-    def test_upkeeps_are_pinned(self, cable_marches):
-        assert {k: m.upkeeps for k, m in cable_marches.items()} == UPKEEPS
-        assert {k: m.steps_used for k, m in cable_marches.items()} == {
-            (n, o): PERIODS_STEPS[n] for n, o in UPKEEPS
-        }
-
-    def test_march_ends_with_the_margin_invariant_at_the_base(self, cable_marches):
-        # the last step lands on the base and is an upkeep step, so the
-        # cables the route integrates keep their margin from the base roots
-        for key, state in cable_marches.items():
-            assert state.point == state.base and state.drift == 0.0, key
-            bundle, margin = state.bundle, state.upkeep_margin
-            base = np.array(state.fibers[0])
-            assert margin <= _MARGIN_FRAC * _pairwise_min_sep(state.rs), key
-            assert state.berth == _BERTH, key
-            cable_margin = _BERTH * margin
-            assert np.abs(bundle.verts[:, None] - base).min() >= cable_margin, key
-            ends = bundle.verts[_next_index(bundle.starts, len(bundle.verts))]
-            edges = _segment_distances(bundle.verts, ends, base)
-            assert edges.min() >= _EDGE_CLEAR * cable_margin, key
-
     def test_intersection_form_preserved(
         self, cushman_result, kappa_results, local_results
     ):
@@ -385,178 +341,19 @@ class TestTypedFailures:
         assert repr(err.value.parameter) in str(err.value)
 
     def test_a_clean_step_advances(self):
-        state = _March(1, self.BASE, with_cables=True)
+        state = _March(1, self.BASE)
         assert state._try_advance(self.TARGET) is True
         assert state.steps_used == 1
-
-    @staticmethod
-    def _due(state):
-        """Make the next step an upkeep step: a march whose roots have
-        drifted a whole margin since its last upkeep."""
-        state.drift = state.upkeep_margin
-        return state
-
-    def test_a_small_step_is_lazy(self):
-        # a step short of an upkeep leaves the bundle, pinned roots
-        # included, as the last upkeep left it and records one row of f
-        state = _March(1, self.BASE, with_cables=True)
-        bundle, rows = state.bundle, list(state.f_rows)
-        assert state._try_advance(self.TARGET) is True
-        assert state.upkeeps == 1
-        assert 0.0 < state.drift < _STEP_FRAC * state.upkeep_margin
-        assert state.bundle.verts is bundle.verts
-        assert state.bundle.y_ref is bundle.y_ref
-        assert len(state.f_rows) == len(rows) + 1 == 2
-        assert state.f_rows[0] is rows[0]
-        x0 = bundle.verts[bundle.starts].tolist()
-        fp = fiber_polynomial(1, self.TARGET)
-        assert state.f_rows[1].tolist() == [complex(fp(x)) for x in x0]
-
-    def test_an_ambiguous_recorded_path_rejects_the_upkeep(self):
-        # A recorded row whose blend from the row before jumps across the
-        # origin between two samples: the upkeep attempt is rejected and
-        # leaves the march as it was.
-        state = self._due(_March(1, self.BASE, with_cables=True))
-        f0 = state.f_rows[0]
-        bad = -1.2857 * cmath.exp(1e-3j) * f0  # blend crosses 0 at t = 0.4375
-        path = (1.0 - _BLEND) * f0[:, None] + _BLEND * bad[:, None]
-        assert _continue_sqrt(path, state.bundle.y_ref) is None
-        state.f_rows.append(bad)
-        rows, bundle, drift = list(state.f_rows), state.bundle, state.drift
-        y_ref, verts = bundle.y_ref.copy(), bundle.verts.copy()
-        assert state._try_advance(self.TARGET) is False
-        assert len(state.f_rows) == 2
-        assert all(a is b for a, b in zip(state.f_rows, rows))
-        assert state.bundle is bundle
-        assert bundle.y_ref.tobytes() == y_ref.tobytes()
-        assert bundle.verts.tobytes() == verts.tobytes()
-        assert (state.steps_used, state.upkeeps, state.point) == (0, 1, self.BASE)
-        assert state.drift == drift
-
-    def test_a_lift_that_stays_ambiguous_stalls_with_its_arc(self):
-        state = self._due(_March(1, self.BASE, with_cables=True))
-        state.f_rows.append(-1.2857 * cmath.exp(1e-3j) * state.f_rows[0])
-        with pytest.raises(TrackingError, match="root tracking stalled") as err:
-            state.traverse(self.TARGET)
-        assert err.value.arc == (self.BASE, self.TARGET)
-        assert err.value.parameter == 0.0
-        assert state.steps_used == 0
-
-    def test_crossing_names_the_cable_and_the_target(self):
-        state = self._due(_March(1, self.BASE, with_cables=True))
-        state.bundle.windings[1, 0] += 1
-        with pytest.raises(
-            TrackingError,
-            match=r"crossed a transported contour: cable 1 on the step to "
-            r"\(0\.0, 1\.01, 0\.0\)",
-        ) as err:
-            state._try_advance(self.TARGET)
-        assert err.value.arc == (self.BASE, self.TARGET)
-
-    def test_failed_upkeep_rejects_before_windings_are_compared(self):
-        # Cable 0's windings no longer match, but cable 2 cannot be
-        # maintained at the target: the attempt is rejected (so the march
-        # bisects the step) instead of reporting a crossing.
-        state = self._due(_March(1, self.BASE, with_cables=True))
-        new = roots(fiber_polynomial(1, self.TARGET), initial=state.rs)
-        perm, _ = _match_roots(state.rs, new)
-        bundle = state.bundle
-        bundle.windings[0, 0] += 1
-        bundle.verts[bundle.starts[2] + 5] = new[perm[0]]
-        assert state._try_advance(self.TARGET) is False
-        assert state.steps_used == 0
-        assert state.point == self.BASE
-
-    @staticmethod
-    def _lazy_steps(state, targets, allowance):
-        """How many of the steps to targets a march with cables, standing
-        where state stands, takes before one falls due under the given
-        allowance; a plain march accepts the same steps and meets the same
-        roots."""
-        plain = _March(state.g, state.point, with_cables=False)
-        drift = state.drift
-        for lazy, target in enumerate(targets):
-            assert plain._try_advance(target) is True
-            a, b = plain.fibers[-2:]
-            drift += max(abs(x - y) for x, y in zip(a, b))
-            m = _MARGIN_FRAC * min(_pairwise_min_sep(a), _pairwise_min_sep(b))
-            if drift >= allowance * min(state.upkeep_margin, m):
-                return lazy
-        raise AssertionError("no step falls due")
-
-    def test_tampered_windings_raise_at_the_step_whose_drift_is_due(self):
-        # lazy steps compare no windings; the first step that takes the
-        # drift to the allowance of the base's berth is an upkeep step, and
-        # raises
-        state = _March(1, self.BASE, with_cables=True)
-        state.bundle.windings[2, 1] -= 1
-        targets = [(0.0, 1.0 + 0.02 * k, 0.0) for k in range(1, 40)]
-        assert state.berth == _BERTH
-        lazy = self._lazy_steps(state, targets, _allowance(_BERTH))
-        assert lazy >= 2
-        with pytest.raises(TrackingError, match="cable 2 on the step to") as err:
-            for target in targets:
-                assert state._try_advance(target) is True
-        assert state.steps_used == lazy and state.upkeeps == 1
-        assert err.value.arc == (state.point, targets[lazy])
-        assert 0.0 < state.drift < _allowance(_BERTH) * state.upkeep_margin
-
-    def test_a_failed_wide_upkeep_falls_back_to_one_margin(self, monkeypatch):
-        # A maintain asked for more than one margin at the new roots fails:
-        # the step is still accepted, with the cables one margin clear, and
-        # the next upkeep falls due under the former allowance, a third of a
-        # margin, not under the wide berth's.
-        maintain, asked = tracking._maintain_bundle, []
-
-        def narrow_only(bundle, rs, margin, fpoly):
-            asked.append(margin)
-            if margin > _MARGIN_FRAC * _pairwise_min_sep(rs):
-                return None
-            return maintain(bundle, rs, margin, fpoly)
-
-        monkeypatch.setattr(tracking, "_maintain_bundle", narrow_only)
-        state = self._due(_March(1, self.BASE, with_cables=True))
-        assert state._try_advance(self.TARGET) is True
-        assert (state.steps_used, state.upkeeps, state.drift) == (1, 2, 0.0)
-        margin = state.upkeep_margin
-        assert state.berth == 1.0 and asked == [_BERTH * margin, margin]
-        rs, bundle = np.array(state.rs), state.bundle
-        assert np.abs(bundle.verts[:, None] - rs).min() >= margin
-        ends = bundle.verts[_next_index(bundle.starts, len(bundle.verts))]
-        assert _segment_distances(bundle.verts, ends, rs).min() >= _EDGE_CLEAR * margin
-
-        assert _allowance(1.0) == _STEP_FRAC
-        targets = [(0.0, 1.01 + 0.02 * k, 0.0) for k in range(1, 40)]
-        lazy = self._lazy_steps(state, targets, _STEP_FRAC)
-        assert 2 <= lazy < self._lazy_steps(state, targets, _allowance(_BERTH))
-        for target in targets[:lazy]:
-            assert state._try_advance(target) is True
-        assert state.upkeeps == 2
-        assert state._try_advance(targets[lazy]) is True
-        assert state.upkeeps == 3 and state.drift == 0.0
-
-    def test_tampered_windings_raise_on_the_step_onto_the_base(self):
-        # the step back onto the base is an upkeep step however small
-        state = _March(1, self.BASE, with_cables=True)
-        state.bundle.windings[2, 1] -= 1
-        assert state._try_advance(self.TARGET) is True
-        assert state.upkeeps == 1
-        with pytest.raises(
-            TrackingError,
-            match=r"crossed a transported contour: cable 2 on the step to "
-            r"\(0\.0, 1\.0, 0\.0\)",
-        ) as err:
-            state._try_advance(self.BASE)
-        assert err.value.arc == (self.TARGET, self.BASE)
-        assert state.steps_used == 1
+        assert state.points == [self.BASE, self.TARGET]
 
     def test_tampering_with_a_march_leaves_the_base_record_intact(self):
-        # the tests above tamper with marches from this base in place; the
-        # routes still read the pinned matrix off the record they share
-        state = _March(1, self.BASE, with_cables=True)
-        state.bundle.windings[1, 0] += 1
-        state.bundle.verts[state.bundle.starts[2] + 5] = state.rs[0]
-        state.bundle.y_ref *= -1.0
+        # a march that starts from the record's roots keeps its own list;
+        # the routes still read the pinned matrix off the record they share
+        base = _base_frame(1, self.BASE, 1e-9)
+        state = _March(1, self.BASE, rs=base.rs)
+        state.rs[0] = state.rs[1]
+        state.fibers[0] = ()
+        assert base.rs[0] != base.rs[1]
         for route in (monodromy_periods, picard_lefschetz_route):
             assert route(named_loop("cushman")).matrix == CUSHMAN_MATRIX
 
@@ -566,7 +363,7 @@ class TestTypedFailures:
         # rejects the step (and traverse bisects it), which a plain march
         # accepts.
         point, target = (0.3, -2.1246, -0.2), (0.3, -2.1246 - 1e-4j, -0.2)
-        state = _March(1, point, with_cables=False, braided=True)
+        state = _March(1, point, braided=True)
         state.rot = cmath.exp(-1j * (0.5 * math.pi - 1e-6))
         rs = list(state.rs)
         new = roots(fiber_polynomial(1, target), initial=rs)
@@ -577,7 +374,7 @@ class TestTypedFailures:
         assert state.point == point
         assert state.rs == rs
         assert state.steps_used == 0
-        assert _March(1, point, with_cables=False)._try_advance(target) is True
+        assert _March(1, point)._try_advance(target) is True
 
 
 def _bits(res):
@@ -599,14 +396,13 @@ class TestBaseRecord:
 
     def test_the_record_is_read_only(self):
         base = _base_frame(2, _KAPPA_BASE, 1e-9)
-        bundle = base.bundle
-        for arr in (base.frame, bundle.verts, bundle.starts, bundle.y_ref,
-                    bundle.windings):
+        for arr in (base.frame, base.periods):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
-        state = _March(2, _KAPPA_BASE, with_cables=True)
-        assert state.bundle.verts.flags.writeable
-        assert not np.shares_memory(state.bundle.verts, bundle.verts)
+        assert base.periods.shape == (5, 5)
+        assert base.frame.tolist() == np.hstack(
+            [base.periods[:3].T.real, base.periods[:3].T.imag]
+        ).tolist()
 
     def test_both_routes_orient_the_base_cables_once(self, monkeypatch):
         calls = []
@@ -624,10 +420,13 @@ class TestBaseRecord:
         assert len(calls) == 1
 
     def test_a_base_that_cannot_be_realized_raises_every_time(self, monkeypatch):
-        monkeypatch.setattr(tracking, "_maintain_bundle", lambda *args: None)
+        def unrealizable(config):
+            raise DegenerateInputError("cannot fit a pair loop between branch points")
+
+        monkeypatch.setattr(tracking, "basis_contours", unrealizable)
         _base_frame.cache_clear()
         for _ in range(2):
-            with pytest.raises(DegenerateInputError, match="safety margin"):
+            with pytest.raises(DegenerateInputError, match="cannot fit a pair loop"):
                 monodromy_periods(named_loop("cushman"))
         assert _base_frame.cache_info().currsize == 0
 
@@ -637,7 +436,7 @@ def test_real_chart_points_stay_python_floats():
     # same float polynomial as before and is kept (and printed) as floats
     point = (np.float64(0.3), 2, -0.2)
     assert quartic_poly(point).coeffs == (1 + 0j, -0.2 + 0j, 2 + 0j, 0.3 + 0j, 1 + 0j)
-    state = _March(1, point, with_cables=False)
+    state = _March(1, point)
     assert state.point == (0.3, 2.0, -0.2)
     state.traverse((0.3, 2.5, -0.2))
     assert state.point == (0.3, 2.5, -0.2)
@@ -661,7 +460,7 @@ def test_simultaneous_crossings_raise_with_their_arc():
     # p = 0, so crossings stay simultaneous however finely the step is
     # split; the route's projection keeps clear of that direction.
     path = star_loop(1, (0.3, -0.2), -2.0846).path_points()
-    march = _March(1, path[0], with_cables=False, braided=True)
+    march = _March(1, path[0], braided=True)
     march.rot = -1j
     with pytest.raises(TrackingError, match="root tracking stalled") as err:
         for b in path[1:]:
@@ -711,6 +510,34 @@ def test_routes_agree_round_a_real_critical_value_past_another():
     periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
     assert periods.matrix == local.matrix == ((1, 0, 0), (0, 1, -1), (0, 0, 1))
     assert periods.permutation == local.permutation
+
+
+def test_routes_agree_round_chained_stars():
+    # Every star of a line in turn.  On the genus-2 line the tail into the
+    # fifth star, after four twists, passes a close pair of branch points
+    # that a carried contour would have to squeeze between.
+    for g, fixed in ((2, (0.1, 0.5)), (1, (0.7, 0.1))):
+        loop = chained_star_loop(g, fixed)
+        periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
+        assert periods.matrix == local.matrix, (g, fixed)
+        assert periods.permutation == local.permutation
+        assert periods.residual < 1e-12
+
+
+# No conjugate pairing has disjoint cuts here, and the shortest disjoint
+# matching, ((4, 0), (1, 5), (2, 3)), has a delta chord 3.7e-4 from a third
+# branch point, too close to realize a basis contour round it.
+UNCLEAR_BASE = (-0.2083501014287662, 1.0600318763097865, 0.4560335572521116)
+
+
+def test_a_loop_from_a_base_whose_shortest_matching_is_unclear_is_the_identity():
+    a, b, c = UNCLEAR_BASE
+    loop = parameter_loop(2, [UNCLEAR_BASE, (a + 0.02, b, c), (a, b + 0.02, c),
+                              UNCLEAR_BASE])
+    for route in (monodromy_periods, picard_lefschetz_route):
+        res = route(loop)
+        assert res.as_array().tolist() == np.eye(5, dtype=int).tolist()
+        assert res.residual < 1e-13
 
 
 class TestGroupStructure:
