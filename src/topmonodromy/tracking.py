@@ -75,7 +75,10 @@ from .homology import (
     picard_lefschetz,
 )
 from .periods import (
+    _AMBIGUITY_LIMIT,
     _HOLOMORPHIC,
+    _lift_open,
+    _next_index,
     _segment_distances,
     _vertex_sqrt,
     basis_contours,
@@ -93,6 +96,8 @@ _WAYPOINT_DISC_FLOOR = 1e-8
 _COND_LIMIT = 1e8
 _FIT_LIMIT = 1e3  # reject an integer fit whose residual exceeds this * tol
 _EDGE_RATIO = 4.0  # integrated edges are at most this * their root distance long
+_PUSH_TARGET = 1.15  # _maintain_bundle pushes vertices to this * margin
+_EDGE_CLEAR = 0.95  # _maintain_bundle refines edges below this * margin
 _GL_STAGES = 6  # Gauss-Legendre collocation stages per march step (order 12)
 _GL_BLOCK = 8  # march steps whose transfer matrices are solved at once
 _CHARTS = {1: quartic_poly, 2: sextic_poly}  # the reduced chart of each genus
@@ -509,6 +514,120 @@ def _base_frame(g, base, tol):
     periods.flags.writeable = False
     frame.flags.writeable = False
     return _BaseFrame(fpoly, rs, periods, frame, condition)
+
+
+# Bundle upkeep: polygons pushed out of the roots' margin disks, with their
+# pinned square roots carried along.  No route calls it since the periods
+# ride on the Gauss-Manin connection; it stays, with its bit-identity tests
+# against the scalar reference, until both are removed together (ROADMAP
+# item 8).
+
+
+class _Bundle:
+    """Polygons in one complex vertex array.
+
+    Polygon c owns verts[starts[c]:starts[c + 1]] (the last one runs to the
+    end of the array); y_ref[c] is the square root pinned at its first
+    vertex and windings[c] its turn count around each branch point.
+    """
+
+    __slots__ = ("verts", "starts", "y_ref", "windings")
+
+    def __init__(self, verts, starts, y_ref, windings=None):
+        self.verts = verts
+        self.starts = starts
+        self.y_ref = y_ref
+        self.windings = windings
+
+    @classmethod
+    def of(cls, polygons, y_ref, windings=None):
+        """Bundle of the given vertex sequences, in order."""
+        lengths = [len(p) for p in polygons]
+        starts = np.concatenate(([0], np.cumsum(lengths[:-1]))).astype(np.intp)
+        verts = np.concatenate([np.asarray(p, dtype=complex) for p in polygons])
+        return cls(verts, starts, np.array(y_ref, dtype=complex), windings)
+
+
+def _continue_sqrt(values, y_start):
+    """End value of the square root continued along sampled f-values.
+
+    A 2-D input holds one path per row (and y_start one start per row) and
+    gives one end value per row.  None when any path meets a zero or lifts
+    ambiguously.
+    """
+    vals = np.asarray(values, dtype=complex)
+    if np.any(vals == 0.0):
+        return None
+    y, worst = _lift_open(vals, y_start=y_start)
+    if np.any(worst >= _AMBIGUITY_LIMIT):
+        return None
+    return complex(y[-1]) if y.ndim == 1 else y[:, -1]
+
+
+def _maintain_bundle(bundle, rs, margin, fpoly):
+    """Restore the margin invariant of the bundle's polygons.
+
+    Vertices inside a root's margin disk move radially outward (the disks are
+    disjoint, so each vertex sits in at most one disk and the move cannot
+    cross any root); edges with less clearance than the margin gain midpoints
+    until every edge clears.  A pushed first vertex carries its polygon's
+    y_ref along.  Every polygon goes through the same rounds: one that is
+    already clean does not change in a further round, so each ends exactly
+    as it would alone.  Returns None when any polygon cannot be restored.
+
+    Only the first round tests every vertex and edge; a later round tests
+    the midpoints the round before inserted and the two edges at each.  That
+    needs margin <= min_sep / (1 + _PUSH_TARGET): a pushed vertex then lands
+    _PUSH_TARGET margins from its root and at least min_sep - _PUSH_TARGET
+    margins >= one margin from any other, outside every disk.
+    """
+    verts = np.array(bundle.verts, dtype=complex)
+    starts = bundle.starts
+    y_ref = np.array(bundle.y_ref, dtype=complex)
+    r = np.asarray(rs, dtype=complex)
+    fresh = edges = np.arange(len(verts))  # vertices and edges to test
+    for k in range(8):
+        dx = verts.real[fresh, None] - r.real
+        dy = verts.imag[fresh, None] - r.imag
+        d = np.hypot(dx, dy)
+        inside = d < margin
+        rows = np.flatnonzero(inside.any(axis=1))
+        if len(rows):
+            j = np.argmax(inside[rows], axis=1)
+            dist = d[rows, j]
+            if np.any(dist == 0.0):
+                return None
+            scale = _PUSH_TARGET * margin / dist
+            tx = r.real[j] + dx[rows, j] * scale
+            ty = r.imag[j] + dy[rows, j] * scale
+            hit = fresh[rows]
+            # the polygons whose vertex 0 is pushed; hit[h[c]] is that vertex
+            h = np.searchsorted(hit, starts)
+            for c in np.flatnonzero(hit[np.minimum(h, len(hit) - 1)] == starts):
+                x0, x1 = complex(verts[starts[c]]), complex(tx[h[c]], ty[h[c]])
+                xs = np.linspace(x0, x1, 17)
+                y = _continue_sqrt(fpoly(xs), complex(y_ref[c]))
+                if y is None:
+                    return None
+                y_ref[c] = y
+            verts.real[hit] = tx
+            verts.imag[hit] = ty
+        a = verts[edges]
+        b = verts[_next_index(starts, len(verts))[edges]]
+        near = np.any(_segment_distances(a, b, r) < _EDGE_CLEAR * margin, axis=1)
+        split = edges[near]
+        if not len(split) and (k < 7 or not len(rows)):
+            # Nothing is left to test, so a further round would change
+            # nothing; a push in the last round still fails the call.
+            return _Bundle(verts, starts, y_ref, bundle.windings)
+        mids = np.empty(len(split), dtype=complex)
+        mids.real = 0.5 * (a.real[near] + b.real[near])
+        mids.imag = 0.5 * (a.imag[near] + b.imag[near])
+        starts = starts + np.searchsorted(split, starts)
+        verts = np.insert(verts, split + 1, mids)
+        fresh = split + np.arange(1, len(split) + 1)
+        edges = np.stack([fresh - 1, fresh], axis=1).ravel()
+    return None
 
 
 class _March:

@@ -376,6 +376,23 @@ def square_free_part(coeffs):
     return [float(c) for c in quo]
 
 
+def inclusion_radii(coeffs, rs):
+    """Weierstrass inclusion radii n |p(z_i)| / prod_{j != i} |z_i - z_j| of
+    the approximations rs to the roots of the monic float polynomial p
+    (ascending), with |p(z_i)| raised by Horner's rounding bound. Where the
+    disks about rs are pairwise disjoint, each holds exactly one root of p."""
+    n = len(rs)
+    radii = []
+    for i, z in enumerate(rs):
+        value, size = 0j, 0.0
+        for c in reversed(coeffs):
+            value = value * z + c
+            size = size * abs(z) + abs(c)
+        gap = math.prod(abs(z - w) for j, w in enumerate(rs) if j != i)
+        radii.append(n * (abs(value) + 2 * n * 2.0**-53 * size) / gap)
+    return radii
+
+
 @given(
     st.lists(
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -386,6 +403,10 @@ def square_free_part(coeffs):
 # x^7 - x^6: a solver splits the six-fold root 0 into a ring about 5e-3
 # wide, so the roots of p itself would count one real root, not two
 @example([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+# x^7 - x^6 + 5e-324 x is square-free, with three real roots within 1e-64
+# of 0; the solver returns that cluster as a ring 5e-3 wide, whose spacing
+# passes the separation check but whose inclusion disks overlap
+@example([0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, -1.0])
 @settings(max_examples=150, deadline=None)
 def test_real_root_count_matches_numeric_roots(coeffs):
     coeffs = coeffs + [1.0]
@@ -394,7 +415,8 @@ def test_real_root_count_matches_numeric_roots(coeffs):
         return
     # real_root_count counts distinct roots, so the oracle reads them off
     # the square-free part, whose roots are simple
-    rs = roots(ComplexPoly.of(square_free_part(coeffs)), tol=1e-13)
+    sf = square_free_part(coeffs)
+    rs = roots(ComplexPoly.of(sf), tol=1e-13)
     # demand well-separated roots so the near-real classification is stable
     n = len(rs)
     if n > 1:
@@ -403,6 +425,21 @@ def test_real_root_count_matches_numeric_roots(coeffs):
             return
     if any(1e-9 <= abs(r.imag) < 1e-3 for r in rs):
         return
+    # and certified ones: disjoint inclusion disks, each off the real axis
+    # for a non-real root, and each mirrored disk meeting no other disk for
+    # a near-real one (so that root is its own conjugate)
+    radii = inclusion_radii(sf, rs)
+    for i, z in enumerate(rs):
+        near_real = abs(z.imag) < 1e-9
+        if not near_real and radii[i] >= abs(z.imag):
+            return
+        for centre in (z, z.conjugate()) if near_real else (z,):
+            if any(
+                abs(centre - w) <= radii[i] + radii[j]
+                for j, w in enumerate(rs)
+                if j != i
+            ):
+                return
     numeric = sum(1 for r in rs if abs(r.imag) < 1e-9)
     assert real_root_count(p) == numeric
 
