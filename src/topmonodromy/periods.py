@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -45,7 +46,9 @@ from .homology import (
     _GAMMA_DELTA_NEXT,
     _GAMMA_DELTA_SAME,
     BranchConfig,
+    _intersection_matrix,
     build_basis,
+    cycle_labels,
 )
 from .poly import ComplexPoly, real_root_count, roots as poly_roots
 from .spectral import SpectralCoeffs
@@ -510,7 +513,10 @@ def normalized_basis_contours(f, polygons):
     polygon the sign that makes <gamma_j, delta_j> and <gamma_{j+1},
     delta_j> canonical; a polygon whose sign is -1 comes back with every
     vertex but vertex 0 reversed, so its y_ref still holds.  The global sign
-    cannot affect a monodromy matrix.
+    cannot affect a monodromy matrix.  Every other pair of the oriented
+    polygons must then have crossing number 0, as in the canonical form (a
+    pairing whose chords cross breaks it); QuadratureError names the first
+    pair that does not.
     """
     fpoly = _as_poly(f)
     polygons = [(np.asarray(v, dtype=complex), complex(y)) for v, y in polygons]
@@ -527,10 +533,21 @@ def normalized_basis_contours(f, polygons):
             )
         eps[di] = _GAMMA_DELTA_SAME * eps[gi] * s
         eps[j] = _GAMMA_DELTA_NEXT * eps[di] * s2
-    return [
+    oriented = [
         (v if e == 1 else np.concatenate((v[:1], v[:0:-1])), y)
         for (v, y), e in zip(polygons, eps)
     ]
+    # the form's nonzero entries are the chain pairs, canonical by now
+    omega, labels = _intersection_matrix(g), cycle_labels(g)
+    for a, b in combinations(range(2 * g + 1), 2):
+        if omega[a, b] == 0:
+            s = realized_intersection(fpoly, oriented[a], oriented[b])
+            if s != 0:
+                raise QuadratureError(
+                    f"basis contours {labels[a]} and {labels[b]} cross {s} "
+                    "times, where the intersection form has 0"
+                )
+    return oriented
 
 
 def residue_check(a, tol: float = 1e-10) -> float:

@@ -5,16 +5,19 @@ The zero polynomial is the empty coefficient list and has degree -1.
 
 Root finding is a simultaneous Aberth-Ehrlich iteration started on a circle
 of radius given by the Fujiwara bound, or warm-started from the previous
-fiber's roots during continuation.  The package's polynomials have degree
-3 to 6, so the iteration runs on Python complex scalars in a kernel
-generated once per degree (`_aberth_kernel`), not on NumPy arrays, whose
-per-call overhead dominated at these sizes.  Measured per call (Python
-3.11, NumPy 2.4, minimum of 7 runs), a warm-started quartic takes 20 us
-against 165 us for the former NumPy sweep loop and 29 us for plain Python
-loops; a warm-started sextic takes 40 us against 221 us and 68 us.  Roots
-agree with the NumPy loop to about 1e-16 relative but not bit for bit:
-NumPy's complex multiply may fuse into FMA and its complex abs is not libm
-hypot, while the kernel rounds the same on every CPU.
+fiber's roots during continuation.  Each iterate moves from its own start,
+so a warm start returns root i as the continuation of guess i, in the
+order of the guesses; a cold start returns the roots sorted.  The
+package's polynomials have degree 3 to 6, so the iteration runs on Python
+complex scalars in a kernel generated once per degree (`_aberth_kernel`),
+not on NumPy arrays, whose per-call overhead dominated at these sizes.
+Measured per call (Python 3.11, NumPy 2.4, minimum of 7 runs), a
+warm-started quartic takes 20 us against 165 us for the former NumPy sweep
+loop and 29 us for plain Python loops; a warm-started sextic takes 40 us
+against 221 us and 68 us.  Roots agree with the NumPy loop to about 1e-16
+relative but not bit for bit: NumPy's complex multiply may fuse into FMA
+and its complex abs is not libm hypot, while the kernel rounds the same on
+every CPU.
 
 Discriminants go through the Sylvester matrix with the normalization
 
@@ -232,13 +235,16 @@ def _aberth_kernel(n):
 def roots(p: ComplexPoly, tol: float = 1e-12, initial=None):
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
-    Returns exactly p.degree values sorted lexicographically by (real, imag).
-    `initial` optionally warm-starts the iteration (used by continuation).
+    Returns exactly p.degree values.  `initial` optionally warm-starts the
+    iteration (used by continuation); root i is then the iterate started at
+    initial[i], so the roots come back in the order of their starts.
     Guesses that coincide exactly would move in lockstep, each meeting the
     residual contract on its own at one root, so they fall back to the cold
-    start.  Residual contract: |p(r)| <= tol * max|coeff| * max(1,|r|)^degree.
-    Raises RootFindingError when the contract is not met within
-    _ABERTH_BUDGET sweeps or the iteration overflows.
+    start.  A cold start, fallen back to or not, returns the roots sorted
+    lexicographically by (real, imag).  Residual contract:
+    |p(r)| <= tol * max|coeff| * max(1,|r|)^degree.  Raises
+    RootFindingError when the contract is not met within _ABERTH_BUDGET
+    sweeps or the iteration overflows.
     """
     n = p.degree
     if n < 1:
@@ -253,7 +259,8 @@ def roots(p: ComplexPoly, tol: float = 1e-12, initial=None):
             raise ValidationError("initial guesses must match the degree")
         if len(set(z)) < n:
             z = None
-    if z is None:
+    warm = z is not None
+    if not warm:
         radius = _fujiwara_radius(p.coeffs)
         z = [
             cmath.rect(radius, 2.0 * math.pi * (k + 0.5) / n + 0.41)
@@ -267,7 +274,7 @@ def roots(p: ComplexPoly, tol: float = 1e-12, initial=None):
             "Aberth iteration did not converge within %d sweeps" % _ABERTH_BUDGET,
             best_residual=best,
         )
-    return sorted(z, key=lambda v: (v.real, v.imag))
+    return z if warm else sorted(z, key=lambda v: (v.real, v.imag))
 
 
 def _sylvester(p: ComplexPoly, q: ComplexPoly) -> np.ndarray:

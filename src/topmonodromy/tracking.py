@@ -3,6 +3,11 @@
 A loop in the reduced coefficient chart is traversed by continuing the
 branch points (adaptive-bisection root tracking), and the periods ride
 along on the Gauss-Manin connection: no contour leaves the base fiber.
+Each step warm-starts the root finder from the last fiber, which returns
+every root as the continuation of its own start, so the roots keep their
+labels with no matching: a step is accepted when each root moves less
+than a third of a margin (a quarter of the smallest root separation) from
+where it started, and bisected otherwise.
 At the base the canonical basis polygons, each with a square root pinned
 at its first vertex, are oriented against the intersection form
 (periods.normalized_basis_contours) and integrated once, on edges
@@ -37,10 +42,12 @@ the branch points alone and reads off the braid they make: ordered by a
 projection p(z) = Re(exp(-i theta) z), with theta taken from the base roots,
 each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  Its march
 also rejects, and so bisects, a step in which two swaps share a root, since
-those do not commute; each step's swaps are then read in order of time.  A
-half-twist of two branch points acts on H1 as the Picard-Lefschetz twist
-about the cycle of a loop round the segment joining them, so the matrix is
-the product of one twist per letter, about cycles fitted once at the base.
+those do not commute; it records each accepted step's swaps in order of
+time, and the word is read from that record.  A half-twist of two branch
+points acts on H1 as the Picard-Lefschetz twist about the cycle of a loop
+round the segment joining them, so the matrix is the product of one twist
+per letter, about cycles that depend only on the base point and so are
+fitted once per base point and kept beside its record.
 
 Both routes raise QuadratureError rather than report a matrix when a fit
 residual exceeds 1e3 * tol or when the matrix does not preserve the
@@ -634,11 +641,17 @@ class _March:
     """Root transport along chart segments.
 
     Coordinates may be complex in both genera.  fibers[s] holds the roots
-    and points[s] the chart point after s accepted steps.  A march starts
+    and points[s] the chart point after s accepted steps; roots keep their
+    labels, since a warm-started roots() returns each root as the
+    continuation of its start.  A step is accepted when the new roots keep
+    the separation floor and each moves less than _STEP_FRAC margins from
+    its own start; such a move is under min_sep / 12, so the labels are
+    also the nearest-distance matching of the two fibers.  A march starts
     from the roots rs at point when given, and finds them otherwise.  A
-    braided march fixes the projection rot of the base roots and also
-    rejects a step in which two swaps of projection neighbours share a
-    root, so traverse bisects it like any other step.
+    braided march fixes the projection rot of the base roots, keeps the
+    sorted swaps of projection neighbours of each accepted step in swaps,
+    and also rejects a step in which two swaps share a root, so traverse
+    bisects it like any other step.
     """
 
     def __init__(self, g, point, braided=False, rs=None):
@@ -652,32 +665,32 @@ class _March:
         self.rot = _projection(self.rs) if braided else None
         self.fibers = [tuple(self.rs)]
         self.points = [self.point]
+        self.swaps = []
 
     def _try_advance(self, target):
         try:
             rs_new = roots(fiber_polynomial(self.g, target), initial=self.rs)
         except RootFindingError:
             return False
-        perm, disp = _match_roots(self.rs, rs_new)
-        matched = [rs_new[j] for j in perm]
-        sep_new = _pairwise_min_sep(matched)
-        scale = max(1.0, max(abs(r) for r in matched))
+        sep_new = _pairwise_min_sep(rs_new)
+        scale = max(1.0, max(abs(r) for r in rs_new))
         if sep_new < _SEP_FLOOR * scale:
             return False
         margin = _MARGIN_FRAC * min(self.min_sep, sep_new)
-        if disp >= _STEP_FRAC * margin:
+        if max(abs(a - b) for a, b in zip(self.rs, rs_new)) >= _STEP_FRAC * margin:
             return False
         if self.rot is not None:
             # crossings that share a root do not commute, so their order
             # must come from a shorter step
-            swaps = _swaps(self.rs, matched, self.rot)
+            swaps = sorted(_swaps(self.rs, rs_new, self.rot))
             labels = [r for _, i, j in swaps for r in (i, j)]
             if len(set(labels)) != len(labels):
                 return False
+            self.swaps.append(swaps)
         self.point = tuple(target)
-        self.rs = matched
+        self.rs = rs_new
         self.min_sep = sep_new
-        self.fibers.append(tuple(matched))
+        self.fibers.append(tuple(rs_new))
         self.points.append(self.point)
         self.steps_used += 1
         return True
@@ -845,22 +858,23 @@ def _swaps(fa, fb, rot):
     return events
 
 
-def _braid_word(fibers, rot):
+def _braid_word(fibers, swaps, rot):
     """Braid letters (k, e) of a braided march's fibers in path order.
 
     The roots are labelled by their index in each fiber and kept in order of
-    projection.  A pair whose projections swap between two fibers crosses
-    once (a root moves less than min_sep / 12 per step); it is the letter
-    sigma_k^e at its current positions k, k + 1, with e = +1 when the left
-    root passes at the larger Im(exp(-i theta) z) at the linearly
-    interpolated crossing.  The braided march bisects every step in which
-    two crossings share a root, so the crossings of one step commute and
-    are read in order of time.
+    projection.  swaps[s] holds the pairs whose projections swap between
+    fibers s and s + 1, in order of time, as the march recorded them; each
+    pair crosses once (a root moves less than min_sep / 12 per step).  It
+    is the letter sigma_k^e at its current positions k, k + 1, with e = +1
+    when the left root passes at the larger Im(exp(-i theta) z) at the
+    linearly interpolated crossing.  The braided march bisects every step
+    in which two crossings share a root, so the crossings of one step
+    commute.
     """
     order = sorted(range(len(fibers[0])), key=lambda i: (fibers[0][i] * rot).real)
     word = []
-    for fa, fb in zip(fibers, fibers[1:]):
-        for t, i, j in sorted(_swaps(fa, fb, rot)):
+    for fa, fb, step in zip(fibers, fibers[1:], swaps):
+        for t, i, j in step:
             k = min(order.index(i), order.index(j))
             left, right = order[k], order[k + 1]
             ql = ((1.0 - t) * (fa[left] * rot) + t * (fb[left] * rot)).imag
@@ -870,37 +884,52 @@ def _braid_word(fibers, rot):
     return word
 
 
+@functools.lru_cache(maxsize=80)  # 2g + 1 <= 5 cycles per _base_frame record
+def _vanishing_cycle(g, base, tol, k):
+    """(cycle, residual) of the pair loop round the base roots at
+    projection positions k, k + 1, fitted over the base frame.
+
+    The projection is the braided march's, taken from the base roots, so
+    the cycle depends only on the base point and is kept with its record.
+    A fit that collapses to zero raises, and raises again on every call.
+    """
+    record = _base_frame(g, base, tol)
+    rs = record.rs
+    rot = _projection(rs)
+    order = sorted(range(len(rs)), key=lambda i: (rs[i] * rot).real)
+    verts = pair_loop(rs, order[k : k + 2]).vertices
+    y0 = _vertex_sqrt(record.fpoly, verts[0])
+    q = _periods(record.fpoly, rs, [(verts, y0)], g, tol)
+    coords, residual = _integer_fit(record.frame, _fit_rows(q, g), tol)
+    cycle = CycleClass.of(g, coords[0])
+    if cycle.is_zero():
+        raise QuadratureError("a vanishing-cycle fit collapsed to zero")
+    return cycle, residual
+
+
 def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     """Lattice monodromy as a product of Picard-Lefschetz twists, one per
     crossing of the braid the branch points make around the loop.
 
     At the base the roots are ordered by a projection p; the cycle c_k of
     the pair of p-neighbours k, k + 1 is a pair loop expressed over the base
-    frame by an integer fit.  The roots alone are marched around the loop,
-    and each swap of p-neighbours is a letter sigma_k^e of the braid word.
-    A half-twist of two branch points acts on H1 as the twist about their
-    cycle, so every column starts as a unit class and takes the twist about
-    c_k with orientation -e for each letter in path order.
+    frame by an integer fit, kept per base point.  The roots alone are
+    marched around the loop, and each swap of p-neighbours is a letter
+    sigma_k^e of the braid word.  A half-twist of two branch points acts on
+    H1 as the twist about their cycle, so every column starts as a unit
+    class and takes the twist about c_k with orientation -e for each letter
+    in path order.
     """
     g = loop.g
-    march = _run_march(loop, braided=True)
-    perm = _closure_permutation(march, march.fibers[0])
-    rs0 = march.fibers[0]
-    word = _braid_word(march.fibers, march.rot)
-    base_order = sorted(range(len(rs0)), key=lambda i: (rs0[i] * march.rot).real)
-
     base = _base_frame(g, loop.base, tol)
+    march = _run_march(loop, braided=True, rs=base.rs)
+    perm = _closure_permutation(march, base.rs)
+    word = _braid_word(march.fibers, march.swaps, march.rot)
     cycles = {}
     residual = 0.0
     for k in sorted({k for k, _ in word}):
-        verts = pair_loop(rs0, base_order[k : k + 2]).vertices
-        y0 = _vertex_sqrt(base.fpoly, verts[0])
-        q = _periods(base.fpoly, base.rs, [(verts, y0)], g, tol)
-        coords, fit_res = _integer_fit(base.frame, _fit_rows(q, g), tol)
+        cycles[k], fit_res = _vanishing_cycle(g, loop.base, tol, k)
         residual = max(residual, fit_res)
-        cycles[k] = CycleClass.of(g, coords[0])
-        if cycles[k].is_zero():
-            raise QuadratureError("a vanishing-cycle fit collapsed to zero")
 
     columns = []
     for unit in np.eye(2 * g + 1, dtype=int):

@@ -9,9 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from topmonodromy.errors import DegenerateInputError, ValidationError
+from topmonodromy import tracking
+from topmonodromy.errors import DegenerateInputError, RootFindingError, ValidationError
 from topmonodromy.periods import _PAIR_PAD
-from topmonodromy.poly import discriminant
+from topmonodromy.poly import discriminant, roots
 from topmonodromy.topsys import TopState
 from topmonodromy.tracking import ParameterLoop, fiber_polynomial
 
@@ -188,3 +189,67 @@ def chained_star_loop(g, fixed):
     for k in np.argsort(turn):
         waypoints += [*_star_circle(g, fixed, crit, k), base]
     return ParameterLoop(g=g, waypoints=tuple(waypoints))
+
+
+class _MatchingMarch(tracking._March):
+    """The root march as it was before warm-started roots kept their labels.
+
+    _try_advance is the former one: it sorts the warm-started roots, matches
+    them to the last fiber with the greedy nearest-distance matcher, and
+    tests the separation and the largest move of the matched roots.
+    """
+
+    def _try_advance(self, target):
+        try:
+            rs_new = roots(fiber_polynomial(self.g, target), initial=self.rs)
+        except RootFindingError:
+            return False
+        rs_new = sorted(rs_new, key=lambda v: (v.real, v.imag))
+        perm, disp = tracking._match_roots(self.rs, rs_new)
+        matched = [rs_new[j] for j in perm]
+        sep_new = tracking._pairwise_min_sep(matched)
+        scale = max(1.0, max(abs(r) for r in matched))
+        if sep_new < tracking._SEP_FLOOR * scale:
+            return False
+        margin = tracking._MARGIN_FRAC * min(self.min_sep, sep_new)
+        if disp >= tracking._STEP_FRAC * margin:
+            return False
+        if self.rot is not None:
+            swaps = tracking._swaps(self.rs, matched, self.rot)
+            labels = [r for _, i, j in swaps for r in (i, j)]
+            if len(set(labels)) != len(labels):
+                return False
+        self.point = tuple(target)
+        self.rs = matched
+        self.min_sep = sep_new
+        self.fibers.append(tuple(matched))
+        self.points.append(self.point)
+        self.steps_used += 1
+        return True
+
+
+def matching_march(loop, braided=False):
+    """Reference march of the routes round the loop, with the former
+    re-matching step test (one traverse per hop, as the routes do)."""
+    path = loop.path_points()
+    state = _MatchingMarch(loop.g, path[0], braided=braided)
+    for b in path[1:]:
+        state.traverse(b)
+    return state
+
+
+def assert_same_march(got, ref):
+    """Same fibers and points, bit for bit, and the same step count; a
+    braided march recorded the sorted swaps the reference's fibers make."""
+    def bits(rows):
+        return [[(complex(z).real.hex(), complex(z).imag.hex()) for z in row]
+                for row in rows]
+
+    assert got.steps_used == ref.steps_used
+    assert bits(got.fibers) == bits(ref.fibers)
+    assert bits(got.points) == bits(ref.points)
+    if ref.rot is not None:
+        assert got.swaps == [
+            sorted(tracking._swaps(a, b, ref.rot))
+            for a, b in zip(ref.fibers, ref.fibers[1:])
+        ]

@@ -6,11 +6,12 @@ Examples are derandomized, so every run checks the same loops.
 import math
 
 import numpy as np
-from conftest import critical_values, star_loop
+from conftest import assert_same_march, critical_values, matching_march, star_loop
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from topmonodromy.tracking import (
+    _run_march,
     compose_loops,
     monodromy_periods,
     named_loop,
@@ -154,6 +155,23 @@ def test_the_two_routes_agree_on_a_meridian_entered_at_any_phase(name, u, count,
     local = picard_lefschetz_route(loop)
     assert local.matrix == lattice.matrix
     assert local.permutation == lattice.permutation
+
+
+@settings(PROPERTY, max_examples=8)
+@given(
+    name=st.sampled_from(sorted(RADIUS)),
+    u=st.floats(0.0, 1.0),
+    count=st.integers(32, 96),
+    orientation=st.sampled_from((1, -1)),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_the_march_matches_the_former_re_matching_march_on_a_meridian(
+    name, u, count, orientation, phase
+):
+    lo, hi = RADIUS[name]
+    loop = _meridian(name, lo + (hi - lo) * u, count, orientation, phase)
+    for braided in (False, True):
+        assert_same_march(_run_march(loop, braided=braided), matching_march(loop, braided))
 
 
 @settings(PROPERTY, max_examples=6)

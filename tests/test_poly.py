@@ -39,7 +39,8 @@ def numpy_roots(p, tol=1e-12, initial=None):
     The same Aberth-Ehrlich iteration as the library's scalar kernel, as
     whole-array NumPy passes.  NumPy's complex multiply may fuse into FMA and
     its complex abs is not libm hypot, so the two agree to rounding, not bit
-    for bit.
+    for bit.  The roots come back in the order roots() promises: in the
+    order of distinct starting guesses, and sorted otherwise.
     """
     n = p.degree
     a = np.asarray(p.coeffs, dtype=complex)
@@ -70,6 +71,8 @@ def numpy_roots(p, tol=1e-12, initial=None):
         z = z - step
     else:
         raise AssertionError("reference iteration did not converge")
+    if initial is not None and len(set(complex(v) for v in initial)) == n:
+        return [complex(v) for v in z]
     order = np.lexsort((z.imag, z.real))
     return [complex(v) for v in z[order]]
 
@@ -149,6 +152,22 @@ def test_coincident_warm_start_falls_back_to_the_cold_start():
     # a start with only two guesses in common falls back as well
     q = ComplexPoly.from_roots([1.0, 2.0, 3.0])
     assert roots(q, initial=[0.9, 0.9, 3.1]) == roots(q)
+
+
+def test_a_warm_start_returns_each_root_at_the_place_of_its_guess():
+    # root i continues guess i, whatever the order of the guesses; a cold
+    # start returns the same roots sorted
+    want = [1.0 + 2.0j, -0.5 + 0.1j, 0.3 - 1.2j, -1.4 - 0.7j, 2.0 + 0.3j]
+    p = ComplexPoly.from_roots(want)
+    cold = roots(p)
+    assert cold == sorted(cold, key=lambda v: (v.real, v.imag))
+    assert max(min(abs(c - w) for w in want) for c in cold) < 1e-12
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        order = rng.permutation(len(want))
+        initial = [want[k] + 0.05 * complex(*rng.normal(size=2)) for k in order]
+        got = roots(p, initial=initial)
+        assert max(abs(got[i] - want[k]) for i, k in enumerate(order)) < 1e-12
 
 
 @pytest.mark.parametrize(

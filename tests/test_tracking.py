@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chained_star_loop, star_loop
+from conftest import assert_same_march, chained_star_loop, matching_march, star_loop
 
 from topmonodromy.discriminant import quartic_poly, sextic_poly
 from topmonodromy import tracking
@@ -17,7 +17,7 @@ from topmonodromy.errors import (
     TrackingError,
     ValidationError,
 )
-from topmonodromy.homology import _intersection_matrix
+from topmonodromy.homology import BranchConfig, _intersection_matrix
 from topmonodromy.poly import discriminant, roots
 from topmonodromy.tracking import (
     _KAPPA_BASE,
@@ -33,6 +33,7 @@ from topmonodromy.tracking import (
     _integer_fit,
     _run_march,
     _swaps,
+    _vanishing_cycle,
     compose_loops,
     fiber_polynomial,
     monodromy_actions_g1,
@@ -419,6 +420,44 @@ class TestBaseRecord:
         picard_lefschetz_route(loop)
         assert len(calls) == 1
 
+    def test_a_warm_local_route_integrates_no_vanishing_cycle(self, monkeypatch):
+        loop = named_loop("kappa3")
+        cold = picard_lefschetz_route(loop)
+        calls = []
+        integrate = tracking.polygon_periods
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(tracking, "polygon_periods", counted)
+        assert _bits(picard_lefschetz_route(loop)) == _bits(cold)
+        assert calls == []
+        kept = _vanishing_cycle(2, loop.base, 1e-9, 0)
+        assert _vanishing_cycle(2, loop.base, 1e-9, 0) is kept
+
+    def test_a_vanishing_cycle_fitted_to_zero_raises_every_time(self, monkeypatch):
+        monkeypatch.setattr(
+            tracking, "_integer_fit", lambda frame, rows, tol: (np.zeros((1, 3)), 0.0)
+        )
+        _vanishing_cycle.cache_clear()
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="collapsed to zero"):
+                picard_lefschetz_route(named_loop("cushman"))
+
+    def test_a_basis_whose_chords_cross_raises_every_time(self, monkeypatch):
+        # Chords that cross break the canonical form away from the chain
+        # pairs that fix the orientations: gamma1 meets delta2 here.  Only
+        # the chained star of this line used to show it.
+        def crossing(rs, g):
+            return BranchConfig(rs, ((3, 0), (5, 1), (2, 4)), False, False)
+
+        monkeypatch.setattr(tracking, "build_basis", crossing)
+        _base_frame.cache_clear()
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="gamma1 and delta2 cross"):
+                _base_frame(2, (-0.2, 0.3, 0.0), 1e-9)
+
     def test_a_base_that_cannot_be_realized_raises_every_time(self, monkeypatch):
         def unrealizable(config):
             raise DegenerateInputError("cannot fit a pair loop between branch points")
@@ -474,7 +513,18 @@ def test_simultaneous_crossings_raise_with_their_arc():
 @pytest.mark.parametrize("name", NAMED)
 def test_braid_words_are_pinned(name, orientation):
     march = _run_march(named_loop(name, orientation), braided=True)
-    assert _braid_word(march.fibers, march.rot) == BRAID_WORDS[name, orientation]
+    word = _braid_word(march.fibers, march.swaps, march.rot)
+    assert word == BRAID_WORDS[name, orientation]
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("name", NAMED)
+def test_the_march_matches_the_former_re_matching_march(name, orientation):
+    # each accepted step moves every root less than min_sep / 12, so the
+    # labels the warm start keeps are the greedy matching's
+    loop = named_loop(name, orientation)
+    for braided in (False, True):
+        assert_same_march(_run_march(loop, braided=braided), matching_march(loop, braided))
 
 
 def test_both_routes_march_a_loop_of_complex_chart_points():
