@@ -31,7 +31,14 @@ from .spectral import (
     spectral_from_levels,
     spectral_from_state,
 )
-from .topsys import LevelVector, TopState, first_integrals, integrate, level_labels
+from .topsys import (
+    LevelVector,
+    TopState,
+    check_span,
+    first_integrals,
+    integrate,
+    level_labels,
+)
 from .tracking import (
     monodromy_actions_g1,
     monodromy_periods,
@@ -106,9 +113,10 @@ def _cmd_simulate(opts):
     state = _parse_state(opts["m"], _require(opts, "state"))
     t_end = _opt(opts, "t", 10.0)
     dt = _opt(opts, "dt", 1e-3)
+    check_span(t_end, dt)
     every = opts.get("every")
-    if every is None:  # dt = 0 gets no default here; integrate rejects it
-        every = max(1, round(t_end / dt / 1000)) if dt else 1
+    if every is None:
+        every = max(1, round(t_end / dt / 1000))
     out = opts.get("out") or "trajectory.csv"
     trajectory = integrate(state, t_end, dt, sample_every=every)
     trajectory.to_csv(out)

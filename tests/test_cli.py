@@ -253,6 +253,28 @@ class TestSimulateCommand:
         assert code == 2
         assert data["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--dt", "nan"), ("--dt", "inf"), ("--t", "nan"), ("--t", "inf")]
+    )
+    def test_non_finite_span_is_rejected(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "traj.csv"
+        code, data = run_cli(
+            capsys,
+            "simulate",
+            "--m",
+            "0.5",
+            "--state",
+            "0,0,0.7;0,0,0.4",
+            flag,
+            value,
+            "--out",
+            str(out),
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert "finite" in data["error"]["message"]
+        assert not out.exists()
+
     def test_missing_state_fails(self, capsys):
         code, data = run_cli(capsys, "simulate", "--m", "0.5")
         assert code == 2

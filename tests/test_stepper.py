@@ -7,15 +7,17 @@ blow-up times, the Lax vector field and the CLI's CSV are required to be
 bit-identical, not merely close.
 """
 
+import dis
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from topmonodromy import cli
 from topmonodromy.errors import IntegrationBlowupError
-from topmonodromy.topsys import TopState, Trajectory, integrate, lax_rhs
+from topmonodromy.topsys import TopState, Trajectory, _kernel, integrate, lax_rhs
 
 from conftest import random_top_state
 
@@ -126,6 +128,54 @@ def test_blowup_time_matches_list_stepper(s0, t_end, dt):
     assert str(got.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("sample_every", [7, 100])
+@pytest.mark.parametrize("g", [0, 2])
+def test_blowup_inside_a_later_sample_block(g, sample_every):
+    # h * m * omega_3 = 3 lies outside RK4's stability interval (2 sqrt 2)
+    # for the rotation of (omega_1, omega_2): the amplitude grows about 1.5
+    # times a step and first overflows at step 1166, mid-block for both
+    # sample_every values (1166 % 7 == 4, 1166 % 100 == 66)
+    s0 = TopState.of(1.0, (1e100, 0.0, 3.0), [(0.0, 0.0, 0.0)] * g)
+    with pytest.raises(IntegrationBlowupError) as ref:
+        _integrate_ref(s0, 5000.0, 1.0, sample_every)
+    with pytest.raises(IntegrationBlowupError) as got:
+        integrate(s0, 5000.0, 1.0, sample_every=sample_every)
+    assert ref.value.time == 1166.0
+    assert got.value.time == ref.value.time
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, sample_every, samples",
+    [
+        (0.5, 0.01, 1000, 2),  # one block longer than the whole run
+        (0.003, 0.01, 1, 2),  # one short step
+        (0.003, 0.01, 7, 2),
+        (2.0, 0.0625, 4, 9),  # t_end an exact multiple of dt * sample_every
+        (1.0, 0.01, 10, 11),  # the same in decimal steps, with rounded times
+        (1.0, 0.01, 100, 2),  # one block exactly as long as the run
+    ],
+)
+@pytest.mark.parametrize("g", [1, 2])
+def test_block_edges_match_list_stepper(g, t_end, dt, sample_every, samples):
+    s0 = random_top_state(np.random.default_rng(200 + g), g)
+    traj = integrate(s0, t_end, dt, sample_every=sample_every)
+    _same_trajectory(traj, _integrate_ref(s0, t_end, dt, sample_every))
+    assert len(traj) == samples
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="no specializing bytecode interpreter"
+)
+@pytest.mark.parametrize("g", [1, 2])
+def test_kernel_is_specialized_after_its_first_call(g):
+    # a freshly compiled kernel, not the cached one other tests have run
+    _, run = _kernel.__wrapped__(g)
+    run([0.3, -0.2, 0.5] + [0.1] * (3 * g), 0.5, 0.04, 0.001, 7)
+    ops = {ins.opname for ins in dis.get_instructions(run, adaptive=True)}
+    assert any(op.endswith("_FLOAT") for op in ops), sorted(ops)
+
+
 def _zero_sign_states():
     """Every g = 0 and g = 1 state with entries in {-0.0, 0.0, 0.25}."""
     for n in (3, 6):
@@ -164,4 +214,30 @@ def test_simulate_csv_matches_list_stepper(tmp_path, capsys):
     s0 = TopState.of(0.5, (0.3, -0.2, 0.5), [(0.1, 0.2, 0.9), (-0.4, 0.0, 0.3)])
     ref = tmp_path / "ref.csv"
     _integrate_ref(s0, 3.21, 0.001, sample_every=3).to_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "m, state",
+    [
+        (1.3, "0.4,0.1,-0.6;0.2,-0.5,0.3"),
+        (0.5, "0.3,-0.2,0.5;0.1,0.2,0.9;-0.4,0.0,0.3"),
+    ],
+)
+def test_simulate_csv_matches_list_stepper_at_the_default_every(
+    tmp_path, capsys, m, state
+):
+    out = tmp_path / "traj.csv"
+    code = cli.main(
+        [
+            "simulate", "--m", str(m), "--state=" + state,
+            "--t", "20", "--dt", "0.001", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert '"sample_every": 20' in capsys.readouterr().out
+    rows = [[float(v) for v in row.split(",")] for row in state.split(";")]
+    s0 = TopState.of(m, rows[0], rows[1:])
+    ref = tmp_path / "ref.csv"
+    _integrate_ref(s0, 20.0, 0.001, sample_every=20).to_csv(ref)
     assert out.read_bytes() == ref.read_bytes()

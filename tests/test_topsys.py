@@ -308,6 +308,16 @@ def test_integrate_rejects_bad_steps():
         integrate(s0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(10.0, math.nan), (10.0, math.inf), (math.nan, 0.01), (math.inf, 0.01)],
+)
+def test_integrate_rejects_non_finite_span(t_end, dt):
+    s0 = TopState.of(1.0, (1.0, 0.0, 1.0), [(0.1, 0.2, 0.3)])
+    with pytest.raises(ValidationError, match="finite"):
+        integrate(s0, t_end, dt)
+
+
 def test_trajectory_endpoints_and_drift():
     rng = np.random.default_rng(37)
     s0 = random_top_state(rng, 2)
