@@ -369,7 +369,8 @@ def run(y, m, t_end, dt, sample_every):
     times = [0.0]
     samples = [({ys},)]
     t = 0.0
-    tiny = 1e-12 * max(1.0, t_end)
+    # at most half of t_end, so that a span shorter than 2e-12 takes its step
+    tiny = min(1e-12 * max(1.0, t_end), 0.5 * t_end)
     h = dt
     hh = 0.5 * h
     w = h / 6.0
@@ -444,10 +445,15 @@ def _kernel(g):
 
 
 def check_span(t_end, dt):
-    """Reject a time span or step that is not a finite positive number."""
+    """Reject a time span or step that is not a finite positive number, and
+    a span of 2**53 steps or more, past which t + dt no longer moves t."""
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValidationError(
             f"need finite dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}"
+        )
+    if t_end / dt >= 2.0**53:
+        raise ValidationError(
+            f"need t_end / dt < 2**53, got dt={dt}, t_end={t_end}"
         )
 
 

@@ -7,7 +7,8 @@ Each step warm-starts the root finder from the last fiber, which returns
 every root as the continuation of its own start, so the roots keep their
 labels with no matching: a step is accepted when each root moves less
 than a third of a margin (a quarter of the smallest root separation) from
-where it started, and bisected otherwise.
+where it started and no two of its crossings (see the second route) share
+a root, and bisected otherwise.  Each loop is marched once, for both routes.
 At the base the canonical basis polygons, each with a square root pinned
 at its first vertex, are oriented against the intersection form
 (periods.normalized_basis_contours) and integrated once, on edges
@@ -27,7 +28,9 @@ Gauss-Legendre collocation (order 12), solved for blocks of 8 steps at
 once.  The march's own steps suffice, with no error control: an accepted
 step moves every root by less than min_sep / 12, and Omega is singular
 only where two roots collide, so its nearest singularity lies several
-step lengths away.
+step lengths away.  The chart's coefficients are real, so the transport
+runs in real arithmetic on a loop of real chart points, and in complex
+arithmetic on a loop with complex waypoints.
 
 The transported periods of x^k dx/y, k = 0..g (a rank 2g+1 real frame,
 since x^g dx/y keeps a residue at the two punctures over infinity), are
@@ -37,11 +40,11 @@ from the integer lattice.  Every loop from a base point is read over the
 same lattice, so the base fiber's periods and frame are built once per
 (genus, base point, tol) and kept, read-only, for both routes.
 
-The second route (picard_lefschetz_route) carries no periods.  It marches
-the branch points alone and reads off the braid they make: ordered by a
+The second route (picard_lefschetz_route) carries no periods.  It reads
+the braid the branch points make off the same march: ordered by a
 projection p(z) = Re(exp(-i theta) z), with theta taken from the base roots,
-each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  Its march
-also rejects, and so bisects, a step in which two swaps share a root, since
+each swap of p-neighbours k, k + 1 is one letter sigma_k^(+-1).  The march
+rejects, and so bisects, a step in which two swaps share a root, since
 those do not commute; it records each accepted step's swaps in order of
 time, and the word is read from that record.  A half-twist of two branch
 points acts on H1 as the Picard-Lefschetz twist about the cycle of a loop
@@ -377,11 +380,11 @@ def _gauss_legendre(s):
 def _sylvester(c):
     """Matrix of (A, B) -> A f + B f' in ascending powers, f of ascending
     coefficients c and degree n, deg A <= n - 2 and deg B <= n - 1; linear
-    in c."""
-    c = np.asarray(c, dtype=complex)
+    in c, and of c's dtype."""
+    c = np.asarray(c)
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
-    s = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+    s = np.zeros((2 * n - 1, 2 * n - 1), dtype=dc.dtype)
     for i in range(n - 1):
         s[i : i + n + 1, i] = c
     for i in range(n):
@@ -396,11 +399,11 @@ def _connection_pieces(g):
     The Sylvester matrix at chart point a is S0 + sum_j a_j S[j], since f
     is affine in a; read maps a solution (A, B) to the coefficients of
     A + 2B'; idx[j, k] = k + e_j, with x^{e_j} = df/da_j.  The arrays are
-    shared by every caller, so they are made read-only.
+    real, as the chart is, and shared by every caller, so made read-only.
     """
     chart = _CHARTS[g]
-    c0 = np.array(chart((0.0, 0.0, 0.0)).coeffs)
-    dc = [np.array(chart(tuple(u)).coeffs) - c0 for u in np.eye(3)]
+    c0 = np.array(chart((0.0, 0.0, 0.0)).coeffs).real
+    dc = [np.array(chart(tuple(u)).coeffs).real - c0 for u in np.eye(3)]
     e = np.array([int(np.flatnonzero(c)[0]) for c in dc])
     n = 2 * g + 2
     read = np.zeros((n - 1, 2 * n - 1))
@@ -443,8 +446,8 @@ def _step_transfers(g, p, q):
 def _transport(g, points):
     """Transfer matrix U of the periods along the chart polygon through
     points, Pi(last) = U Pi(first), with one collocation step per edge."""
-    pts = np.array(points, dtype=complex)
-    u = np.eye(2 * g + 1, dtype=complex)
+    pts = np.array(points)
+    u = np.eye(2 * g + 1)
     for start in range(0, len(pts) - 1, _GL_BLOCK):
         block = pts[start : start + _GL_BLOCK + 1]
         for t in _step_transfers(g, block[:-1], block[1:]):
@@ -647,14 +650,14 @@ class _March:
     the separation floor and each moves less than _STEP_FRAC margins from
     its own start; such a move is under min_sep / 12, so the labels are
     also the nearest-distance matching of the two fibers.  A march starts
-    from the roots rs at point when given, and finds them otherwise.  A
-    braided march fixes the projection rot of the base roots, keeps the
-    sorted swaps of projection neighbours of each accepted step in swaps,
-    and also rejects a step in which two swaps share a root, so traverse
-    bisects it like any other step.
+    from the roots rs at point when given, and finds them otherwise.  It
+    fixes the projection rot of the base roots, keeps the sorted swaps of
+    projection neighbours of each accepted step in swaps, and also rejects
+    a step in which two swaps share a root, so traverse bisects it like any
+    other step.
     """
 
-    def __init__(self, g, point, braided=False, rs=None):
+    def __init__(self, g, point, rs=None):
         self.g = g
         self.point = _chart_point(point)
         self.steps_used = 0
@@ -662,7 +665,7 @@ class _March:
             rs = roots(fiber_polynomial(g, self.point))
         self.rs = list(rs)
         self.min_sep = _pairwise_min_sep(self.rs)
-        self.rot = _projection(self.rs) if braided else None
+        self.rot = _projection(self.rs)
         self.fibers = [tuple(self.rs)]
         self.points = [self.point]
         self.swaps = []
@@ -679,14 +682,13 @@ class _March:
         margin = _MARGIN_FRAC * min(self.min_sep, sep_new)
         if max(abs(a - b) for a, b in zip(self.rs, rs_new)) >= _STEP_FRAC * margin:
             return False
-        if self.rot is not None:
-            # crossings that share a root do not commute, so their order
-            # must come from a shorter step
-            swaps = sorted(_swaps(self.rs, rs_new, self.rot))
-            labels = [r for _, i, j in swaps for r in (i, j)]
-            if len(set(labels)) != len(labels):
-                return False
-            self.swaps.append(swaps)
+        # crossings that share a root do not commute, so their order must
+        # come from a shorter step
+        swaps = sorted(_swaps(self.rs, rs_new, self.rot))
+        labels = [r for _, i, j in swaps for r in (i, j)]
+        if len(set(labels)) != len(labels):
+            return False
+        self.swaps.append(swaps)
         self.point = tuple(target)
         self.rs = rs_new
         self.min_sep = sep_new
@@ -720,10 +722,10 @@ class _March:
             stack.append((t0, tm))
 
 
-def _run_march(loop, steps=0, braided=False, rs=None):
+def _run_march(loop, steps=0, rs=None):
     """Roots marched around the loop, each hop presplit by its share of steps."""
     path = loop.path_points()
-    state = _March(loop.g, path[0], braided=braided, rs=rs)
+    state = _March(loop.g, path[0], rs=rs)
     hops = list(zip(path, path[1:]))
     # abs() of each coordinate difference, so complex chart points work too
     lengths = [math.hypot(*(abs(x - y) for x, y in zip(a, b))) for a, b in hops]
@@ -731,6 +733,29 @@ def _run_march(loop, steps=0, braided=False, rs=None):
     for (_, b), length in zip(hops, lengths):
         state.traverse(b, presplit=max(1, round(steps * length / total)))
     return state
+
+
+class _LoopMarch(NamedTuple):
+    """A finished _March, read-only: its points, fibers and swaps as tuples,
+    its projection rot, its final roots rs and its step count."""
+
+    points: tuple
+    fibers: tuple
+    swaps: tuple
+    rot: complex
+    rs: tuple
+    steps_used: int
+
+
+@functools.lru_cache(maxsize=1)  # serves a loop's two routes run back to back
+def _loop_march(loop, tol):
+    """The march round the loop from its base record's roots, shared by both
+    routes.  A march that stalls raises again on every call, since
+    exceptions are not cached."""
+    m = _run_march(loop, rs=_base_frame(loop.g, loop.base, tol).rs)
+    swaps = tuple(map(tuple, m.swaps))
+    return _LoopMarch(tuple(m.points), tuple(m.fibers), swaps, m.rot,
+                      tuple(m.rs), m.steps_used)
 
 
 def _fit_rows(periods, g):
@@ -793,8 +818,8 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
     are the images of (gamma_1..gamma_{g+1}, delta_1..delta_g).
     """
     g = loop.g
-    base = _base_frame(g, loop.path_points()[0], tol)
-    march = _run_march(loop, rs=base.rs)
+    base = _base_frame(g, loop.base, tol)
+    march = _loop_march(loop, tol)
     periods = _transport(g, march.points) @ base.periods
     m_row, residual = _integer_fit(base.frame, _fit_rows(periods, g), tol)
     if abs(int(round(float(np.linalg.det(m_row))))) != 1:
@@ -859,7 +884,7 @@ def _swaps(fa, fb, rot):
 
 
 def _braid_word(fibers, swaps, rot):
-    """Braid letters (k, e) of a braided march's fibers in path order.
+    """Braid letters (k, e) of a march's fibers in path order.
 
     The roots are labelled by their index in each fiber and kept in order of
     projection.  swaps[s] holds the pairs whose projections swap between
@@ -867,9 +892,8 @@ def _braid_word(fibers, swaps, rot):
     pair crosses once (a root moves less than min_sep / 12 per step).  It
     is the letter sigma_k^e at its current positions k, k + 1, with e = +1
     when the left root passes at the larger Im(exp(-i theta) z) at the
-    linearly interpolated crossing.  The braided march bisects every step
-    in which two crossings share a root, so the crossings of one step
-    commute.
+    linearly interpolated crossing.  The march bisects every step in which
+    two crossings share a root, so the crossings of one step commute.
     """
     order = sorted(range(len(fibers[0])), key=lambda i: (fibers[0][i] * rot).real)
     word = []
@@ -889,7 +913,7 @@ def _vanishing_cycle(g, base, tol, k):
     """(cycle, residual) of the pair loop round the base roots at
     projection positions k, k + 1, fitted over the base frame.
 
-    The projection is the braided march's, taken from the base roots, so
+    The projection is the march's, taken from the base roots, so
     the cycle depends only on the base point and is kept with its record.
     A fit that collapses to zero raises, and raises again on every call.
     """
@@ -913,8 +937,9 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
 
     At the base the roots are ordered by a projection p; the cycle c_k of
     the pair of p-neighbours k, k + 1 is a pair loop expressed over the base
-    frame by an integer fit, kept per base point.  The roots alone are
-    marched around the loop, and each swap of p-neighbours is a letter
+    frame by an integer fit, kept per base point.  The roots are marched
+    around the loop (the march the periods route reads, made once), and
+    each swap of p-neighbours is a letter
     sigma_k^e of the braid word.  A half-twist of two branch points acts on
     H1 as the twist about their cycle, so every column starts as a unit
     class and takes the twist about c_k with orientation -e for each letter
@@ -922,7 +947,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     """
     g = loop.g
     base = _base_frame(g, loop.base, tol)
-    march = _run_march(loop, braided=True, rs=base.rs)
+    march = _loop_march(loop, tol)
     perm = _closure_permutation(march, base.rs)
     word = _braid_word(march.fibers, march.swaps, march.rot)
     cycles = {}

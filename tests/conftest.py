@@ -214,11 +214,10 @@ class _MatchingMarch(tracking._March):
         margin = tracking._MARGIN_FRAC * min(self.min_sep, sep_new)
         if disp >= tracking._STEP_FRAC * margin:
             return False
-        if self.rot is not None:
-            swaps = tracking._swaps(self.rs, matched, self.rot)
-            labels = [r for _, i, j in swaps for r in (i, j)]
-            if len(set(labels)) != len(labels):
-                return False
+        swaps = tracking._swaps(self.rs, matched, self.rot)
+        labels = [r for _, i, j in swaps for r in (i, j)]
+        if len(set(labels)) != len(labels):
+            return False
         self.point = tuple(target)
         self.rs = matched
         self.min_sep = sep_new
@@ -228,19 +227,19 @@ class _MatchingMarch(tracking._March):
         return True
 
 
-def matching_march(loop, braided=False):
+def matching_march(loop):
     """Reference march of the routes round the loop, with the former
     re-matching step test (one traverse per hop, as the routes do)."""
     path = loop.path_points()
-    state = _MatchingMarch(loop.g, path[0], braided=braided)
+    state = _MatchingMarch(loop.g, path[0])
     for b in path[1:]:
         state.traverse(b)
     return state
 
 
 def assert_same_march(got, ref):
-    """Same fibers and points, bit for bit, and the same step count; a
-    braided march recorded the sorted swaps the reference's fibers make."""
+    """Same fibers and points, bit for bit, and the same step count; the
+    march recorded the sorted swaps the reference's fibers make."""
     def bits(rows):
         return [[(complex(z).real.hex(), complex(z).imag.hex()) for z in row]
                 for row in rows]
@@ -248,8 +247,7 @@ def assert_same_march(got, ref):
     assert got.steps_used == ref.steps_used
     assert bits(got.fibers) == bits(ref.fibers)
     assert bits(got.points) == bits(ref.points)
-    if ref.rot is not None:
-        assert got.swaps == [
-            sorted(tracking._swaps(a, b, ref.rot))
-            for a, b in zip(ref.fibers, ref.fibers[1:])
-        ]
+    assert got.swaps == [
+        sorted(tracking._swaps(a, b, ref.rot))
+        for a, b in zip(ref.fibers, ref.fibers[1:])
+    ]

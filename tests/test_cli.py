@@ -7,7 +7,7 @@ import pytest
 
 from topmonodromy.cli import main
 from topmonodromy.topsys import TopState, first_integrals
-from topmonodromy.tracking import _base_frame
+from topmonodromy.tracking import _base_frame, _loop_march
 
 CUSHMAN_ACTION_MATRIX = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
 KAPPA1_BLOCK = [[1, 0, 0], [-1, 1, 0], [1, 0, 1]]
@@ -90,6 +90,7 @@ class TestMonodromyCommand:
     ):
         argv = ["monodromy", "--g", "2", "--loop", "kappa1", "--route", route]
         _base_frame.cache_clear()
+        _loop_march.cache_clear()
         main(argv)
         cold = capsys.readouterr().out
         assert _base_frame.cache_info().currsize == 1
@@ -273,6 +274,27 @@ class TestSimulateCommand:
         assert code == 2
         assert data["error"]["type"] == "ValidationError"
         assert "finite" in data["error"]["message"]
+
+    def test_a_step_count_that_overflows_is_rejected(self, capsys, tmp_path):
+        # t / dt is inf here; the default sample interval used to round it
+        out = tmp_path / "traj.csv"
+        code, data = run_cli(
+            capsys,
+            "simulate",
+            "--m",
+            "0.5",
+            "--state=0.3,-0.2,0.5;0.1,0.2,0.9",
+            "--t",
+            "1e300",
+            "--dt",
+            "1e-10",
+            "--out",
+            str(out),
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert "2**53" in data["error"]["message"]
+        assert not out.exists()
         assert not out.exists()
 
     def test_missing_state_fails(self, capsys):

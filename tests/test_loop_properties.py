@@ -170,8 +170,7 @@ def test_the_march_matches_the_former_re_matching_march_on_a_meridian(
 ):
     lo, hi = RADIUS[name]
     loop = _meridian(name, lo + (hi - lo) * u, count, orientation, phase)
-    for braided in (False, True):
-        assert_same_march(_run_march(loop, braided=braided), matching_march(loop, braided))
+    assert_same_march(_run_march(loop), matching_march(loop))
 
 
 @settings(PROPERTY, max_examples=6)

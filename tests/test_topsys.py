@@ -318,6 +318,30 @@ def test_integrate_rejects_non_finite_span(t_end, dt):
         integrate(s0, t_end, dt)
 
 
+def test_integrate_rejects_a_span_of_2_to_the_53_steps():
+    # from 2**53 steps on, t + dt can no longer advance t; 1e300 / 1e-10
+    # overflows to inf
+    s0 = TopState.of(0.5, (0.3, -0.2, 0.5), [(0.1, 0.2, 0.9)])
+    for t_end, dt in ((1e300, 1e-10), (2.0**53, 1.0)):
+        with pytest.raises(ValidationError, match=r"t_end / dt < 2\*\*53"):
+            integrate(s0, t_end, dt)
+
+
+def test_a_span_shorter_than_2e_12_takes_one_shortened_step():
+    s0 = TopState.of(0.5, (0.3, -0.2, 0.5), [(0.1, 0.2, 0.9)])
+    traj = integrate(s0, 1e-13, 1e-3)
+    assert traj.times.tolist() == [0.0, 1e-13]
+    # the same step of h = 1e-13 as a span of exactly one dt
+    whole = integrate(s0, 1e-13, 1e-13)
+    assert traj.omegas.tobytes() == whole.omegas.tobytes()
+    assert traj.gammas.tobytes() == whole.gammas.tobytes()
+    d = lax_rhs(s0)
+    assert np.allclose(
+        (traj.gammas[1] - traj.gammas[0]) / 1e-13, d.gamma, rtol=0.0, atol=1e-2
+    )
+    assert np.any(traj.gammas[1] != traj.gammas[0])
+
+
 def test_trajectory_endpoints_and_drift():
     rng = np.random.default_rng(37)
     s0 = random_top_state(rng, 2)

@@ -31,8 +31,10 @@ from topmonodromy.tracking import (
     _match_roots,
     _g2_branch_frame,
     _integer_fit,
+    _loop_march,
     _run_march,
     _swaps,
+    _transport,
     _vanishing_cycle,
     compose_loops,
     fiber_polynomial,
@@ -51,12 +53,10 @@ KAPPA1_BLOCK = ((1, 0, 0), (-1, 1, 0), (1, 0, 1))
 KAPPA2_BLOCK = ((1, -1, 0), (0, 1, 0), (0, 1, 1))
 KAPPA3_BLOCK = ((0, -1, 0), (1, 2, 0), (0, 0, 1))
 NAMED = ("cushman", "kappa1", "kappa2", "kappa3")
-# Accepted march steps; a change to the step control that moves these changes
-# the work done per loop and must say why.
-PERIODS_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 118}
-# The local route marches the roots alone, as the periods route does, plus
-# the steps that split a march step holding two crossings with a common root.
-LOCAL_STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 120}
+# Accepted march steps, the same for both routes since they read one march;
+# a change to the step control that moves these changes the work done per
+# loop and must say why.
+STEPS = {"cushman": 72, "kappa1": 90, "kappa2": 90, "kappa3": 120}
 # Braid words (k, e) the local route reads on the named loops, by orientation.
 BRAID_WORDS = {
     ("cushman", 1): [(2, -1), (0, 1)],
@@ -276,8 +276,8 @@ class TestRoutesAgree:
 class TestNamedLoopInvariants:
     def test_steps_used_are_pinned(self, cushman_result, kappa_results, local_results):
         periods = {"cushman": cushman_result, **kappa_results}
-        assert {n: r.steps_used for n, r in periods.items()} == PERIODS_STEPS
-        assert {n: r.steps_used for n, r in local_results.items()} == LOCAL_STEPS
+        assert {n: r.steps_used for n, r in periods.items()} == STEPS
+        assert {n: r.steps_used for n, r in local_results.items()} == STEPS
 
     def test_intersection_form_preserved(
         self, cushman_result, kappa_results, local_results
@@ -360,11 +360,10 @@ class TestTypedFailures:
 
     def test_braided_step_whose_swaps_share_a_root_is_rejected(self):
         # Four real roots and a projection just off p = Im z: on a step into
-        # complex a2 root 2 passes both roots 0 and 1, so the braided march
-        # rejects the step (and traverse bisects it), which a plain march
-        # accepts.
+        # complex a2 root 2 passes both roots 0 and 1, so the march rejects
+        # the step (and traverse bisects it).
         point, target = (0.3, -2.1246, -0.2), (0.3, -2.1246 - 1e-4j, -0.2)
-        state = _March(1, point, braided=True)
+        state = _March(1, point)
         state.rot = cmath.exp(-1j * (0.5 * math.pi - 1e-6))
         rs = list(state.rs)
         new = roots(fiber_polynomial(1, target), initial=rs)
@@ -375,7 +374,6 @@ class TestTypedFailures:
         assert state.point == point
         assert state.rs == rs
         assert state.steps_used == 0
-        assert _March(1, point)._try_advance(target) is True
 
 
 def _bits(res):
@@ -389,6 +387,7 @@ class TestBaseRecord:
             loop = named_loop(name)
             for route in (monodromy_periods, picard_lefschetz_route):
                 _base_frame.cache_clear()
+                _loop_march.cache_clear()
                 cold = route(loop)
                 assert _base_frame.cache_info().misses == 1
                 warm = route(loop)
@@ -470,6 +469,71 @@ class TestBaseRecord:
         assert _base_frame.cache_info().currsize == 0
 
 
+class TestSharedMarch:
+    STALLS = [(0, 1, 0), (0, 3, 0), (0, 1, 0)]
+
+    @staticmethod
+    def _count_root_solves(monkeypatch):
+        calls = []
+        solve = tracking.roots
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(tracking, "roots", counted)
+        return calls
+
+    def test_both_routes_read_one_march(self, monkeypatch):
+        loop = named_loop("kappa3")
+        base = _base_frame(2, loop.base, 1e-9)  # its root solve is no attempt
+        calls = self._count_root_solves(monkeypatch)
+        march = _run_march(loop, rs=base.rs)
+        attempts = len(calls)
+        assert attempts > march.steps_used
+        _loop_march.cache_clear()
+        calls.clear()
+        periods = monodromy_periods(loop)
+        local = picard_lefschetz_route(loop)
+        assert len(calls) == attempts
+        assert periods.steps_used == local.steps_used == march.steps_used
+
+    def test_a_loop_in_between_marches_again(self, monkeypatch):
+        first, second = named_loop("cushman"), named_loop("cushman", -1)
+        _base_frame(1, first.base, 1e-9)
+        _loop_march.cache_clear()
+        calls = self._count_root_solves(monkeypatch)
+        monodromy_periods(first)
+        once = len(calls)
+        monodromy_periods(second)
+        between = len(calls)
+        picard_lefschetz_route(first)
+        assert len(calls) == between + once
+        assert _loop_march.cache_info().currsize == 1
+        picard_lefschetz_route(first)
+        assert _loop_march.cache_info().hits == 1
+
+    def test_the_record_is_read_only(self):
+        record = _loop_march(named_loop("kappa3"), 1e-9)
+        for seq in (record.points, record.fibers, record.swaps, record.rs):
+            assert type(seq) is tuple
+        assert all(type(step) is tuple for step in record.swaps)
+        assert all(type(fiber) is tuple for fiber in record.fibers)
+        with pytest.raises(AttributeError):
+            record.steps_used = 0
+        with pytest.raises(TypeError):
+            record.swaps[0] = ()
+
+    def test_a_stalled_march_raises_from_both_routes_every_time(self):
+        loop = parameter_loop(1, self.STALLS)
+        _loop_march.cache_clear()
+        for _ in range(2):
+            for route in (monodromy_periods, picard_lefschetz_route):
+                with pytest.raises(TrackingError, match="root tracking stalled"):
+                    route(loop)
+        assert _loop_march.cache_info().currsize == 0
+
+
 def test_real_chart_points_stay_python_floats():
     # complex chart coordinates are accepted, but a real point builds the
     # same float polynomial as before and is kept (and printed) as floats
@@ -499,7 +563,7 @@ def test_simultaneous_crossings_raise_with_their_arc():
     # p = 0, so crossings stay simultaneous however finely the step is
     # split; the route's projection keeps clear of that direction.
     path = star_loop(1, (0.3, -0.2), -2.0846).path_points()
-    march = _March(1, path[0], braided=True)
+    march = _March(1, path[0])
     march.rot = -1j
     with pytest.raises(TrackingError, match="root tracking stalled") as err:
         for b in path[1:]:
@@ -512,7 +576,7 @@ def test_simultaneous_crossings_raise_with_their_arc():
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("name", NAMED)
 def test_braid_words_are_pinned(name, orientation):
-    march = _run_march(named_loop(name, orientation), braided=True)
+    march = _run_march(named_loop(name, orientation))
     word = _braid_word(march.fibers, march.swaps, march.rot)
     assert word == BRAID_WORDS[name, orientation]
 
@@ -523,8 +587,7 @@ def test_the_march_matches_the_former_re_matching_march(name, orientation):
     # each accepted step moves every root less than min_sep / 12, so the
     # labels the warm start keeps are the greedy matching's
     loop = named_loop(name, orientation)
-    for braided in (False, True):
-        assert_same_march(_run_march(loop, braided=braided), matching_march(loop, braided))
+    assert_same_march(_run_march(loop), matching_march(loop))
 
 
 def test_both_routes_march_a_loop_of_complex_chart_points():
@@ -569,6 +632,8 @@ def test_routes_agree_round_chained_stars():
     for g, fixed in ((2, (0.1, 0.5)), (1, (0.7, 0.1))):
         loop = chained_star_loop(g, fixed)
         periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
+        # complex waypoints: the periods ride in complex arithmetic
+        assert _transport(g, _loop_march(loop, 1e-9).points).dtype == np.complex128
         assert periods.matrix == local.matrix, (g, fixed)
         assert periods.permutation == local.permutation
         assert periods.residual < 1e-12

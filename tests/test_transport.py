@@ -39,10 +39,12 @@ from topmonodromy.tracking import (
     _gauss_legendre,
     _maintain_bundle,
     _March,
+    _loop_march,
     _oriented_basis,
     _split_edges,
     _transport,
     fiber_polynomial,
+    named_loop,
 )
 
 
@@ -510,6 +512,18 @@ def test_transported_periods_match_the_periods_at_the_far_end(g, base):
     # fewer, longer steps reach the same periods
     coarse = _transport(g, march.points[::5])
     assert np.abs(coarse - _transport(g, march.points)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["cushman", "kappa1", "kappa2", "kappa3"])
+def test_a_real_loop_is_transported_in_real_arithmetic(name):
+    loop = named_loop(name)
+    points = _loop_march(loop, 1e-9).points
+    u = _transport(loop.g, points)
+    assert u.dtype == np.float64
+    # the same points as complex numbers take the complex solves
+    forced = _transport(loop.g, np.array(points, dtype=complex))
+    assert forced.dtype == np.complex128
+    assert np.abs(forced - u).max() < 1e-13
 
 
 def test_split_edges_keeps_every_vertex_and_bounds_each_edge():
