@@ -1,14 +1,13 @@
 """Numerical monodromy of the period lattice along loops in parameter space.
 
-A loop in the reduced coefficient chart is traversed by continuing the
+A loop in the reduced coefficient chart is traversed once by continuing the
 branch points (adaptive-bisection root tracking), and the periods ride
 along on the Gauss-Manin connection: no contour leaves the base fiber.
 Each step warm-starts the root finder from the last fiber, which returns
 every root as the continuation of its own start, so the roots keep their
 labels with no matching: a step is accepted when each root moves less
 than a third of a margin (a quarter of the smallest root separation) from
-where it started and no two of its crossings (see the second route) share
-a root, and bisected otherwise.  Each loop is marched once, for both routes.
+where it started, and bisected otherwise.
 At the base the canonical basis polygons, each with a square root pinned
 at its first vertex, are oriented against the intersection form
 (periods.normalized_basis_contours) and integrated once, on edges
@@ -28,9 +27,8 @@ Gauss-Legendre collocation (order 12), solved for blocks of 8 steps at
 once.  The march's own steps suffice, with no error control: an accepted
 step moves every root by less than min_sep / 12, and Omega is singular
 only where two roots collide, so its nearest singularity lies several
-step lengths away.  The chart's coefficients are real, so the transport
-runs in real arithmetic on a loop of real chart points, and in complex
-arithmetic on a loop with complex waypoints.
+step lengths away.  The chart is real, so a loop of real points is
+transported in real arithmetic.
 
 The transported periods of x^k dx/y, k = 0..g (a rank 2g+1 real frame,
 since x^g dx/y keeps a residue at the two punctures over infinity), are
@@ -736,8 +734,7 @@ def _run_march(loop, steps=0, rs=None):
 
 
 class _LoopMarch(NamedTuple):
-    """A finished _March, read-only: its points, fibers and swaps as tuples,
-    its projection rot, its final roots rs and its step count."""
+    """A finished _March, read-only."""
 
     points: tuple
     fibers: tuple
@@ -749,13 +746,11 @@ class _LoopMarch(NamedTuple):
 
 @functools.lru_cache(maxsize=1)  # serves a loop's two routes run back to back
 def _loop_march(loop, tol):
-    """The march round the loop from its base record's roots, shared by both
-    routes.  A march that stalls raises again on every call, since
-    exceptions are not cached."""
+    """The march round the loop from its base roots; a stall raises on every
+    call, since exceptions are not cached."""
     m = _run_march(loop, rs=_base_frame(loop.g, loop.base, tol).rs)
     swaps = tuple(map(tuple, m.swaps))
-    return _LoopMarch(tuple(m.points), tuple(m.fibers), swaps, m.rot,
-                      tuple(m.rs), m.steps_used)
+    return _LoopMarch(tuple(m.points), tuple(m.fibers), swaps, m.rot, tuple(m.rs), m.steps_used)
 
 
 def _fit_rows(periods, g):
@@ -938,8 +933,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     At the base the roots are ordered by a projection p; the cycle c_k of
     the pair of p-neighbours k, k + 1 is a pair loop expressed over the base
     frame by an integer fit, kept per base point.  The roots are marched
-    around the loop (the march the periods route reads, made once), and
-    each swap of p-neighbours is a letter
+    around the loop, and each swap of p-neighbours is a letter
     sigma_k^e of the braid word.  A half-twist of two branch points acts on
     H1 as the twist about their cycle, so every column starts as a unit
     class and takes the twist about c_k with orientation -e for each letter

@@ -274,6 +274,7 @@ class TestSimulateCommand:
         assert code == 2
         assert data["error"]["type"] == "ValidationError"
         assert "finite" in data["error"]["message"]
+        assert not out.exists()
 
     def test_a_step_count_that_overflows_is_rejected(self, capsys, tmp_path):
         # t / dt is inf here; the default sample interval used to round it
@@ -294,7 +295,6 @@ class TestSimulateCommand:
         assert code == 2
         assert data["error"]["type"] == "ValidationError"
         assert "2**53" in data["error"]["message"]
-        assert not out.exists()
         assert not out.exists()
 
     def test_missing_state_fails(self, capsys):
