@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_ellipses_ref, on_ellipse
-from topmonodromy import tracking
+from topmonodromy import periods, tracking
 from topmonodromy.errors import DegenerateInputError, QuadratureError
 from topmonodromy.homology import (
     _GAMMA_DELTA_NEXT,
@@ -191,6 +191,24 @@ def test_thin_ellipse_base_is_oriented_on_the_raw_polygon():
     got = _library_basis(1, THIN_BASE)
     assert got[2][0].tobytes() == np.array(polygons[2]).tobytes()
     assert np.all(np.isfinite(_base_frame(1, THIN_BASE, 1e-9).periods))
+
+
+def test_thin_ellipse_base_refines_only_the_edges_near_a_branch_point(monkeypatch):
+    # the crossing lifts double the samples of an ambiguous edge alone; the
+    # former lift doubled every edge until the two tip edges, 1.7e-6 from a
+    # branch point, cleared, and lifted 298,664 samples in all
+    _, polygons, _ = _oriented_ref(1, THIN_BASE)
+    lifted = []
+    steps = periods._lift_steps
+
+    def counting(fvals, y_start=None):
+        lifted.append(fvals.shape[-1])
+        return steps(fvals, y_start)
+
+    monkeypatch.setattr(periods, "_lift_steps", counting)
+    got = _library_basis(1, THIN_BASE)
+    assert [v.tobytes() for v, _ in got] == [np.array(p).tobytes() for p in polygons]
+    assert sum(lifted) < 40_000
 
 
 def test_a_loop_from_the_thin_ellipse_base_is_the_identity_by_both_routes():

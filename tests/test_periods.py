@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Ellipse, ellipse_fit_ref, on_ellipse
-from topmonodromy import tracking
+from topmonodromy import periods, tracking
 from topmonodromy.discriminant import in_component_C, quartic_poly
 from topmonodromy.errors import (
     DegenerateInputError,
@@ -17,8 +17,10 @@ from topmonodromy.errors import (
 from topmonodromy.homology import build_basis
 from topmonodromy.periods import (
     _AMBIGUITY_LIMIT,
+    ContourSpec,
     _a2_deformation_path,
     _lift_closed,
+    _lift_open,
     _sheet_sign_at_origin,
     _vertex_sqrt,
     _vanishing_pair,
@@ -846,6 +848,155 @@ def test_polygon_action_and_residue_match_the_former_ellipse_quadrature(kind):
     for a in points:
         assert abs(action_I1(a) - action_ellipse_ref(a)) < 1e-13
         assert abs(residue_check(a) - residue_ellipse_ref(a)) < 1e-13
+
+
+def anchored_values_from_24_ref(fpoly, contour, differentials, tol, anchor):
+    """The former ladder of _anchored_values, which started at 24 nodes per
+    edge, kept verbatim but for the module prefixes."""
+    if contour.clearance <= 0.0:
+        raise ValidationError("contour has nonpositive clearance")
+    if any(d == "y dx/x^2" for d in differentials):
+        a = np.array(contour.vertices, dtype=complex)
+        if np.min(periods._segment_distances(a, np.roll(a, -1), np.zeros(1))) < 1e-12:
+            raise QuadratureError("contour passes through the origin pole", location=0.0)
+    n = 24
+    prev = None
+    worst_x = None
+    while n <= periods._MAX_EDGE_NODES:
+        x, w = contour.nodes(n)
+        fv = fpoly(x)
+        y, worst, closes = _lift_closed(fv)
+        if worst < _AMBIGUITY_LIMIT and closes:
+            j, ref = anchor(x, fv)
+            y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
+            vals = np.array(
+                [np.sum(periods._integrand_values(d, x, y) * w) for d in differentials]
+            )
+            if prev is not None and np.max(np.abs(vals - prev)) < tol:
+                return vals, x, y
+            prev = vals
+        else:
+            prev = None
+            worst_x = complex(x[int(np.argmin(np.abs(fv)))])
+        n *= 2
+    if prev is not None:
+        raise QuadratureError(f"quadrature did not reach tol={tol}")
+    raise QuadratureError("branch tracking stayed ambiguous", location=worst_x)
+
+
+def action_box_points(seed, count, palindromic):
+    """Points of C in the box a1, a3 in [-0.6, 0.6], a2 in [0.4, 1.9]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a1, a3 = (float(v) for v in rng.uniform(-0.6, 0.6, size=2))
+        a2 = float(rng.uniform(0.4, 1.9))
+        if palindromic:
+            a3 = a1
+        if abs(a1 + a3) < 0.01:
+            continue
+        try:
+            if in_component_C(ComplexPoly.of((1.0, a3, a2, a1, 1.0))):
+                out.append((a1, a2, a3))
+        except NearDiscriminantError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("palindromic", [False, True])
+def test_action_and_residue_quadrature_stop_at_the_first_comparison(
+    palindromic, monkeypatch
+):
+    # Gauss-Legendre converges geometrically on each edge, so 12 against 24
+    # nodes per edge already agree to 1e-10 and the 24-node value is kept:
+    # the one the former ladder compared against 48 and bettered by ~1e-16
+    asked = []
+    nodes = ContourSpec.nodes
+
+    def recording(spec, n):
+        asked.append(n)
+        return nodes(spec, n)
+
+    monkeypatch.setattr(ContourSpec, "nodes", recording)
+    for a in action_box_points(2500, 6, palindromic):
+        for fn in (action_I1, residue_check):
+            asked.clear()
+            got = fn(a)
+            assert asked == [12, 24]
+            with monkeypatch.context() as m:
+                m.setattr(periods, "_anchored_values", anchored_values_from_24_ref)
+                want = fn(a)
+            assert abs(got - want) < 1e-14
+
+
+def lift_open_ref(fvals, y_start=None):
+    """The former _lift_open, from the two distances |b - a| and |b + a| of
+    each step, kept verbatim."""
+    if np.any(fvals == 0.0):
+        raise QuadratureError("contour passes through a branch point")
+    cand = np.sqrt(fvals)
+    a, b = cand[..., :-1], cand[..., 1:]
+    d_keep = np.abs(b - a)
+    d_flip = np.abs(b + a)
+    lo = np.minimum(d_keep, d_flip)
+    hi = np.maximum(d_keep, d_flip)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(hi > 0.0, lo / hi, 1.0)
+    worst = np.max(ratio, axis=-1, initial=0.0)
+    flips = np.cumprod(np.where(d_flip < d_keep, -1.0, 1.0), axis=-1)
+    y = cand * np.concatenate((np.ones(cand.shape[:-1] + (1,)), flips), axis=-1)
+    if y_start is not None:
+        y0 = y[..., 0]
+        flip = np.abs(y0 - y_start) > np.abs(y0 + y_start)
+        y = np.where(flip[..., None], -y, y)
+    return y, (float(worst) if y.ndim == 1 else worst)
+
+
+def sampled_path_values(rng, rows, n):
+    """f on rows straight paths of n samples; each passes a root of a
+    random quartic at a distance log-uniform in [1e-6, 1], some of them
+    closer than their sample spacing."""
+    rs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    out = []
+    for _ in range(rows):
+        gap = 10.0 ** rng.uniform(-6.0, 0.0)
+        turn = np.exp(2j * math.pi * rng.uniform())
+        t = np.linspace(-1.0, 1.0, n) * rng.uniform(0.05, 2.0) + rng.uniform(-0.2, 0.2)
+        x = rs[int(rng.integers(4))] + turn * (1j * gap + t)
+        out.append(np.prod(x[:, None] - rs, axis=1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_lift_from_one_product_matches_the_former_lift(rows, pinned):
+    # the sign choice and the ambiguity ratio only differ at ties, where the
+    # ratio is about 1 and the lift is rejected, so every accepted lift is
+    # bit-identical; the seeded paths cover accepted and ambiguous lifts
+    rng = np.random.default_rng(25 + 2 * (rows or 0) + pinned)
+    accepted = rejected = 0
+    for _ in range(150):
+        fv = sampled_path_values(rng, rows or 1, int(rng.integers(2, 200)))
+        fv = fv if rows else fv[0]
+        y_start = None
+        if pinned:
+            y_start = rng.standard_normal(fv.shape[:-1]) + 1j * rng.standard_normal(
+                fv.shape[:-1]
+            )
+        y, worst = _lift_open(fv, y_start)
+        y_ref, worst_ref = lift_open_ref(fv, y_start)
+        for k in range(rows or 1):
+            w, w_ref = np.ravel(worst)[k], np.ravel(worst_ref)[k]
+            clear = max(abs(w - _AMBIGUITY_LIMIT), abs(w_ref - _AMBIGUITY_LIMIT))
+            if clear > 1e-12:
+                assert (w < _AMBIGUITY_LIMIT) == (w_ref < _AMBIGUITY_LIMIT)
+            if w < _AMBIGUITY_LIMIT and w_ref < _AMBIGUITY_LIMIT:
+                accepted += 1
+                row = (slice(None),) if rows is None else (k,)
+                assert y[row].tobytes() == y_ref[row].tobytes()
+            else:
+                rejected += 1
+    assert accepted > 40 and rejected > 40
 
 
 def test_residue_check_matches_the_former_quadrature_with_real_roots():

@@ -552,7 +552,7 @@ def _polyline_nodes_ref(verts, n):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-@pytest.mark.parametrize("n", [24 << k for k in range(7)] + [2048])
+@pytest.mark.parametrize("n", [12 << k for k in range(8)] + [2048])
 def test_polyline_nodes_are_bit_identical(n):
     rng = np.random.default_rng(n)
     for _ in range(6):
