@@ -4,9 +4,11 @@
 and RK4 loop of ``topsys``, kept verbatim as the reference: the generated
 kernel must round every float operation the same way, so trajectories,
 blow-up times, the Lax vector field and the CLI's CSV are required to be
-bit-identical, not merely close.
+bit-identical, not merely close.  ``_to_csv_ref`` is the former
+``csv.writer`` body of ``Trajectory.to_csv``, the reference for its bytes.
 """
 
+import csv
 import dis
 import itertools
 import math
@@ -17,7 +19,15 @@ import pytest
 
 from topmonodromy import cli
 from topmonodromy.errors import IntegrationBlowupError
-from topmonodromy.topsys import TopState, Trajectory, _kernel, integrate, lax_rhs
+from topmonodromy.topsys import (
+    _CSV_CHUNK_ROWS,
+    TopState,
+    Trajectory,
+    _kernel,
+    integrate,
+    lax_rhs,
+    level_labels,
+)
 
 from conftest import random_top_state
 
@@ -84,6 +94,23 @@ def _integrate_ref(s0, t_end, dt, sample_every=1):
     )
 
 
+def _to_csv_ref(self, path):
+    """The former body of Trajectory.to_csv, one csv.writer row per sample."""
+    g = self.g
+    header = ["t", "omega1", "omega2", "omega3"]
+    header += [f"gamma_{i}_{k}" for i in range(1, g + 1) for k in (1, 2, 3)]
+    header += level_labels(g)
+    table = self.first_integral_table()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for idx in range(len(self)):
+            row = [self.times[idx], *self.omegas[idx]]
+            row += list(self.gammas[idx].reshape(-1))
+            row += list(table[idx])
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
 def _signed_zero_state(g):
     """A state whose -0.0 entries meet the "+ 0.0" and "+ hh * 0.0" terms.
 
@@ -110,6 +137,15 @@ def test_trajectory_matches_list_stepper(g, sample_every):
         traj = integrate(s0, 2.345, 0.01, sample_every=sample_every)
         _same_trajectory(traj, _integrate_ref(s0, 2.345, 0.01, sample_every))
         assert traj.times[-1] == 2.345
+
+
+def test_first_stage_reads_a_negative_zero_omega_3_as_it_is():
+    # only the first step's first stage reads omega_3 = -0.0 itself; every
+    # later stage reads -0.0 + 0.0 = +0.0.  With 1 + m < 0 the sign of
+    # (1 + m) * omega_3 reaches the trajectory for some zero patterns
+    for flat in itertools.product((-0.0, 0.0, 0.25, -0.5), repeat=5):
+        s0 = TopState.of(-1.5, (*flat[:2], -0.0), [flat[2:]])
+        _same_trajectory(integrate(s0, 0.02, 0.01), _integrate_ref(s0, 0.02, 0.01))
 
 
 @pytest.mark.parametrize(
@@ -143,6 +179,108 @@ def test_blowup_inside_a_later_sample_block(g, sample_every):
     assert ref.value.time == 1166.0
     assert got.value.time == ref.value.time
     assert str(got.value) == str(ref.value)
+
+
+def _blowup_state(g, t_end, step):
+    """The largest start 2**e * (1, 0) of (omega_1, omega_2) whose dt = 1
+    run to t_end stays finite for step - 1 steps; the gamma rows are 0.
+
+    h * m * omega_3 = 8 lies far outside RK4's stability interval: each step
+    multiplies the (omega_1, omega_2) rotation by about 160.  The stages are
+    linear in it, so doubling the start doubles every value exactly until
+    one overflows, and the first non-finite step moves monotonically in e.
+    """
+
+    def state(e):
+        return TopState.of(1.0, (2.0**e, 0.0, 8.0), [(0.0, 0.0, 0.0)] * g)
+
+    def survives(e):
+        try:
+            _integrate_ref(state(e), t_end, 1.0)
+        except IntegrationBlowupError as err:
+            return err.time > step - 1
+        return True
+
+    lo, hi = -1022, 1023  # survives(lo) and not survives(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if survives(mid) else (lo, mid)
+    return state(lo)
+
+
+@pytest.mark.parametrize("where", ["first", "last", "short"])
+@pytest.mark.parametrize("sample_every", [1, 7, 100])
+@pytest.mark.parametrize("g", [1, 2])
+def test_blowup_replay_matches_list_stepper(g, sample_every, where):
+    # the first non-finite state comes on the first step of the third
+    # sample block, on the last step of the second, or on the shortened
+    # final step, which sits mid-block unless sample_every is 1
+    step = {
+        "first": 2 * sample_every + 1,
+        "last": 2 * sample_every,
+        "short": 2 * sample_every + sample_every // 2 + 1,
+    }[where]
+    t_end = step - 0.1 if where == "short" else step + 10.0
+    s0 = _blowup_state(g, t_end, step)
+    with pytest.raises(IntegrationBlowupError) as ref:
+        _integrate_ref(s0, t_end, 1.0, sample_every)
+    with pytest.raises(IntegrationBlowupError) as got:
+        integrate(s0, t_end, 1.0, sample_every=sample_every)
+    assert ref.value.time == (t_end if where == "short" else step)
+    assert got.value.time == ref.value.time
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_kernel_checks_finiteness_once_per_sample_block(monkeypatch, g):
+    calls = []
+    isfinite = math.isfinite
+
+    def counting_isfinite(x):
+        calls.append(x)
+        return isfinite(x)
+
+    # a freshly compiled kernel, not the cached one, reads the counting
+    # isfinite; the cache keeps the plain one
+    monkeypatch.setattr(math, "isfinite", counting_isfinite)
+    _, run = _kernel.__wrapped__(g)
+    n = 3 + 3 * g
+    dt = 2.0**-10  # 1000 steps of an exact binary dt, in 10 blocks
+    times, _ = run([0.3, -0.2, 0.5] + [0.1] * (3 * g), 0.5, 1000 * dt, dt, 100)
+    assert times == [100 * dt * b for b in range(11)]
+    assert 0 < len(calls) <= 10 * n
+
+
+def _csv_trajectory(g, rows):
+    """A trajectory whose first row alternates -0.0 and 0.0, whose second
+    row holds +-5e-324 and +-1e300, and whose other rows mix random values
+    of every magnitude with those special values."""
+    rng = np.random.default_rng(300 + g + rows)
+    shape = (rows, 4 + 3 * g)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+    flat = rng.normal(size=shape) * 10.0 ** rng.uniform(-40.0, 40.0, size=shape)
+    mask = rng.random(shape) < 0.3
+    flat[mask] = rng.choice(special, size=int(mask.sum()))
+    flat[0] = np.resize(special[[1, 0]], shape[1])
+    flat[1] = np.resize(special[2:], shape[1])
+    return Trajectory(
+        m=0.7, times=flat[:, 0], omegas=flat[:, 1:4], gammas=flat[:, 4:].reshape(rows, g, 3)
+    )
+
+
+@pytest.mark.parametrize("rows", [2, _CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_csv_matches_the_csv_writer(tmp_path, g, rows):
+    traj = _csv_trajectory(g, rows)
+    # 1e300 squared overflows in the integral columns of both writers
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj.to_csv(tmp_path / "got.csv")
+        _to_csv_ref(traj, tmp_path / "ref.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\r\n") == rows + 1
+    for token in (b"-0,", b"4.9406564584124654e-324", b"1e+300"):
+        assert token in got
 
 
 @pytest.mark.parametrize(

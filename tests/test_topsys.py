@@ -327,6 +327,22 @@ def test_integrate_rejects_a_span_of_2_to_the_53_steps():
             integrate(s0, t_end, dt)
 
 
+@pytest.mark.parametrize("every", [0, -3, 2.5, 2.0, np.float64(3.0), "3", None])
+def test_integrate_rejects_a_sample_every_that_is_not_a_positive_integer(every):
+    s0 = TopState.of(1.0, (1.0, 0.0, 1.0), [(0.1, 0.2, 0.3)])
+    with pytest.raises(ValidationError, match="sample_every"):
+        integrate(s0, 1.0, 0.1, sample_every=every)
+
+
+def test_integrate_takes_a_numpy_integer_sample_every():
+    s0 = TopState.of(1.0, (1.0, 0.0, 1.0), [(0.1, 0.2, 0.3)])
+    ref = integrate(s0, 1.0, 0.1, sample_every=3)
+    for every in (np.int64(3), np.int32(3), np.uint8(3)):
+        traj = integrate(s0, 1.0, 0.1, sample_every=every)
+        assert traj.times.tobytes() == ref.times.tobytes()
+        assert traj.gammas.tobytes() == ref.gammas.tobytes()
+
+
 def test_a_span_shorter_than_2e_12_takes_one_shortened_step():
     s0 = TopState.of(0.5, (0.3, -0.2, 0.5), [(0.1, 0.2, 0.9)])
     traj = integrate(s0, 1e-13, 1e-3)
