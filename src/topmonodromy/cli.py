@@ -114,6 +114,7 @@ def _cmd_simulate(opts):
     t_end = _opt(opts, "t", 10.0)
     dt = _opt(opts, "dt", 1e-3)
     check_span(t_end, dt)
+    first_integrals(state)  # a start whose integrals overflow is invalid input
     every = opts.get("every")
     if every is None:
         every = max(1, round(t_end / dt / 1000))

@@ -65,6 +65,12 @@ _PAIR_PAD = 0.45  # pair_loop's first pad, as a fraction of the nearest gap
 _BIG_LOOP_FACTOR = 2.0  # big_loop radius = factor * reach + pad
 _BIG_LOOP_PAD = 1.0
 _LOOP_VERTS = 48  # vertices of a pair or big loop
+_LOOP_T = np.arange(_LOOP_VERTS) * (2.0 * math.pi / _LOOP_VERTS)
+_LOOP_COS, _LOOP_SIN = np.cos(_LOOP_T), np.sin(_LOOP_T)
+# The ladder's node counts per edge, doubling from 12 within _MAX_EDGE_NODES.
+# Every ladder compares the first two levels, so they make one batch, which
+# one array pass evaluates and lifts.
+_BATCHES = ((12, 24), (48,), (96,), (192,), (384,), (768,), (1536,))
 
 
 @functools.lru_cache(maxsize=32)
@@ -88,10 +94,14 @@ class ContourSpec:
 
     The vertex order carries the orientation; clearance is the minimum
     distance the edges keep from the points the contour must avoid.
+    origin_gap is the edges' distance from x = 0, the pole of y dx/x^2,
+    when it was measured with the clearance; None leaves it to the
+    quadrature to measure.
     """
 
     vertices: tuple
     clearance: float = math.inf
+    origin_gap: float | None = None
 
     def nodes(self, n):
         """Quadrature points and weights, n Gauss-Legendre nodes per edge."""
@@ -152,19 +162,20 @@ def _ellipse_polygon(center, axis, a, b, orientation, excluded):
     The ellipse has semi-axis a along the unit direction axis and b across
     it.  The vertices sit at parameters t = 2 pi k / _LOOP_VERTS from t = 0;
     orientation -1 keeps vertex 0 and reverses the others.  The clearance is
-    the least distance from the excluded points to the edges.
+    the least distance from the excluded points to the edges; the origin's
+    distance is measured in the same call, as one more column.
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
-    t = np.arange(_LOOP_VERTS) * (2.0 * math.pi / _LOOP_VERTS)
-    verts = center + axis * (a * np.cos(t) + 1j * b * np.sin(t))
+    verts = center + axis * (a * _LOOP_COS + 1j * b * _LOOP_SIN)
     if orientation == -1:
         verts = np.concatenate((verts[:1], verts[:0:-1]))
     ends = np.concatenate((verts[1:], verts[:1]))
-    gaps = _segment_distances(verts, ends, np.array(excluded, complex))
+    gaps = _segment_distances(verts, ends, np.array([*excluded, 0.0], complex))
     return ContourSpec(
         vertices=tuple(verts.tolist()),
-        clearance=float(np.min(gaps, initial=math.inf)),
+        clearance=float(np.min(gaps[:, :-1], initial=math.inf)),
+        origin_gap=float(np.min(gaps[:, -1])),
     )
 
 
@@ -238,8 +249,9 @@ def _as_poly(f):
     return ComplexPoly.of(f)
 
 
-def _lift_steps(fvals, y_start=None):
-    """The lift of _lift_open, with the squared ambiguity of every step
+def _step_signs(fvals):
+    """Principal square roots of fvals and, for every step along the last
+    axis, its sign (-1 where the lift flips) and squared ambiguity
     (rounding can leave it a little below 0 where a step barely moves)."""
     if np.any(fvals == 0.0):
         raise QuadratureError("contour passes through a branch point")
@@ -251,8 +263,20 @@ def _lift_steps(fvals, y_start=None):
     t = 2.0 * np.abs(d)
     hi = s + t
     q = np.divide(s - t, hi, out=np.ones_like(hi), where=hi > 0.0)
+    return cand, np.where(d < 0.0, -1.0, 1.0), q
+
+
+def _signed(cand, signs):
+    """The roots cand with the signs of the steps up to each one applied."""
     y = cand.copy()
-    y[..., 1:] *= np.cumprod(np.where(d < 0.0, -1.0, 1.0), axis=-1)
+    y[..., 1:] *= np.cumprod(signs, axis=-1)
+    return y
+
+
+def _lift_steps(fvals, y_start=None):
+    """The lift of _lift_open, with the squared ambiguity of every step."""
+    cand, signs, q = _step_signs(fvals)
+    y = _signed(cand, signs)
     if y_start is not None:
         y0 = y[..., 0]
         flip = np.abs(y0 - y_start) > np.abs(y0 + y_start)
@@ -276,15 +300,17 @@ def _lift_open(fvals, y_start=None):
     return y, (float(worst) if y.ndim == 1 else worst)
 
 
-def _lift_closed(fvals):
-    """Lift around a closed circuit; also reports whether the sheet closes up."""
-    y, worst = _lift_open(fvals)
+def _closure(y, q):
+    """Ambiguity of a closed circuit's lift y, whose steps have the squared
+    ambiguities q, counting the step that closes it; and whether the sheet
+    closes up."""
+    worst = float(np.sqrt(np.max(q, initial=0.0)))
     d_keep = abs(y[0] - y[-1])
     d_flip = abs(y[0] + y[-1])
     hi = max(d_keep, d_flip)
     if hi > 0.0:
         worst = max(worst, min(d_keep, d_flip) / hi)
-    return y, worst, d_keep < d_flip
+    return worst, d_keep < d_flip
 
 
 def _pair_product(lead, cut_pairs, x):
@@ -342,7 +368,8 @@ def _real_axis_anchor(x, fv):
     holds for a loop around a cut of a curve with no real branch points,
     and for the big loop, which crosses right of every branch point.
     """
-    j = int(np.argmin(np.where(x.real >= x.real.mean(), np.abs(x.imag), np.inf)))
+    xr = x.real
+    j = int(np.argmin(np.where(xr >= xr.sum() / len(xr), np.abs(x.imag), np.inf)))
     if abs(x[j].imag) > 1e-2 * (1.0 + abs(x[j].real)):
         raise QuadratureError("loop does not cross the real axis", location=x[j])
     return j, np.sqrt(fv[j])
@@ -363,39 +390,52 @@ def _integrand_values(differential, x, y):
 def _anchored_values(fpoly, contour, differentials, tol, anchor):
     """Adaptive integrals of several differentials on the anchored sheet.
 
-    Node counts per edge double from 12 until two consecutive refinements
-    agree to tol; the lift must be unambiguous at every step and close up
-    after a circuit.  anchor(x, fv) names a node j and a square root there,
-    and the lift takes the sign that lands nearer it.  Returns (values, x,
-    y) from the finer of the two refinements that agree.
+    Node counts per edge double from 12 until two consecutive levels agree
+    to tol; the lift must be unambiguous at every step and close up after a
+    circuit.  anchor(x, fv) names a node j and a square root there, and the
+    lift takes the sign that lands nearer it.  Returns (values, x, y) from
+    the finer of the two levels that agree.  The levels run in the batches
+    of _BATCHES: a batch's nodes are evaluated, square-rooted and stepped
+    as one array, and each level then lifts its own slice from its first
+    node, leaving out the step that joins it to the level before, so every
+    level rounds as it would alone.  y dx/x^2 needs the edges clear of the
+    origin, by the contour's origin_gap, or measured here when it has none.
     """
     if contour.clearance <= 0.0:
         raise ValidationError("contour has nonpositive clearance")
     if any(d == "y dx/x^2" for d in differentials):
-        a = np.array(contour.vertices, dtype=complex)
-        b = np.concatenate((a[1:], a[:1]))
-        if np.min(_segment_distances(a, b, np.zeros(1))) < 1e-12:
+        gap = contour.origin_gap
+        if gap is None:
+            a = np.array(contour.vertices, dtype=complex)
+            b = np.concatenate((a[1:], a[:1]))
+            gap = np.min(_segment_distances(a, b, np.zeros(1)))
+        if gap < 1e-12:
             raise QuadratureError("contour passes through the origin pole", location=0.0)
-    n = 12
     prev = None
     worst_x = None
-    while n <= _MAX_EDGE_NODES:
-        x, w = contour.nodes(n)
-        fv = fpoly(x)
-        y, worst, closes = _lift_closed(fv)
-        if worst < _AMBIGUITY_LIMIT and closes:
-            j, ref = anchor(x, fv)
-            y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
-            vals = np.array(
-                [np.sum(_integrand_values(d, x, y) * w) for d in differentials]
-            )
-            if prev is not None and np.max(np.abs(vals - prev)) < tol:
-                return vals, x, y
-            prev = vals
-        else:
-            prev = None
-            worst_x = complex(x[int(np.argmin(np.abs(fv)))])
-        n *= 2
+    for batch in _BATCHES:
+        levels = [contour.nodes(n) for n in batch]
+        fvals = fpoly(np.concatenate([x for x, _ in levels]))
+        cand, signs, q = _step_signs(fvals)
+        lo = 0
+        for x, w in levels:
+            hi = lo + len(x)
+            fv = fvals[lo:hi]
+            y = _signed(cand[lo:hi], signs[lo : hi - 1])
+            worst, closes = _closure(y, q[lo : hi - 1])
+            if worst < _AMBIGUITY_LIMIT and closes:
+                j, ref = anchor(x, fv)
+                y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
+                vals = np.array(
+                    [np.sum(_integrand_values(d, x, y) * w) for d in differentials]
+                )
+                if prev is not None and np.max(np.abs(vals - prev)) < tol:
+                    return vals, x, y
+                prev = vals
+            else:
+                prev = None
+                worst_x = complex(x[int(np.argmin(np.abs(fv)))])
+            lo = hi
     if prev is not None:
         raise QuadratureError(f"quadrature did not reach tol={tol}")
     raise QuadratureError("branch tracking stayed ambiguous", location=worst_x)
@@ -773,14 +813,15 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
         poles.append((s, max(0.0, gap), math.sqrt(2.0 * (u3 - e))))
     closed = sum(ge * math.sqrt(gap) for _, gap, ge in poles)
 
-    def value(n):
-        t, gw = _leggauss(n)
-        u = c + w * np.sin(0.5 * math.pi * t)
-        gu = np.sqrt(2.0 * (u3 - u))
-        core = gu - 0.5 * sum(gap * (gu - ge) / (1.0 + s * u) for s, gap, ge in poles)
-        return 0.5 * math.pi * (float(np.sum(core * gw)) - closed)
-
-    v1, v2 = value(_CUBIC_NODES), value(_CUBIC_NODES + 160)
+    # both rules' nodes in one array pass; each rule is summed on its own slice
+    (t1, w1), (t2, w2) = _leggauss(_CUBIC_NODES), _leggauss(_CUBIC_NODES + 160)
+    u = c + w * np.sin(0.5 * math.pi * np.concatenate((t1, t2)))
+    gu = np.sqrt(2.0 * (u3 - u))
+    core = gu - 0.5 * sum(gap * (gu - ge) / (1.0 + s * u) for s, gap, ge in poles)
+    v1, v2 = (
+        0.5 * math.pi * (float(np.sum(core[lo : lo + len(gw)] * gw)) - closed)
+        for lo, gw in ((0, w1), (len(t1), w2))
+    )
     if abs(v1 - v2) > 1e-9 * max(1.0, abs(v2)):
         raise QuadratureError("cubic action quadrature did not converge")
     return (A / math.pi) * v2

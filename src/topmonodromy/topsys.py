@@ -117,19 +117,26 @@ def first_integrals(s: TopState) -> LevelVector:
     h_k is half the lambda**(-k) coefficient of the squared spectral vector
     e3*lambda + gamma_0 - sum_i gamma_i * lambda**(-i); h is the reduced
     Hamiltonian h_0 - (m / (2(1+m))) h_minus1**2.  The values are row 0
-    of _integral_table for the one state.
+    of _integral_table for the one state.  A state whose values overflow
+    is a ValidationError.
     """
     table = _integral_table(
         s.m, np.array([s.omega]), np.array(s.gamma, dtype=float).reshape(1, s.g, 3)
     )
-    return LevelVector(m=s.m, values=tuple(float(v) for v in table[0]))
+    values = tuple(float(v) for v in table[0])
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"first integrals of the state are not finite: {values}")
+    return LevelVector(m=s.m, values=values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integral_table(m, omegas, gammas):
     """First integrals for sampled states, one row per sample.
 
     The one implementation behind first_integrals (a single row) and the
-    trajectory's drift report and CSV.
+    trajectory's drift report and CSV.  Values that overflow come out as
+    inf or NaN, without a warning; first_integrals and integrate
+    reject them.
     """
     n, g = omegas.shape[0], gammas.shape[1]
     coeffs = np.empty((n, g + 2, 3))
@@ -496,8 +503,10 @@ def integrate(s0: TopState, t_end: float, dt: float, sample_every: int = 1) -> "
     The returned trajectory always contains the t=0 and t=t_end samples;
     intermediate samples are kept every ``sample_every`` steps, a Python or
     NumPy integer >= 1 (anything else is a ValidationError).  Raises
-    IntegrationBlowupError when the state stops being finite.  The loop
-    runs in a kernel generated once per genus (see ``_kernel``).
+    IntegrationBlowupError when the state stops being finite, or when a
+    sample's first integrals do (a finite state's overflow once it passes
+    about 1e154).  The loop runs in a kernel generated once per genus (see
+    ``_kernel``).
     """
     check_span(t_end, dt)
     try:
@@ -512,12 +521,17 @@ def integrate(s0: TopState, t_end: float, dt: float, sample_every: int = 1) -> "
     times, samples = run(y, m, t_end, dt, every)
     times[-1] = t_end
     arr = np.asarray(samples)
-    return Trajectory(
+    trajectory = Trajectory(
         m=m,
         times=np.asarray(times),
         omegas=arr[:, :3],
         gammas=arr[:, 3:].reshape(len(times), g, 3),
     )
+    finite = np.isfinite(trajectory.first_integral_table()).all(axis=1)
+    if not finite.all():
+        t = times[int(np.argmin(finite))]
+        raise IntegrationBlowupError(f"first integrals became non-finite at t={t}", time=t)
+    return trajectory
 
 
 @dataclass(frozen=True)

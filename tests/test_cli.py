@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, json.loads(out)
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_cli_strict(capsys, *argv):
+    """run_cli, failing on NaN or Infinity in the printed report."""
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out, parse_constant=_not_json)
+
+
 class TestMonodromyCommand:
     def test_cushman_action_matrix(self, capsys):
         code, data = run_cli(
@@ -297,6 +307,33 @@ class TestSimulateCommand:
         assert "2**53" in data["error"]["message"]
         assert not out.exists()
 
+    def test_a_start_whose_integrals_overflow_is_rejected(self, capsys, tmp_path):
+        # h overflows at omega_1 = 1e200; the report carried NaN drifts
+        out = tmp_path / "traj.csv"
+        code, data = run_cli_strict(
+            capsys, "simulate", "--m", "0.5", "--state=1e200,0,0;0,0,0",
+            "--t", "0.002", "--dt", "0.001", "--out", str(out),
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert "not finite" in data["error"]["message"]
+        assert not out.exists()
+
+    def test_integrals_that_overflow_later_are_a_blowup(self, capsys, tmp_path):
+        # the second dt = 1 step takes gamma to 2.3e215, finite, but h2
+        # overflows; the CSV carried inf and the report an Infinity drift
+        out = tmp_path / "traj.csv"
+        code, data = run_cli_strict(
+            capsys, "simulate", "--m", "0.5", "--state=1e5,0,0;0,0,1e5",
+            "--t", "2", "--dt", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert data["error"] == {
+            "type": "IntegrationBlowupError",
+            "message": "first integrals became non-finite at t=2.0",
+        }
+        assert not out.exists()
+
     def test_missing_state_fails(self, capsys):
         code, data = run_cli(capsys, "simulate", "--m", "0.5")
         assert code == 2
@@ -304,6 +341,13 @@ class TestSimulateCommand:
 
 
 class TestInvariantsCommand:
+    def test_a_state_whose_integrals_overflow_is_rejected(self, capsys):
+        code, data = run_cli_strict(
+            capsys, "invariants", "--m", "0.5", "--state=1e200,0,0;0,0,0"
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+
     def test_values_match_library(self, capsys):
         code, data = run_cli(
             capsys, "invariants", "--m", "0.5", "--state", "0.3,0.2,0.5;0.1,0.2,0.9"

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Ellipse, ellipse_fit_ref, on_ellipse
+from test_orientation import THIN_BASE
 from topmonodromy import periods, tracking
 from topmonodromy.discriminant import in_component_C, quartic_poly
 from topmonodromy.errors import (
@@ -19,7 +20,6 @@ from topmonodromy.periods import (
     _AMBIGUITY_LIMIT,
     ContourSpec,
     _a2_deformation_path,
-    _lift_closed,
     _lift_open,
     _sheet_sign_at_origin,
     _vertex_sqrt,
@@ -753,6 +753,17 @@ def test_vanishing_pair_matches_fixed_grid_reference(palindromic, detour):
         ]
 
 
+def lift_closed_ref(fvals):
+    """The former periods._lift_closed, kept verbatim."""
+    y, worst = _lift_open(fvals)
+    d_keep = abs(y[0] - y[-1])
+    d_flip = abs(y[0] + y[-1])
+    hi = max(d_keep, d_flip)
+    if hi > 0.0:
+        worst = max(worst, min(d_keep, d_flip) / hi)
+    return y, worst, d_keep < d_flip
+
+
 def ellipse_values_ref(fpoly, ellipse, orientation, tol, sign):
     """The former ellipse quadrature of y dx/x^2: a trapezoid rule in the
     ellipse parameter, 256 nodes doubling up to 65,536 until two agree to
@@ -767,7 +778,7 @@ def ellipse_values_ref(fpoly, ellipse, orientation, tol, sign):
             -ellipse.semi_major * np.sin(t) + 1j * ellipse.semi_minor * np.cos(t)
         ) * (2.0 * math.pi / n)
         fv = fpoly(x)
-        y, worst, closes = _lift_closed(fv)
+        y, worst, closes = lift_closed_ref(fv)
         if worst < _AMBIGUITY_LIMIT and closes:
             y = y * sign(x, fv, y)
             val = complex(np.sum(y / x**2 * w))
@@ -865,7 +876,7 @@ def anchored_values_from_24_ref(fpoly, contour, differentials, tol, anchor):
     while n <= periods._MAX_EDGE_NODES:
         x, w = contour.nodes(n)
         fv = fpoly(x)
-        y, worst, closes = _lift_closed(fv)
+        y, worst, closes = lift_closed_ref(fv)
         if worst < _AMBIGUITY_LIMIT and closes:
             j, ref = anchor(x, fv)
             y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
@@ -1021,6 +1032,296 @@ def test_march_to_complex_a2_matches_roots_of_that_quartic():
     perm, worst = tracking._match_roots(state.rs, want)
     assert sorted(perm) == [0, 1, 2, 3]
     assert worst < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one array pass per batch of ladder levels
+# ---------------------------------------------------------------------------
+
+
+def anchored_values_per_level_ref(fpoly, contour, differentials, tol, anchor):
+    """The former _anchored_values, which built, evaluated, lifted and
+    anchored every level of the ladder on its own; kept verbatim but for
+    the module prefixes and lift_closed_ref."""
+    if contour.clearance <= 0.0:
+        raise ValidationError("contour has nonpositive clearance")
+    if any(d == "y dx/x^2" for d in differentials):
+        a = np.array(contour.vertices, dtype=complex)
+        b = np.concatenate((a[1:], a[:1]))
+        if np.min(periods._segment_distances(a, b, np.zeros(1))) < 1e-12:
+            raise QuadratureError("contour passes through the origin pole", location=0.0)
+    n = 12
+    prev = None
+    worst_x = None
+    while n <= periods._MAX_EDGE_NODES:
+        x, w = contour.nodes(n)
+        fv = fpoly(x)
+        y, worst, closes = lift_closed_ref(fv)
+        if worst < _AMBIGUITY_LIMIT and closes:
+            j, ref = anchor(x, fv)
+            y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
+            vals = np.array(
+                [np.sum(periods._integrand_values(d, x, y) * w) for d in differentials]
+            )
+            if prev is not None and np.max(np.abs(vals - prev)) < tol:
+                return vals, x, y
+            prev = vals
+        else:
+            prev = None
+            worst_x = complex(x[int(np.argmin(np.abs(fv)))])
+        n *= 2
+    if prev is not None:
+        raise QuadratureError(f"quadrature did not reach tol={tol}")
+    raise QuadratureError("branch tracking stayed ambiguous", location=worst_x)
+
+
+def _quadrature_outcome(fn, args):
+    """The bits of (values, x, y), or the error's type, message and location."""
+    try:
+        vals, x, y = fn(*args)
+    except (QuadratureError, ValidationError) as exc:
+        return type(exc), str(exc), exc.location if isinstance(exc, QuadratureError) else None
+    return vals.tobytes(), x.tobytes(), y.tobytes()
+
+
+def assert_ladder_matches_the_per_level_ref(fpoly, contour, differentials, tol, anchor):
+    """Assert the batched ladder's outcome is the per-level one; return the
+    nodes per edge of the level returned (0 for an error)."""
+    args = (fpoly, contour, tuple(differentials), tol, anchor)
+    got = _quadrature_outcome(periods._anchored_values, args)
+    assert got == _quadrature_outcome(anchored_values_per_level_ref, args)
+    if isinstance(got[0], type):
+        return 0
+    return len(got[1]) // 16 // len(contour.vertices)
+
+
+def _pinned(y0):
+    return lambda x, fv: (0, y0)
+
+
+def _split_basis_polygons(g, point):
+    """(fiber polynomial, [(polyline, y_ref)]) of a base point's oriented
+    basis polygons, with their edges split near the roots, as the base
+    record integrates them."""
+    fpoly = tracking.fiber_polynomial(g, point)
+    rs = tuple(roots(fpoly))
+    polygons = tracking._oriented_basis(fpoly, rs, g)
+    return fpoly, [(polyline(tracking._split_edges(v, rs)), y) for v, y in polygons]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_ladder_is_bit_identical_on_pair_and_big_loops(seed):
+    rng = np.random.default_rng(seed)
+    _, f, rs = quartic_in_C(rng)
+    cfg = build_basis(rs, 1)
+    loops = [big_loop(rs, orientation=o) for o in (1, -1)]
+    for pair in cfg.pairing:
+        for avoid in ((), (0.0,)):
+            try:
+                loops.append(pair_loop(rs, pair, orientation=-1, avoid=avoid))
+            except DegenerateInputError:
+                pass
+    for loop in loops:
+        for diffs, anchor in (
+            (("y dx/x^2",), periods._real_axis_anchor),
+            (("dx/y", "x dx/y", "y dx/x^2"), periods._branch_anchor(f)),
+        ):
+            assert_ladder_matches_the_per_level_ref(f, loop, diffs, 1e-10, anchor)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(
+    g=st.sampled_from((1, 2)),
+    point=st.tuples(st.floats(-0.5, 0.5), st.floats(0.3, 2.5), st.floats(-0.5, 0.5)),
+)
+def test_batched_ladder_is_bit_identical_on_basis_polygons(g, point):
+    try:
+        fpoly, polygons = _split_basis_polygons(g, point)
+    except (QuadratureError, DegenerateInputError, NearDiscriminantError):
+        assume(False)
+    diffs = tracking._differentials(2 * g)
+    for spec, y0 in polygons:
+        assert_ladder_matches_the_per_level_ref(fpoly, spec, diffs, 1e-9, _pinned(y0))
+
+
+def test_batched_ladder_is_bit_identical_past_the_first_batch():
+    # the thin base's delta polygon needs 48 nodes per edge
+    fpoly, polygons = _split_basis_polygons(1, THIN_BASE)
+    levels = [
+        assert_ladder_matches_the_per_level_ref(
+            fpoly, spec, tracking._differentials(2), 1e-9, _pinned(y0)
+        )
+        for spec, y0 in polygons
+    ]
+    assert max(levels) == 48
+    # here 12 and 24 nodes per edge both lift cleanly but differ by 1.6e-4;
+    # a tolerance under rounding walks the ladder to its end
+    f = ComplexPoly.of(
+        [-0.6482017644651017, -0.16601777558658837, 1.7400274033992509,
+         1.7873027829875685, 1.0]
+    )
+    rs = roots(f)
+    loop = pair_loop(rs, build_basis(rs, 1).pairing[0])
+    anchor = periods._branch_anchor(f)
+    assert assert_ladder_matches_the_per_level_ref(f, loop, ("dx/y",), 1e-10, anchor) > 24
+    assert assert_ladder_matches_the_per_level_ref(f, loop, ("dx/y",), 1e-30, anchor) == 0
+
+
+def test_batched_ladder_fails_like_the_per_level_ladder():
+    rs = roots(UNIT_QUARTIC)
+    triangle = polyline([1.0, 1.0j, -1.0])
+    x24, _ = triangle.nodes(24)
+    cases = [
+        # a vertex on a root: every level lifts, none agree
+        (UNIT_QUARTIC, polyline([rs[0], rs[0] + 0.3, rs[0] + 0.3j]), ("dx/y",), 1e-10),
+        # an edge through a root: no level lifts
+        (UNIT_QUARTIC, polyline([rs[0] - 0.2, rs[0] + 0.2, rs[0] + 0.2j]), ("dx/y",),
+         1e-10),
+        (UNIT_QUARTIC, polyline([-0.3 - 0.3j, 0.3 + 0.3j, 0.3 - 0.3j]), ("y dx/x^2",),
+         1e-10),
+        (UNIT_QUARTIC, ContourSpec(vertices=triangle.vertices, clearance=0.0), ("dx/y",),
+         1e-10),
+        # f vanishes at a node of the 24-node level alone
+        (ComplexPoly.of([-x24[5], 1.0]), triangle, ("dx/y",), 1e-10),
+        (UNIT_QUARTIC, big_loop(rs, orientation=-1), ("y dx/x^2",), 1e-30),
+    ]
+    errors = []
+    for f, spec, diffs, tol in cases:
+        args = (f, spec, diffs, tol, _pinned(1.0))
+        got = _quadrature_outcome(periods._anchored_values, args)
+        assert got == _quadrature_outcome(anchored_values_per_level_ref, args)
+        errors.append(got[1:])
+    assert errors == [
+        ("quadrature did not reach tol=1e-10", None),
+        ("branch tracking stayed ambiguous", errors[1][1]),
+        ("contour passes through the origin pole", 0.0),
+        ("contour has nonpositive clearance", None),
+        ("contour passes through a branch point", None),
+        ("quadrature did not reach tol=1e-30", None),
+    ]
+    assert abs(errors[1][1] - rs[0]) < 1e-3
+
+
+def action_I1_cubic_two_pass_ref(a, A=1.0):
+    """The former action_I1_cubic, one array pass per Gauss-Legendre rule;
+    kept verbatim but for the module prefixes."""
+    gpoly = periods._action_cubic_polynomial(a)
+    rs = roots(gpoly, tol=1e-13)
+    scale = max(1.0, max(abs(r) for r in rs))
+    real = sorted(r.real for r in rs if abs(r.imag) < 1e-9 * scale)
+    if len(real) != 3:
+        raise DegenerateInputError("cubic form does not have three real roots")
+    u1, u2, u3 = real
+    if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):
+        raise DegenerateInputError("cubic form has a repeated root")
+    c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
+    a1, _, a3 = a
+    poles = []
+    for s, e in ((1.0, u1), (-1.0, u2)):
+        near, far = 1.0 + s * u2, 1.0 + s * u3
+        if abs(far) > abs(near):
+            gap = s * (a1 + s * a3) ** 2 / (8.0 * far)
+        else:
+            gap = (1.0 + s * u1) * near
+        poles.append((s, max(0.0, gap), math.sqrt(2.0 * (u3 - e))))
+    closed = sum(ge * math.sqrt(gap) for _, gap, ge in poles)
+
+    def value(n):
+        t, gw = periods._leggauss(n)
+        u = c + w * np.sin(0.5 * math.pi * t)
+        gu = np.sqrt(2.0 * (u3 - u))
+        core = gu - 0.5 * sum(gap * (gu - ge) / (1.0 + s * u) for s, gap, ge in poles)
+        return 0.5 * math.pi * (float(np.sum(core * gw)) - closed)
+
+    v1, v2 = value(periods._CUBIC_NODES), value(periods._CUBIC_NODES + 160)
+    if abs(v1 - v2) > 1e-9 * max(1.0, abs(v2)):
+        raise QuadratureError("cubic action quadrature did not converge")
+    return (A / math.pi) * v2
+
+
+NEAR_MINUS_PLANE = [(0.5, 1.4, -0.5 + gap) for gap in (1e-3, 1.2e-3, -1e-3, 1e-6)] + [
+    (0.18236762335248613, 1.1613698622237552, -0.18356589046478888)
+]
+
+
+@pytest.mark.parametrize("a", NEAR_PALINDROMIC + NEAR_MINUS_PLANE)
+def test_cubic_action_in_one_array_pass_is_bit_identical(a):
+    for area in (1.0, 2.5):
+        assert action_I1_cubic(a, area).hex() == action_I1_cubic_two_pass_ref(a, area).hex()
+
+
+# ---------------------------------------------------------------------------
+# the origin pole's distance, measured with the clearance
+# ---------------------------------------------------------------------------
+
+
+def ellipse_gaps_ref(spec, excluded):
+    """The former measurements: the clearance over the excluded points, and
+    the edges' distance from the origin, each from its own call."""
+    a = np.array(spec.vertices, dtype=complex)
+    b = np.concatenate((a[1:], a[:1]))
+    gaps = periods._segment_distances(a, b, np.array(excluded, complex))
+    origin = periods._segment_distances(a, b, np.zeros(1))
+    return float(np.min(gaps, initial=math.inf)), float(np.min(origin))
+
+
+@pytest.mark.parametrize("seed", [5, 23, 71])
+def test_clearance_and_origin_gap_are_the_former_measurements(seed):
+    rng = np.random.default_rng(seed)
+    _, _, rs = quartic_in_C(rng)
+    cfg = build_basis(rs, 1)
+    checked = 0
+    for o in (1, -1):
+        big = big_loop(rs, orientation=o)
+        got = (big.clearance.hex(), big.origin_gap.hex())
+        assert got == tuple(v.hex() for v in ellipse_gaps_ref(big, list(rs) + [0.0]))
+        for pair in cfg.pairing:
+            for avoid in ((), (0.0,), (complex(rng.normal(), rng.normal()),)):
+                try:
+                    spec = pair_loop(rs, pair, orientation=o, avoid=avoid)
+                except DegenerateInputError:
+                    continue
+                others = [r for k, r in enumerate(rs) if k not in pair] + list(avoid)
+                want = ellipse_gaps_ref(spec, others)
+                assert (spec.clearance.hex(), spec.origin_gap.hex()) == tuple(
+                    v.hex() for v in want
+                )
+                checked += 1
+    assert checked >= 6
+
+
+def test_an_ellipse_edge_at_the_origin_fails_at_the_origin():
+    # the roots are moved so that vertex 5 of a pair loop built without
+    # avoid lands on x = 0, up to rounding
+    rs0 = roots(UNIT_QUARTIC)
+    pair = build_basis(rs0, 1).pairing[0]
+    shift = pair_loop(rs0, pair).vertices[5]
+    rs = [r - shift for r in rs0]
+    f = ComplexPoly.of(np.poly(rs)[::-1])
+    loop = pair_loop(rs, pair)
+    assert loop.origin_gap < 1e-12
+    with pytest.raises(QuadratureError, match="passes through the origin pole") as err:
+        cycle_integral(f, loop, "y dx/x^2")
+    assert err.value.location == 0.0
+
+
+def test_pair_and_big_loops_measure_the_origin_once(monkeypatch):
+    calls = []
+    distances = periods._segment_distances
+
+    def counting(a, b, rs):
+        calls.append(len(rs))
+        return distances(a, b, rs)
+
+    monkeypatch.setattr(periods, "_segment_distances", counting)
+    a = (0.9, 2.8, -0.4)
+    action_I1(a)
+    residue_check(a)
+    # one measurement per loop: the pair loop's two other roots and the
+    # origin it avoids, then the origin once more; the big loop's four
+    # roots and the origin, then the origin once more
+    assert calls == [4, 6]
 
 
 # ---------------------------------------------------------------------------

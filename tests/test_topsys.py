@@ -300,6 +300,21 @@ def test_integrate_blowup_reports_time():
     assert err.value.time <= 2.0
 
 
+def test_integrals_that_overflow_on_a_finite_state_are_a_blowup():
+    # after two dt = 1 steps the state is finite (gamma about 2.3e215), but
+    # h2 is not
+    s0 = TopState.of(0.5, (1e5, 0.0, 0.0), [(0.0, 0.0, 1e5)])
+    with pytest.raises(IntegrationBlowupError) as err:
+        integrate(s0, 2.0, 1.0)
+    assert err.value.time == 2.0
+    assert str(err.value) == "first integrals became non-finite at t=2.0"
+
+
+def test_first_integrals_that_overflow_are_rejected():
+    with pytest.raises(ValidationError, match="not finite"):
+        first_integrals(TopState.of(0.5, (1e200, 0.0, 0.0), [(0.0, 0.0, 0.0)]))
+
+
 def test_integrate_rejects_bad_steps():
     s0 = TopState.of(1.0, (1.0, 0.0, 1.0))
     with pytest.raises(ValidationError):
