@@ -259,14 +259,18 @@ def g2_branch(c2: float, sign: int = 1) -> G2BranchPoint:
     )
 
 
+def _as_poly(f) -> ComplexPoly:
+    """f as a ComplexPoly: SpectralCoeffs, a ComplexPoly or its coefficients."""
+    if isinstance(f, SpectralCoeffs):
+        return f.poly()
+    if isinstance(f, ComplexPoly):
+        return f
+    return ComplexPoly.of(f)
+
+
 def in_component_C(f) -> bool:
     """True iff f is real, has no real roots, and sits clearly off Delta."""
-    if isinstance(f, SpectralCoeffs):
-        p = f.poly()
-    elif isinstance(f, ComplexPoly):
-        p = f
-    else:
-        p = ComplexPoly.of(f)
+    p = _as_poly(f)
     if any(abs(complex(v).imag) > 1e-12 * max(1.0, abs(v)) for v in p.coeffs):
         raise ValidationError("component membership is defined for real coefficients")
     d = normalized_discriminant(p)

@@ -41,7 +41,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .discriminant import complex_double_pair_a2, delta_c_section, quartic_poly
+from .discriminant import _as_poly, complex_double_pair_a2, delta_c_section, quartic_poly
 from .errors import (
     DegenerateInputError,
     NearDiscriminantError,
@@ -57,7 +57,6 @@ from .homology import (
     cycle_labels,
 )
 from .poly import ComplexPoly, real_root_count, roots as poly_roots
-from .spectral import SpectralCoeffs
 
 _AMBIGUITY_LIMIT = 0.7
 _MAX_EDGE_NODES = 1 << 11
@@ -77,10 +76,9 @@ _BATCHES = ((12, 24), (48,), (96,), (192,), (384,), (768,), (1536,))
 def _leggauss(n):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
 
-    The engine asks for ten distinct n: the polygon ladder 12, 24, 48, 96,
-    192, 384, 768, 1536 and the cubic action's 420 and 580.  The bound only
-    caps callers of ContourSpec.nodes that pick n freely.  The arrays are
-    shared by every caller, so they are made read-only.
+    The engine asks for the eight n of the polygon ladder, 12 to 1536.
+    The bound only caps callers of ContourSpec.nodes that pick n freely.
+    The arrays are shared by every caller, so they are made read-only.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
@@ -239,14 +237,6 @@ def polyline(vertices):
     if len(verts) < 3:
         raise ValidationError("polyline needs at least 3 distinct vertices")
     return ContourSpec(vertices=verts)
-
-
-def _as_poly(f):
-    if isinstance(f, SpectralCoeffs):
-        return f.poly()
-    if isinstance(f, ComplexPoly):
-        return f
-    return ComplexPoly.of(f)
 
 
 def _step_signs(fvals):
@@ -762,37 +752,55 @@ def action_I1(a, A: float = 1.0) -> float:
     return out.real
 
 
-_CUBIC_NODES = 420
+def _carlson(y, z, ps):
+    """R_F(0, y, z) and R_J(0, y, z, p) for p = y, z and each p in ps (> 0).
 
-
-def _action_cubic_polynomial(a):
-    a1, a2, a3 = a
-    return ComplexPoly.of(
-        (a2 - 0.25 * (a1 * a1 + a3 * a3), 0.5 * a1 * a3 - 2.0, -a2, 2.0)
-    )
+    Carlson's duplication (Numer. Algorithms 10, 1995; DLMF 19.36(i)) moves
+    0, y, z and the p together until they agree to 1e-3, each R_J summing
+    4^-m R_C(1, 1 + e_m)/d_m on the way; 3 R_F = y R_J(y) + z R_J(z).
+    """
+    vs, tails, scale = [0.0, y, z, y, z, *ps], [0.0] * (len(ps) + 2), 1.0
+    while max(vs) - min(vs) > 1e-3 * min(vs):
+        sx, sv, sw, *sp = (math.sqrt(u) for u in vs)
+        for i, s in enumerate(sp):
+            d = (s + sx) * (s + sv) * (s + sw)
+            # e = (p - x)(p - y)(p - z)/d^2, one factor at a time: p^3 overflows
+            e = (s - sx) / (s + sx) * (s - sv) / (s + sv) * (s - sw) / (s + sw)
+            t = math.sqrt(abs(e))  # R_C(1, 1 + e) is atan(t)/t or atanh(t)/t
+            rc = (math.atan(t) if e > 0.0 else math.atanh(t)) / t if t else 1.0
+            tails[i] += scale * rc / d
+        lam = sx * sv + sx * sw + sv * sw
+        vs, scale = [0.25 * (u + lam) for u in vs], 0.25 * scale
+    (x, v, w, *pp), rjs = vs, []
+    for p, tail in zip(pp, tails):
+        mean = (x + v + w + 2.0 * p) / 5.0
+        X, Y, Z, P = (1.0 - u / mean for u in (x, v, w, p))
+        xyz, e2 = X * Y * Z, X * Y + X * Z + Y * Z - 3.0 * P * P
+        e3, e4 = xyz + 2.0 * e2 * P + 4.0 * P**3, (2.0 * xyz + e2 * P + 3.0 * P**3) * P
+        series = 1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+        series -= 3.0 * e4 / 22.0 + 9.0 * e2 * e3 / 52.0 - 3.0 * xyz * P * P / 26.0
+        rjs.append(scale * series / (mean * math.sqrt(mean)) + 6.0 * tail)
+    return (y * rjs[0] + z * rjs[1]) / 3.0, rjs
 
 
 def action_I1_cubic(a, A: float = 1.0) -> float:
-    """Action integral through the real cubic form.
+    """Action integral through the real cubic form, in closed form.
 
-    I1 = (A/pi) * integral over [u1, u2] of sqrt(g(u))/(1-u^2) du where
-    g(u) = 2u^3 - a2 u^2 + (a1 a3/2 - 2) u + a2 - (a1^2+a3^2)/4 and
-    u1 <= u2 are the two smallest real roots of g.
-
-    With u = c + w sin t and G(u) = sqrt(2(u3 - u)) the integrand is
-    G w^2 cos^2 t (1/(1+u) + 1/(1-u))/2.  The pole u = -1 nears u1 close to
-    the plane a1 = -a3 (g(-1) = -(a1 + a3)^2/4), u = +1 nears u2 close to
-    a1 = a3 (g(1) = -(a1 - a3)^2/4), and one rule subtracts each: with
-    1 + s u = k + s w sin t (s = +-1) and near endpoint e, w^2 cos^2 t =
-    (k - s w sin t)(k + s w sin t) + w^2 - k^2, G = G(e) + (G - G(e)), and
-    dt/(k + s w sin t) integrates to pi/sqrt(k^2 - w^2), with
-    k^2 - w^2 = (1 + s u1)(1 + s u2) >= 0.  The two k - s w sin t sum to 2.
-    Next to a pole that gap is smaller than the rounding of the roots, so
-    it is taken from the exact g(-s) = -(a1 + s a3)^2/4 as
-    s (a1 + s a3)^2 / (8 (1 + s u3)), unless u3 is nearer the pole than u2.
+    I1 = (A/pi) * integral over [u1, u2] of sqrt(g(u))/(1-u^2) du, where
+    g(u) = 2u^3 - a2 u^2 + (a1 a3/2 - 2) u + a2 - (a1^2+a3^2)/4 = 2G with
+    G = (u - u1)(u2 - u)(u3 - u), and g/(1-u^2) = a2 - 2u - c+/(1-u) -
+    c-/(1+u) with c_s = (a1 - s a3)^2/8.  With y = u3 - u2, z = u3 - u1 and
+    R_J(p) = R_J(0, y, z, p), int du/sqrt(G) = 2 R_F(0, y, z), int (u3 - u)
+    du/sqrt(G) = (2/3) y z (R_J(y) + R_J(z)) and int du/(|s - u| sqrt(G)) =
+    (2 R_F + (2/3)(y - q) R_J(q))/|s - u2|, q = y |s - u1|/|s - u2| (DLMF
+    19.29).  c_s = -g(s)/2 is the product of the pole's three root gaps;
+    the smallest, which can be below the roots' rounding, is taken from c_s
+    and the other two.  A pole whose q is 0 or overflows (c_s below about
+    1e-300) drops out, as its term is at most about pi sqrt(c_s).
     """
-    gpoly = _action_cubic_polynomial(a)
-    rs = poly_roots(gpoly, tol=1e-13)
+    a1, a2, a3 = a
+    g = ComplexPoly.of((a2 - 0.25 * (a1 * a1 + a3 * a3), 0.5 * a1 * a3 - 2.0, -a2, 2.0))
+    rs = poly_roots(g, tol=1e-13)
     scale = max(1.0, max(abs(r) for r in rs))
     real = sorted(r.real for r in rs if abs(r.imag) < 1e-9 * scale)
     if len(real) != 3:
@@ -800,28 +808,17 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     u1, u2, u3 = real
     if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):
         raise DegenerateInputError("cubic form has a repeated root")
-    c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
-    a1, _, a3 = a
-    # (s, k^2 - w^2 clamped against rounding, G at the near endpoint)
-    poles = []
-    for s, e in ((1.0, u1), (-1.0, u2)):
-        near, far = 1.0 + s * u2, 1.0 + s * u3
-        if abs(far) > abs(near):
-            gap = s * (a1 + s * a3) ** 2 / (8.0 * far)
-        else:
-            gap = (1.0 + s * u1) * near
-        poles.append((s, max(0.0, gap), math.sqrt(2.0 * (u3 - e))))
-    closed = sum(ge * math.sqrt(gap) for _, gap, ge in poles)
-
-    # both rules' nodes in one array pass; each rule is summed on its own slice
-    (t1, w1), (t2, w2) = _leggauss(_CUBIC_NODES), _leggauss(_CUBIC_NODES + 160)
-    u = c + w * np.sin(0.5 * math.pi * np.concatenate((t1, t2)))
-    gu = np.sqrt(2.0 * (u3 - u))
-    core = gu - 0.5 * sum(gap * (gu - ge) / (1.0 + s * u) for s, gap, ge in poles)
-    v1, v2 = (
-        0.5 * math.pi * (float(np.sum(core[lo : lo + len(gw)] * gw)) - closed)
-        for lo, gw in ((0, w1), (len(t1), w2))
-    )
-    if abs(v1 - v2) > 1e-9 * max(1.0, abs(v2)):
-        raise QuadratureError("cubic action quadrature did not converge")
-    return (A / math.pi) * v2
+    y, z = u3 - u2, u3 - u1
+    poles = []  # (q, |s - u1| |s - u3|) of each pole kept
+    for s in (1.0, -1.0):
+        d = [abs(s - u) for u in real]  # the root gaps |s - u_k|
+        k = d.index(min(d))
+        d[k] = (a1 - s * a3) ** 2 / 8.0 / (d[k - 1] * d[k - 2])
+        q = y * d[0] / d[1] if d[1] > 0.0 else math.inf
+        if 0.0 < q < math.inf:
+            poles.append((q, d[0] * d[2]))
+    rf, (ry, rz, *rjs) = _carlson(y, z, [q for q, _ in poles])
+    total = 2.0 * (a2 - 2.0 * u3) * rf + (4.0 / 3.0) * y * z * (ry + rz)
+    for (q, gaps), rj in zip(poles, rjs):
+        total -= gaps * (2.0 * rf + (2.0 / 3.0) * (y - q) * rj)
+    return A / (math.pi * math.sqrt(2.0)) * total

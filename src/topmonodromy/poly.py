@@ -307,10 +307,9 @@ def discriminant(p: ComplexPoly) -> complex:
 
 
 def normalized_discriminant(p: ComplexPoly) -> float:
-    """|disc(p)| made scale-invariant: divide by max|coeff|^(2n-2)."""
-    n = p.degree
+    """|disc(p / max|coeff|)|: scale-invariant, as disc has degree 2n - 2."""
     scale = p.coeff_scale()
-    return abs(discriminant(p)) / scale ** (2 * n - 2)
+    return abs(discriminant(ComplexPoly.of([c / scale for c in p.coeffs])))
 
 
 def _integer_coeffs(p: ComplexPoly):

@@ -377,6 +377,16 @@ class TestSpectralCommand:
         assert data["factorization_residual"] is None
         assert data["a"][0] == 1.5
 
+    def test_huge_state_is_classified_without_overflow(self, capsys):
+        # the coefficients reach 1e300, so max|coeff|^6 overflows a float;
+        # the quartic x^4 + 1e300 x^2 + 1e300 is too close to Delta to classify
+        code, data = run_cli_strict(
+            capsys, "spectral", "--m", "0.5", "--state=1e150,0,0;0,0,1e150"
+        )
+        assert code == 0
+        assert data["a"][1] > 1e299 and data["a"][3] > 1e299
+        assert data["no_real_branch_points"] is None
+
     def test_exactly_one_source(self, capsys):
         code, data = run_cli(capsys, "spectral", "--m", "0.5")
         assert code == 2

@@ -1203,52 +1203,80 @@ def test_batched_ladder_fails_like_the_per_level_ladder():
     assert abs(errors[1][1] - rs[0]) < 1e-3
 
 
-def action_I1_cubic_two_pass_ref(a, A=1.0):
-    """The former action_I1_cubic, one array pass per Gauss-Legendre rule;
-    kept verbatim but for the module prefixes."""
-    gpoly = periods._action_cubic_polynomial(a)
-    rs = roots(gpoly, tol=1e-13)
-    scale = max(1.0, max(abs(r) for r in rs))
-    real = sorted(r.real for r in rs if abs(r.imag) < 1e-9 * scale)
-    if len(real) != 3:
-        raise DegenerateInputError("cubic form does not have three real roots")
-    u1, u2, u3 = real
-    if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):
-        raise DegenerateInputError("cubic form has a repeated root")
-    c, w = 0.5 * (u1 + u2), 0.5 * (u2 - u1)
-    a1, _, a3 = a
-    poles = []
-    for s, e in ((1.0, u1), (-1.0, u2)):
-        near, far = 1.0 + s * u2, 1.0 + s * u3
-        if abs(far) > abs(near):
-            gap = s * (a1 + s * a3) ** 2 / (8.0 * far)
-        else:
-            gap = (1.0 + s * u1) * near
-        poles.append((s, max(0.0, gap), math.sqrt(2.0 * (u3 - e))))
-    closed = sum(ge * math.sqrt(gap) for _, gap, ge in poles)
-
-    def value(n):
-        t, gw = periods._leggauss(n)
-        u = c + w * np.sin(0.5 * math.pi * t)
-        gu = np.sqrt(2.0 * (u3 - u))
-        core = gu - 0.5 * sum(gap * (gu - ge) / (1.0 + s * u) for s, gap, ge in poles)
-        return 0.5 * math.pi * (float(np.sum(core * gw)) - closed)
-
-    v1, v2 = value(periods._CUBIC_NODES), value(periods._CUBIC_NODES + 160)
-    if abs(v1 - v2) > 1e-9 * max(1.0, abs(v2)):
-        raise QuadratureError("cubic action quadrature did not converge")
-    return (A / math.pi) * v2
-
-
 NEAR_MINUS_PLANE = [(0.5, 1.4, -0.5 + gap) for gap in (1e-3, 1.2e-3, -1e-3, 1e-6)] + [
     (0.18236762335248613, 1.1613698622237552, -0.18356589046478888)
 ]
 
 
 @pytest.mark.parametrize("a", NEAR_PALINDROMIC + NEAR_MINUS_PLANE)
-def test_cubic_action_in_one_array_pass_is_bit_identical(a):
+def test_cubic_action_in_closed_form_matches_the_oracle(a):
+    ref = cubic_form_action(a)
     for area in (1.0, 2.5):
-        assert action_I1_cubic(a, area).hex() == action_I1_cubic_two_pass_ref(a, area).hex()
+        assert abs(action_I1_cubic(a, area) - area * ref) < 1e-13
+
+
+# (y, z, ps): generic arguments, y << z, y = z, and q -> 0 and q -> inf as
+# next to a pole of the cubic form
+CARLSON_CASES = [
+    (0.3, 1.7, [1e-8, 0.3, 0.5, 1.7, 2.0, 1e8]),
+    (1e-9, 2.0, [1e-12, 1e-9, 1.0, 1e12]),
+    (1e-6, 10.0, [1e-8, 1e8]),
+    (1.0, 1.0, [1.0, 1e-3]),
+    (0.7, 3.1, [1e-16, 1e16]),
+    (0.7, 3.1, [1e-300, 1e250]),
+]
+
+
+def _assert_carlson_matches_mpmath(y, z, ps, rel):
+    import mpmath
+
+    rf, (ry, rz, *rjs) = periods._carlson(y, z, ps)
+    with mpmath.workdps(30):
+        assert abs(rf / float(mpmath.elliprf(0, y, z)) - 1.0) < rel
+        assert abs(ry / float(mpmath.elliprd(0, z, y)) - 1.0) < rel
+        assert abs(rz / float(mpmath.elliprd(0, y, z)) - 1.0) < rel
+        assert len(rjs) == len(ps)
+        for p, rj in zip(ps, rjs):
+            assert abs(rj / float(mpmath.elliprj(0, y, z, p)) - 1.0) < rel
+
+
+@pytest.mark.parametrize("y, z, ps", CARLSON_CASES)
+def test_carlson_matches_mpmath_at_extreme_ratios(y, z, ps):
+    _assert_carlson_matches_mpmath(y, z, ps, 4e-15)
+
+
+def test_carlson_matches_mpmath_at_random_arguments():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        y, z = 10.0 ** rng.uniform(-6.0, 1.0, size=2)
+        ps = list(10.0 ** rng.uniform(-8.0, 8.0, size=3))
+        _assert_carlson_matches_mpmath(y, z, ps, 4e-15)
+
+
+# One of a1, a3 is e and the other 0, so c_s = e^2/8 at both poles.  With
+# a2 = 2.4 the pole at u = +1 has q = 1.3e120 at e = 1e-60, whose cube
+# overflows, and q = inf at e = 1e-160, where it drops out; the pole at
+# u = -1 has q down to 3e-323.  With a2 = 1.5 the pole at u = +1 is next to
+# u3 instead.  Every pole's term is below 1e-59.
+@pytest.mark.parametrize(
+    "a", [(1e-60, 2.4, 0.0), (1e-160, 2.4, 0.0), (0.0, 1.5, 1e-160)]
+)
+def test_cubic_action_next_to_both_planes_at_once(a):
+    assert abs(action_I1_cubic(a) - cubic_form_action(a)) < 1e-13
+
+
+def test_cubic_action_refuses_degenerate_cubic_forms(monkeypatch):
+    # a = (3, 0, 0): g = 2u^3 - 2u - 9/4 has one real root
+    with pytest.raises(DegenerateInputError, match="three real roots"):
+        action_I1_cubic((3.0, 0.0, 0.0))
+    # a = (0, 2, 0): g = 2(u - 1)^2 (u + 1).  The root finder returns the
+    # double root as a complex pair about 1e-7 apart, which the first guard
+    # refuses; a double root returned real meets the second.
+    with pytest.raises(DegenerateInputError, match="three real roots"):
+        action_I1_cubic((0.0, 2.0, 0.0))
+    monkeypatch.setattr(periods, "poly_roots", lambda p, tol: [1 + 0j, -1 + 0j, 1 + 0j])
+    with pytest.raises(DegenerateInputError, match="repeated root"):
+        action_I1_cubic((0.0, 2.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

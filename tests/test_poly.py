@@ -283,6 +283,16 @@ def test_discriminant_double_root_vanishes():
     assert normalized_discriminant(p) < 1e-12
 
 
+@pytest.mark.parametrize("factor", [1e-150, 1e150, 1e300])
+def test_normalized_discriminant_is_scale_invariant(factor):
+    # factor^6 under- or overflows a float for the quartic
+    p = ComplexPoly.of([1.0, 0.5, 3.0, -0.25, 2.0])
+    scaled = ComplexPoly.of([factor * c for c in p.coeffs])
+    assert normalized_discriminant(scaled) == pytest.approx(
+        normalized_discriminant(p), rel=1e-12
+    )
+
+
 def test_discriminant_product_formula():
     p = ComplexPoly.of([1, 0, 1, 0, 1])
     rs = roots(p)
