@@ -1,10 +1,13 @@
 """Command-line front end: simulations, invariants, spectral curves,
 discriminant scans, and monodromy, emitted as JSON (stdout) and CSV files.
 
-Every report is deterministic (stable key order, no timestamps), carries a
-``schema_version`` field, and embeds the tolerances the run actually used.
-Failures exit nonzero after printing a machine-readable error object.  A
-JSON config file can supply any option; explicit flags win over the file.
+Every report is deterministic (stable key order, no timestamps) and carries
+``schema_version``, ``command`` and ``tolerances`` (the tolerances the run
+actually used).  A failure prints an object of just ``schema_version`` and
+``error`` (its ``type`` and ``message``) and exits 2 for invalid input, 1
+otherwise; a failed run writes no CSV.  Each command returns its own fields
+and ``main`` alone writes the report.  A JSON config file can supply any
+option; explicit flags win over the file.
 The ``TOPMONODROMY_TOL`` environment variable overrides the default
 quadrature tolerance when no explicit value is given.
 """
@@ -12,10 +15,10 @@ quadrature tolerance when no explicit value is given.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
-import sys
 
 from .discriminant import (
     classify_special_points,
@@ -104,13 +107,8 @@ def _parse_state(m, text):
     return TopState.of(m, rows[0], rows[1:])
 
 
-def _emit(payload, stream=None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text, file=stream or sys.stdout)
-
-
 def _cmd_simulate(opts):
-    state = _parse_state(opts["m"], _require(opts, "state"))
+    state = _parse_state(_require(opts, "m"), _require(opts, "state"))
     t_end = _opt(opts, "t", 10.0)
     dt = _opt(opts, "dt", 1e-3)
     check_span(t_end, dt)
@@ -122,47 +120,36 @@ def _cmd_simulate(opts):
     trajectory = integrate(state, t_end, dt, sample_every=every)
     trajectory.to_csv(out)
     drift = trajectory.max_relative_drift()
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "g": state.g,
-            "m": state.m,
-            "t_end": t_end,
-            "dt": dt,
-            "sample_every": every,
-            "samples": len(trajectory),
-            "csv": out,
-            "drift": dict(zip(level_labels(state.g), map(float, drift))),
-            "spectral_drift": spectral_coefficient_drift(trajectory),
-            "tolerances": {},
-        }
-    )
-    return 0
+    return {
+        "g": state.g,
+        "m": state.m,
+        "t_end": t_end,
+        "dt": dt,
+        "sample_every": every,
+        "samples": len(trajectory),
+        "csv": out,
+        "drift": dict(zip(level_labels(state.g), map(float, drift))),
+        "spectral_drift": spectral_coefficient_drift(trajectory),
+    }
 
 
 def _cmd_invariants(opts):
-    state = _parse_state(opts["m"], _require(opts, "state"))
+    state = _parse_state(_require(opts, "m"), _require(opts, "state"))
     levels = first_integrals(state)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "invariants",
-            "g": state.g,
-            "m": state.m,
-            "values": dict(zip(level_labels(state.g), map(float, levels.values))),
-            "tolerances": {},
-        }
-    )
-    return 0
+    return {
+        "g": state.g,
+        "m": state.m,
+        "values": dict(zip(level_labels(state.g), map(float, levels.values))),
+    }
 
 
 def _cmd_spectral(opts):
+    m = _require(opts, "m")
     if (opts.get("state") is None) == (opts.get("levels") is None):
         raise ValidationError("spectral needs exactly one of --state or --levels")
     residual = None
     if opts.get("state") is not None:
-        state = _parse_state(opts["m"], opts["state"])
+        state = _parse_state(m, opts["state"])
         coeffs = spectral_from_state(state)
         from_levels = spectral_from_levels(first_integrals(state))
         residual = max(
@@ -171,25 +158,16 @@ def _cmd_spectral(opts):
         g, m = state.g, state.m
     else:
         values = _parse_floats(opts["levels"], "levels")
-        levels = LevelVector.of(opts["m"], values)
+        levels = LevelVector.of(m, values)
         coeffs = spectral_from_levels(levels)
         g, m = levels.g, levels.m
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectral",
-        "g": g,
-        "m": m,
-        "a": list(coeffs.a),
-        "factorization_residual": residual,
-        "tolerances": {},
-    }
+    report = {"g": g, "m": m, "a": list(coeffs.a), "factorization_residual": residual}
     if g in (1, 2):
         try:
-            payload["no_real_branch_points"] = in_component_C(coeffs)
+            report["no_real_branch_points"] = in_component_C(coeffs)
         except NearDiscriminantError:
-            payload["no_real_branch_points"] = None
-    _emit(payload)
-    return 0
+            report["no_real_branch_points"] = None
+    return report
 
 
 def _point_payload(point):
@@ -207,53 +185,36 @@ def _cmd_discriminant(opts):
         if opts.get("c") is None:
             raise ValidationError("discriminant --g 1 needs --c")
         c = opts["c"]
-        lo = _opt(opts, "u_min", 0.2)
-        hi = _opt(opts, "u_max", 3.0)
-        count = _opt(opts, "samples", 61)
-        if count < 2 or not lo < hi:
-            raise ValidationError("need u_min < u_max and samples >= 2")
-        us = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
-        with open(out, "w", newline="") as fh:
-            rows = delta_c_csv(fh, c, us)
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "discriminant",
-                "g": 1,
-                "c": c,
-                "csv": out,
-                "samples": rows,
-                "special_points": [
-                    _point_payload(p) for p in classify_special_points(c)
-                ],
-                "tolerances": {},
-            }
-        )
-        return 0
-    if g == 2:
+        rule, floor = "u_min < u_max", -math.inf
+        lo, hi = _opt(opts, "u_min", 0.2), _opt(opts, "u_max", 3.0)
+    elif g == 2:
         sign = _opt(opts, "sign", 1)
-        lo = _opt(opts, "c2_min", 0.5)
-        hi = _opt(opts, "c2_max", 2.0)
-        count = _opt(opts, "samples", 61)
-        if count < 2 or not 0.0 < lo < hi:
-            raise ValidationError("need 0 < c2_min < c2_max and samples >= 2")
-        c2s = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
-        with open(out, "w", newline="") as fh:
-            rows = g2_branch_csv(fh, c2s, sign=sign)
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "discriminant",
-                "g": 2,
-                "sign": sign,
-                "csv": out,
-                "samples": rows,
-                "c2_range": [lo, hi],
-                "tolerances": {},
-            }
-        )
-        return 0
-    raise ValidationError("discriminant supports --g 1 or --g 2")
+        rule, floor = "0 < c2_min < c2_max", 0.0
+        lo, hi = _opt(opts, "c2_min", 0.5), _opt(opts, "c2_max", 2.0)
+    else:
+        raise ValidationError("discriminant supports --g 1 or --g 2")
+    count = _opt(opts, "samples", 61)
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"the sample range [{lo!r}, {hi!r}] must be finite")
+    if count < 2 or not floor < lo < hi:
+        raise ValidationError(f"need {rule} and samples >= 2")
+    xs = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    csv_text = io.StringIO()  # written to out only once the report stands
+    if g == 1:
+        report = {
+            "c": c,
+            "samples": delta_c_csv(csv_text, c, xs),
+            "special_points": [_point_payload(p) for p in classify_special_points(c)],
+        }
+    else:
+        report = {
+            "sign": sign,
+            "samples": g2_branch_csv(csv_text, xs, sign=sign),
+            "c2_range": [lo, hi],
+        }
+    with open(out, "w", newline="") as fh:
+        fh.write(csv_text.getvalue())
+    return {"g": g, "csv": out, **report}
 
 
 def _parse_loop(opts):
@@ -294,26 +255,21 @@ def _cmd_monodromy(opts):
     else:
         result = picard_lefschetz_route(loop, tol=tol)
     reduced = monodromy_actions_g1(result) if loop.g == 1 else torus_block(result)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "monodromy",
-            "name": loop.name,
-            "g": loop.g,
-            "route": route,
-            "orientation": loop.orientation,
-            "basis": list(reduced.basis),
-            "matrix": [list(row) for row in reduced.matrix],
-            "residual": result.residual,
-            "permutation": list(result.permutation),
-            "lattice_basis": list(result.basis),
-            "lattice_matrix": [list(row) for row in result.matrix],
-            "steps_used": result.steps_used,
-            "condition": result.condition,
-            "tolerances": {"quadrature": tol},
-        }
-    )
-    return 0
+    return {
+        "name": loop.name,
+        "g": loop.g,
+        "route": route,
+        "orientation": loop.orientation,
+        "basis": list(reduced.basis),
+        "matrix": [list(row) for row in reduced.matrix],
+        "residual": result.residual,
+        "permutation": list(result.permutation),
+        "lattice_basis": list(result.basis),
+        "lattice_matrix": [list(row) for row in result.matrix],
+        "steps_used": result.steps_used,
+        "condition": result.condition,
+        "tolerances": {"quadrature": tol},
+    }
 
 
 def _cmd_actions(opts):
@@ -321,22 +277,19 @@ def _cmd_actions(opts):
     if len(point) != 3:
         raise ValidationError("--point needs a1,a2,a3")
     area = _opt(opts, "area", 1.0)
+    if not math.isfinite(area):
+        raise ValidationError(f"--area must be finite, got {area!r}")
     i1 = action_I1(point, A=area)
     cross = action_I1_cubic(point, A=area)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "actions",
-            "point": point,
-            "area": area,
-            "I1": i1,
-            "I2": area * point[0] / 2.0,
-            "I3": area * point[2] / 2.0,
-            "cross_check_residual": abs(i1 - cross),
-            "tolerances": {"cross_check": 1e-8},
-        }
-    )
-    return 0
+    return {
+        "point": point,
+        "area": area,
+        "I1": i1,
+        "I2": area * point[0] / 2.0,
+        "I3": area * point[2] / 2.0,
+        "cross_check_residual": abs(i1 - cross),
+        "tolerances": {"cross_check": 1e-8},
+    }
 
 
 _COMMANDS = {
@@ -485,29 +438,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merge_config(args, options[args.command])
-        if opts.get("m") is None and args.command in (
-            "simulate",
-            "invariants",
-            "spectral",
-        ):
-            raise ValidationError("missing required option --m")
-        return _COMMANDS[args.command](opts)
-    except TopmonodromyError as exc:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-        )
-        return 2 if isinstance(exc, ValidationError) else 1
-    except OSError as exc:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "error": {"type": "OSError", "message": str(exc)},
-            }
-        )
-        return 1
+        command = _COMMANDS[args.command]
+        report = {"command": args.command, "tolerances": {}, **command(opts)}
+        code = 0
+    except (TopmonodromyError, OSError) as exc:
+        kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        report = {"error": {"type": kind, "message": str(exc)}}
+        code = 2 if isinstance(exc, ValidationError) else 1
+    report["schema_version"] = SCHEMA_VERSION
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,13 @@ from .spectral import SpectralCoeffs
 _DISC_TOL = 1e-9
 
 
+def _finite(what, *values):
+    """The values, or a ValidationError when one of them is not finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{what} must be finite, got {values}")
+    return values
+
+
 def quartic_poly(a) -> ComplexPoly:
     """x^4 + a1 x^3 + a2 x^2 + a3 x + 1 from the reduced chart (a1, a2, a3).
 
@@ -70,13 +77,16 @@ def delta_c_section(c: float, u: float):
     parameters for which x^4 + a1 x^3 + a2 x^2 + c x + 1 vanishes doubly
     at x = u.
     """
-    c = float(c)
-    u = float(u)
+    c, u = _finite("c and u", float(c), float(u))
     if u == 0.0:
         raise ValidationError("the double-root parameter u must be nonzero")
-    a1 = (c + 2.0 / u) / u**2 - 2.0 * u
-    a2 = -3.0 / u**2 - 2.0 * c / u + u**2
-    return a1, a2
+    point = f"the section point at u={u!r}"
+    try:
+        a1 = (c + 2.0 / u) / u**2 - 2.0 * u
+        a2 = -3.0 / u**2 - 2.0 * c / u + u**2
+    except (ZeroDivisionError, OverflowError):  # u**2 left the float range
+        raise ValidationError(f"{point} must be finite") from None
+    return _finite(point, a1, a2)
 
 
 def complex_double_pair_a2(c: float):
@@ -95,6 +105,7 @@ def classify_special_points(c: float):
     into the quadruple-root point (+-4, 6) at |c| = 4.
     """
     c = float(c)
+    _finite(f"c**2 at c={c!r}", c * c)  # the crossings sit at a2 = +-2 + c**2/4
     points = []
 
     # (x^2 - (c/2) x - 1)^2: two real double roots for every c
@@ -233,20 +244,25 @@ def g2_branch(c2: float, sign: int = 1) -> G2BranchPoint:
     3 alpha^2 = c2 (c2 + 2); the two signs of alpha give the two local
     branches through the origin (reached at c2 = 1).
     """
-    c2 = float(c2)
+    (c2,) = _finite("c2", float(c2))
     if c2 <= 0.0:
         raise ValidationError("the branch parameter c2 must be positive")
     if sign not in (1, -1):
         raise ValidationError("sign selects a branch and must be +-1")
     alpha = sign * math.sqrt(c2 * (c2 + 2.0) / 3.0)
-    a = 2.0 * alpha * (c2 - 1.0) * (c2**3 - 1.0) / c2**3
-    b = (c2 - 1.0) ** 3 * (c2**3 + 3.0 * c2**2 + 3.0 * c2 + 5.0) / (3.0 * c2**2)
-    c = 2.0 * alpha * (c2 - 1.0) * (2.0 * c2**3 + 3.0 * c2 - 5.0) / (3.0 * c2**2)
-    c1 = alpha * (c2 - 1.0)
-    d1 = -2.0 * alpha * (c2 - 1.0) / c2**3
-    d2 = c2**-2.0
-    delta1 = c2 * (-10.0 + c2**3 - 3.0 * c2) / 3.0
-    delta2 = -4.0 * (2.0 * c2**3 + 3.0 * c2 - 2.0) / (3.0 * c2**5)
+    point = f"the branch point at c2={c2!r}"
+    try:
+        a = 2.0 * alpha * (c2 - 1.0) * (c2**3 - 1.0) / c2**3
+        b = (c2 - 1.0) ** 3 * (c2**3 + 3.0 * c2**2 + 3.0 * c2 + 5.0) / (3.0 * c2**2)
+        c = 2.0 * alpha * (c2 - 1.0) * (2.0 * c2**3 + 3.0 * c2 - 5.0) / (3.0 * c2**2)
+        c1 = alpha * (c2 - 1.0)
+        d1 = -2.0 * alpha * (c2 - 1.0) / c2**3
+        d2 = c2**-2.0
+        delta1 = c2 * (-10.0 + c2**3 - 3.0 * c2) / 3.0
+        delta2 = -4.0 * (2.0 * c2**3 + 3.0 * c2 - 2.0) / (3.0 * c2**5)
+    except (ZeroDivisionError, OverflowError):  # a power of c2 left the float range
+        raise ValidationError(f"{point} must be finite") from None
+    _finite(point, a, b, c, c1, d1, d2, delta1, delta2)
     return G2BranchPoint(
         c2=c2,
         sign=sign,

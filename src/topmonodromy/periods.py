@@ -712,14 +712,8 @@ def _sheet_sign_at_origin(fpoly, x, y):
     constant coefficient of fpoly must be 1 (so y(0) = +-1).
     """
     j = int(np.argmin(np.abs(x)))
-    n = 256
-    while n <= 1 << 14:
-        seg = x[j] * np.linspace(1.0, 0.0, n)
-        ys, worst = _lift_open(fpoly(seg), y_start=y[j])
-        if worst < _AMBIGUITY_LIMIT:
-            return 1 if ys[-1].real > 0.0 else -1
-        n *= 2
-    raise QuadratureError("could not continue the lift to the origin", location=0.0)
+    y0 = _lift_at(fpoly, np.array([x[j], 0j]), y[j], np.array([1.0]))[0]
+    return 1 if y0.real > 0.0 else -1
 
 
 def action_I1(a, A: float = 1.0) -> float:

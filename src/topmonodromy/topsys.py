@@ -38,6 +38,13 @@ def _vec3(values, what):
     return vec
 
 
+def _mass(m):
+    m = float(m)
+    if not math.isfinite(m) or 1.0 + m == 0.0:
+        raise ValidationError(f"mass parameter needs 1+m != 0, got m={m}")
+    return m
+
+
 @dataclass(frozen=True)
 class TopState:
     """Phase-space point: mass parameter m, angular velocity, gamma rows."""
@@ -48,9 +55,7 @@ class TopState:
 
     @classmethod
     def of(cls, m, omega, gamma=()):
-        m = float(m)
-        if not math.isfinite(m) or 1.0 + m == 0.0:
-            raise ValidationError(f"mass parameter needs 1+m != 0, got m={m}")
+        m = _mass(m)
         om = _vec3(omega, "omega")
         rows = tuple(_vec3(row, f"gamma[{i}]") for i, row in enumerate(gamma))
         return cls(m=m, omega=om, gamma=rows)
@@ -79,7 +84,7 @@ class LevelVector:
             raise ValidationError(f"level vector needs 2g+2 entries, got {len(vals)}")
         if not all(math.isfinite(v) for v in vals):
             raise ValidationError(f"level values must be finite, got {vals}")
-        return cls(m=float(m), values=vals)
+        return cls(m=_mass(m), values=vals)
 
     @property
     def g(self):

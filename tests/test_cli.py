@@ -29,6 +29,88 @@ def run_cli_strict(capsys, *argv):
     return code, json.loads(capsys.readouterr().out, parse_constant=_not_json)
 
 
+# one successful run of each command
+REPORTS = {
+    "simulate": ("--m", "0.5", "--state=0,0,0.7;0,0,0.4", "--t", "0.1", "--dt", "0.01"),
+    "invariants": ("--m", "0.5", "--state=0.3,0.2,0.5;0.1,0.2,0.9"),
+    "spectral": ("--m", "0.5", "--levels", "0.75,-0.6475,-0.745,0.43"),
+    "discriminant": ("--g", "2", "--samples", "3"),
+    "monodromy": ("--g", "1", "--loop", "cushman"),
+    "actions": ("--point", "0.1,1.2,0.05"),
+}
+
+# numbers from outside, each refused with exit 2, strict JSON and no CSV:
+# non-finite input, closed forms that leave the float range, a bad u or sign
+REFUSED = [
+    ("spectral", "--m", "-1", "--levels", "1,2,3,4"),
+    ("discriminant", "--g", "2", "--c2-min", "1e-200", "--c2-max", "1e-100"),
+    ("discriminant", "--g", "1", "--c", "1", "--u-min", "1e-200", "--u-max", "1e-100"),
+    ("discriminant", "--g", "2", "--c2-max", "1e100"),
+    ("discriminant", "--g", "1", "--c", "1", "--u-min", "1e200", "--u-max", "1e201"),
+    ("discriminant", "--g", "1", "--c", "1", "--u-min=-1e308", "--u-max", "1e308"),
+    ("discriminant", "--g", "1", "--c", "nan"),
+    ("discriminant", "--g", "2", "--c2-max", "inf"),
+    ("actions", "--point=0.3,2.4225,0.3000001", "--area", "nan"),
+    ("actions", "--point=0.3,2.4225,0.3000001", "--area", "inf"),
+    ("discriminant", "--g", "1", "--c", "1", "--u-min=-1", "--u-max=1", "--samples=3"),
+    ("discriminant", "--g", "2", "--sign", "3"),
+    ("discriminant", "--g", "1", "--c", "1e300"),
+]
+
+
+class TestReports:
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    def test_every_report_names_its_schema_command_and_tolerances(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, data = run_cli_strict(capsys, command, *REPORTS[command])
+        assert code == 0
+        assert data["schema_version"] == 1
+        assert data["command"] == command
+        assert isinstance(data["tolerances"], dict)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("actions", "--point", "0.1,1.2"),
+            ("monodromy", "--g", "1", "--waypoints", "0,1,0;0,3,0;0,1,0"),
+            ("actions", "--config", "missing.json"),
+        ],
+    )
+    def test_an_error_report_holds_only_the_schema_and_the_error(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, data = run_cli_strict(capsys, *argv)
+        assert code != 0
+        assert set(data) == {"schema_version", "error"}
+        assert data["schema_version"] == 1
+        assert set(data["error"]) == {"type", "message"}
+
+    @pytest.mark.parametrize("command", ["simulate", "discriminant"])
+    def test_an_unwritable_out_is_an_os_error(self, capsys, tmp_path, command):
+        out = tmp_path / "missing" / "out.csv"
+        argv = (command, *REPORTS[command], "--out", str(out))
+        code, data = run_cli_strict(capsys, *argv)
+        assert code == 1
+        assert data["error"]["type"] == "OSError"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", REFUSED)
+    def test_outside_numbers_are_refused_without_a_csv(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        data = json.loads(captured.out, parse_constant=_not_json)
+        assert code == 2
+        assert data["error"]["type"] == "ValidationError"
+        assert captured.err == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMonodromyCommand:
     def test_cushman_action_matrix(self, capsys):
         code, data = run_cli(
