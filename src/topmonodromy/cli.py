@@ -54,6 +54,7 @@ from .tracking import (
 SCHEMA_VERSION = 1
 _DEFAULT_TOL = 1e-9
 _TOL_ENV = "TOPMONODROMY_TOL"
+_MAX_SAMPLES = 100_000  # discriminant --samples: the CSV is built in memory
 
 
 def _checked_tolerance(value, label):
@@ -196,8 +197,8 @@ def _cmd_discriminant(opts):
     count = _opt(opts, "samples", 61)
     if not math.isfinite(hi - lo):
         raise ValidationError(f"the sample range [{lo!r}, {hi!r}] must be finite")
-    if count < 2 or not floor < lo < hi:
-        raise ValidationError(f"need {rule} and samples >= 2")
+    if not 2 <= count <= _MAX_SAMPLES or not floor < lo < hi:
+        raise ValidationError(f"need {rule} and 2 <= samples <= {_MAX_SAMPLES}")
     xs = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
     csv_text = io.StringIO()  # written to out only once the report stands
     if g == 1:

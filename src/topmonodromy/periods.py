@@ -716,6 +716,13 @@ def _sheet_sign_at_origin(fpoly, x, y):
     return 1 if y0.real > 0.0 else -1
 
 
+def _finite_point(a):
+    """Refuse an action point with a NaN or infinite coordinate, as
+    TopState.of refuses such a state."""
+    if not all(math.isfinite(v) for v in a):
+        raise ValidationError(f"action point must be finite, got {tuple(a)}")
+
+
 def action_I1(a, A: float = 1.0) -> float:
     """Action integral I1 = (A i/2pi) * integral of y dx/x^2 over gamma_1.
 
@@ -728,6 +735,7 @@ def action_I1(a, A: float = 1.0) -> float:
     can fail quadrature).  A loop that winds the origin loses the pole's
     residue, with the sheet sign measured by continuing the lift to x = 0.
     """
+    _finite_point(a)
     rs, pair, stratum = _vanishing_pair(a)
     fpoly = quartic_poly(a)
     try:
@@ -792,6 +800,7 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     and the other two.  A pole whose q is 0 or overflows (c_s below about
     1e-300) drops out, as its term is at most about pi sqrt(c_s).
     """
+    _finite_point(a)
     a1, a2, a3 = a
     g = ComplexPoly.of((a2 - 0.25 * (a1 * a1 + a3 * a3), 0.5 * a1 * a3 - 2.0, -a2, 2.0))
     rs = poly_roots(g, tol=1e-13)

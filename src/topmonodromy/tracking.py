@@ -36,7 +36,11 @@ expressed over the base frame by a least-squares fit whose entries must
 round to integers.  The reported residual is the distance of that fit
 from the integer lattice.  Every loop from a base point is read over the
 same lattice, so the base fiber's periods and frame are built once per
-(genus, base point, tol) and kept, read-only, for both routes.
+(genus, base point, tol) and kept, read-only, for both routes.  A loop is
+marched once (_loop_march), from the cold roots of its base fiber, into a
+read-only record of its points, fibers, swaps and closing permutation;
+both routes and track_roots read that record, and the march reads no
+period record.
 
 The second route (picard_lefschetz_route) carries no periods.  It reads
 the braid the branch points make off the same march: ordered by a
@@ -648,20 +652,18 @@ class _March:
     the separation floor and each moves less than _STEP_FRAC margins from
     its own start; such a move is under min_sep / 12, so the labels are
     also the nearest-distance matching of the two fibers.  A march starts
-    from the roots rs at point when given, and finds them otherwise.  It
-    fixes the projection rot of the base roots, keeps the sorted swaps of
-    projection neighbours of each accepted step in swaps, and also rejects
-    a step in which two swaps share a root, so traverse bisects it like any
-    other step.
+    from the cold roots of its first fiber, the roots _base_frame finds
+    there.  It fixes the projection rot of the base roots, keeps the sorted
+    swaps of projection neighbours of each accepted step in swaps, and also
+    rejects a step in which two swaps share a root, so traverse bisects it
+    like any other step.
     """
 
-    def __init__(self, g, point, rs=None):
+    def __init__(self, g, point):
         self.g = g
         self.point = _chart_point(point)
         self.steps_used = 0
-        if rs is None:
-            rs = roots(fiber_polynomial(g, self.point))
-        self.rs = list(rs)
+        self.rs = list(roots(fiber_polynomial(g, self.point)))
         self.min_sep = _pairwise_min_sep(self.rs)
         self.rot = _projection(self.rs)
         self.fibers = [tuple(self.rs)]
@@ -695,14 +697,13 @@ class _March:
         self.steps_used += 1
         return True
 
-    def traverse(self, target, presplit=1):
+    def traverse(self, target):
         """March to target, bisecting any step that is not accepted."""
         start = self.point
         end = _chart_point(target)
         if end == start:
             return
-        k = max(1, int(presplit))
-        stack = [(i / k, (i + 1) / k) for i in reversed(range(k))]
+        stack = [(0.0, 1.0)]
         while stack:
             t0, t1 = stack.pop()
             q = tuple((1.0 - t1) * a + t1 * b for a, b in zip(start, end))
@@ -720,37 +721,35 @@ class _March:
             stack.append((t0, tm))
 
 
-def _run_march(loop, steps=0, rs=None):
-    """Roots marched around the loop, each hop presplit by its share of steps."""
-    path = loop.path_points()
-    state = _March(loop.g, path[0], rs=rs)
-    hops = list(zip(path, path[1:]))
-    # abs() of each coordinate difference, so complex chart points work too
-    lengths = [math.hypot(*(abs(x - y) for x, y in zip(a, b))) for a, b in hops]
-    total = sum(lengths) or 1.0
-    for (_, b), length in zip(hops, lengths):
-        state.traverse(b, presplit=max(1, round(steps * length / total)))
-    return state
-
-
 class _LoopMarch(NamedTuple):
-    """A finished _March, read-only."""
+    """A finished _March round a loop, read-only; permutation[i] names the
+    base root where the root that starts at base root i ends."""
 
     points: tuple
     fibers: tuple
     swaps: tuple
     rot: complex
-    rs: tuple
+    permutation: tuple
     steps_used: int
 
 
 @functools.lru_cache(maxsize=1)  # serves a loop's two routes run back to back
-def _loop_march(loop, tol):
-    """The march round the loop from its base roots; a stall raises on every
-    call, since exceptions are not cached."""
-    m = _run_march(loop, rs=_base_frame(loop.g, loop.base, tol).rs)
+def _loop_march(loop):
+    """The march round the loop from the cold roots of its base fiber.
+
+    Those are the roots of the loop's _base_frame record, bit for bit, but
+    the march reads no record.  A stall, or a loop that does not close on
+    its base fiber, raises on every call, since exceptions are not cached.
+    """
+    m = _March(loop.g, loop.base)
+    for b in loop.path_points()[1:]:
+        m.traverse(b)
+    rs0 = m.fibers[0]
+    perm, worst = _match_roots(m.rs, rs0)
+    if worst > 1e-6 * max(1.0, max(abs(r) for r in rs0)):
+        raise QuadratureError("the loop failed to close on its starting fiber")
     swaps = tuple(map(tuple, m.swaps))
-    return _LoopMarch(tuple(m.points), tuple(m.fibers), swaps, m.rot, tuple(m.rs), m.steps_used)
+    return _LoopMarch(tuple(m.points), tuple(m.fibers), swaps, m.rot, tuple(perm), m.steps_used)
 
 
 def _fit_rows(periods, g):
@@ -758,13 +757,6 @@ def _fit_rows(periods, g):
     cycle, from a matrix with one column per cycle."""
     p = periods[: g + 1].T
     return np.hstack([p.real, p.imag])
-
-
-def _closure_permutation(state, rs0):
-    perm, worst = _match_roots(state.rs, rs0)
-    if worst > 1e-6 * max(1.0, max(abs(r) for r in rs0)):
-        raise QuadratureError("the loop failed to close on its starting fiber")
-    return tuple(perm)
 
 
 def _frame_condition(frame):
@@ -803,6 +795,23 @@ def _check_form(matrix, g):
         )
 
 
+def _result(loop, base, march, m, residual):
+    """The loop's MonodromyResult for the lattice map m, whose columns are
+    the images of the basis cycles; raises unless m preserves the form."""
+    matrix = tuple(tuple(int(v) for v in row) for row in m)
+    _check_form(matrix, loop.g)
+    return MonodromyResult(
+        name=loop.name,
+        basis=tuple(cycle_labels(loop.g)),
+        matrix=matrix,
+        residual=residual,
+        permutation=march.permutation,
+        orientation=loop.orientation,
+        steps_used=march.steps_used,
+        condition=base.condition,
+    )
+
+
 def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
     """Integer monodromy of the period lattice around the loop.
 
@@ -814,36 +823,24 @@ def monodromy_periods(loop: ParameterLoop, tol: float = 1e-9):
     """
     g = loop.g
     base = _base_frame(g, loop.base, tol)
-    march = _loop_march(loop, tol)
+    march = _loop_march(loop)
     periods = _transport(g, march.points) @ base.periods
     m_row, residual = _integer_fit(base.frame, _fit_rows(periods, g), tol)
     if abs(int(round(float(np.linalg.det(m_row))))) != 1:
         raise QuadratureError("the transported lattice map is not unimodular")
-    perm = _closure_permutation(march, base.rs)
-    matrix = tuple(tuple(int(v) for v in row) for row in m_row.T)
-    _check_form(matrix, g)
-    return MonodromyResult(
-        name=loop.name,
-        basis=tuple(cycle_labels(g)),
-        matrix=matrix,
-        residual=residual,
-        permutation=perm,
-        orientation=loop.orientation,
-        steps_used=march.steps_used,
-        condition=base.condition,
-    )
+    return _result(loop, base, march, m_row.T, residual)
 
 
-def track_roots(loop: ParameterLoop, steps: int = 64):
-    """Branch-point trajectories along the loop.
+def track_roots(loop: ParameterLoop):
+    """Branch-point trajectories along the loop: the march both routes read.
 
     Returns (paths, permutation): paths[t, i] follows the root that starts
-    at sorted position i of the base fiber, one row per accepted step, and
-    permutation[i] names the sorted base root where trajectory i ends.
+    at sorted position i of the base fiber, with the base row and one row
+    per accepted step, and permutation[i] names the sorted base root where
+    trajectory i ends.
     """
-    state = _run_march(loop, steps=steps)
-    perm = _closure_permutation(state, state.fibers[0])
-    return np.asarray(state.fibers, dtype=complex), perm
+    march = _loop_march(loop)
+    return np.asarray(march.fibers, dtype=complex), march.permutation
 
 
 def _projection(rs):
@@ -941,8 +938,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
     """
     g = loop.g
     base = _base_frame(g, loop.base, tol)
-    march = _loop_march(loop, tol)
-    perm = _closure_permutation(march, base.rs)
+    march = _loop_march(loop)
     word = _braid_word(march.fibers, march.swaps, march.rot)
     cycles = {}
     residual = 0.0
@@ -956,18 +952,7 @@ def picard_lefschetz_route(loop: ParameterLoop, tol: float = 1e-9):
         for k, e in word:
             c = picard_lefschetz(c, cycles[k], orientation=-e)
         columns.append(c.coeffs)
-    matrix = tuple(tuple(int(v) for v in row) for row in np.array(columns).T)
-    _check_form(matrix, g)
-    return MonodromyResult(
-        name=loop.name,
-        basis=tuple(cycle_labels(g)),
-        matrix=matrix,
-        residual=residual,
-        permutation=perm,
-        orientation=loop.orientation,
-        steps_used=march.steps_used,
-        condition=base.condition,
-    )
+    return _result(loop, base, march, np.array(columns).T, residual)
 
 
 _TORUS_BASIS = ("gamma1", "gamma3", "gamma_inf")

@@ -237,17 +237,19 @@ def matching_march(loop):
     return state
 
 
+def hex_rows(rows):
+    """Each row's complex entries as (real, imag) float.hex pairs."""
+    return [[(complex(z).real.hex(), complex(z).imag.hex()) for z in row]
+            for row in rows]
+
+
 def assert_same_march(got, ref):
     """Same fibers and points, bit for bit, and the same step count; the
     march recorded the sorted swaps the reference's fibers make."""
-    def bits(rows):
-        return [[(complex(z).real.hex(), complex(z).imag.hex()) for z in row]
-                for row in rows]
-
     assert got.steps_used == ref.steps_used
-    assert bits(got.fibers) == bits(ref.fibers)
-    assert bits(got.points) == bits(ref.points)
-    assert got.swaps == [
+    assert hex_rows(got.fibers) == hex_rows(ref.fibers)
+    assert hex_rows(got.points) == hex_rows(ref.points)
+    assert [list(s) for s in got.swaps] == [
         sorted(tracking._swaps(a, b, ref.rot))
         for a, b in zip(ref.fibers, ref.fibers[1:])
     ]

@@ -55,6 +55,9 @@ REFUSED = [
     ("discriminant", "--g", "1", "--c", "1", "--u-min=-1", "--u-max=1", "--samples=3"),
     ("discriminant", "--g", "2", "--sign", "3"),
     ("discriminant", "--g", "1", "--c", "1e300"),
+    ("actions", "--point=nan,1,0"),
+    ("actions", "--point=inf,1,0"),
+    ("discriminant", "--g", "2", "--samples", "100000000000000000000"),
 ]
 
 

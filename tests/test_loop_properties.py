@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from topmonodromy.tracking import (
-    _run_march,
+    _loop_march,
     compose_loops,
     monodromy_periods,
     named_loop,
@@ -170,7 +170,7 @@ def test_the_march_matches_the_former_re_matching_march_on_a_meridian(
 ):
     lo, hi = RADIUS[name]
     loop = _meridian(name, lo + (hi - lo) * u, count, orientation, phase)
-    assert_same_march(_run_march(loop), matching_march(loop))
+    assert_same_march(_loop_march(loop), matching_march(loop))
 
 
 @settings(PROPERTY, max_examples=6)

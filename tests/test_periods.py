@@ -384,6 +384,15 @@ def test_action_rejects_real_root_parameters():
         action_I1((0.0, -3.0, 0.0))
 
 
+@pytest.mark.parametrize("action", [action_I1, action_I1_cubic])
+@pytest.mark.parametrize(
+    "a", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (0.1, 1.2, -math.inf)]
+)
+def test_action_rejects_a_point_that_is_not_finite(action, a):
+    with pytest.raises(ValidationError, match="must be finite"):
+        action(a)
+
+
 def test_action_near_discriminant_guard():
     with pytest.raises(NearDiscriminantError):
         action_I1((0.0, -2.0 + 1e-13, 0.0))

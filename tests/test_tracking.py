@@ -6,7 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_march, chained_star_loop, matching_march, star_loop
+from conftest import (
+    assert_same_march,
+    chained_star_loop,
+    hex_rows,
+    matching_march,
+    star_loop,
+)
 
 from topmonodromy.discriminant import quartic_poly, sextic_poly
 from topmonodromy import tracking
@@ -32,7 +38,6 @@ from topmonodromy.tracking import (
     _g2_branch_frame,
     _integer_fit,
     _loop_march,
-    _run_march,
     _swaps,
     _transport,
     _vanishing_cycle,
@@ -348,15 +353,21 @@ class TestTypedFailures:
         assert state.points == [self.BASE, self.TARGET]
 
     def test_tampering_with_a_march_leaves_the_base_record_intact(self):
-        # a march that starts from the record's roots keeps its own list;
-        # the routes still read the pinned matrix off the record they share
+        # a march finds its own base roots, the record's bit for bit, so the
+        # two share no list at all; the routes still read the pinned matrix
+        loop = named_loop("cushman")
         base = _base_frame(1, self.BASE, 1e-9)
-        state = _March(1, self.BASE, rs=base.rs)
+        _loop_march.cache_clear()
+        march = _loop_march(loop)
+        assert hex_rows([march.fibers[0]]) == hex_rows([base.rs])
+        assert all(f is not base.rs for f in march.fibers)
+        state = _March(1, self.BASE)
         state.rs[0] = state.rs[1]
         state.fibers[0] = ()
         assert base.rs[0] != base.rs[1]
+        assert hex_rows([march.fibers[0]]) == hex_rows([base.rs])
         for route in (monodromy_periods, picard_lefschetz_route):
-            assert route(named_loop("cushman")).matrix == CUSHMAN_MATRIX
+            assert route(loop).matrix == CUSHMAN_MATRIX
 
     def test_braided_step_whose_swaps_share_a_root_is_rejected(self):
         # Four real roots and a projection just off p = Im z: on a step into
@@ -486,9 +497,10 @@ class TestSharedMarch:
 
     def test_both_routes_read_one_march(self, monkeypatch):
         loop = named_loop("kappa3")
-        base = _base_frame(2, loop.base, 1e-9)  # its root solve is no attempt
+        _base_frame(2, loop.base, 1e-9)  # its root solve is no attempt
+        _loop_march.cache_clear()
         calls = self._count_root_solves(monkeypatch)
-        march = _run_march(loop, rs=base.rs)
+        march = _loop_march(loop)
         attempts = len(calls)
         assert attempts > march.steps_used
         _loop_march.cache_clear()
@@ -514,8 +526,8 @@ class TestSharedMarch:
         assert _loop_march.cache_info().hits == 1
 
     def test_the_record_is_read_only(self):
-        record = _loop_march(named_loop("kappa3"), 1e-9)
-        for seq in (record.points, record.fibers, record.swaps, record.rs):
+        record = _loop_march(named_loop("kappa3"))
+        for seq in (record.points, record.fibers, record.swaps, record.permutation):
             assert type(seq) is tuple
         assert all(type(step) is tuple for step in record.swaps)
         assert all(type(fiber) is tuple for fiber in record.fibers)
@@ -576,7 +588,7 @@ def test_simultaneous_crossings_raise_with_their_arc():
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("name", NAMED)
 def test_braid_words_are_pinned(name, orientation):
-    march = _run_march(named_loop(name, orientation))
+    march = _loop_march(named_loop(name, orientation))
     word = _braid_word(march.fibers, march.swaps, march.rot)
     assert word == BRAID_WORDS[name, orientation]
 
@@ -587,7 +599,7 @@ def test_the_march_matches_the_former_re_matching_march(name, orientation):
     # each accepted step moves every root less than min_sep / 12, so the
     # labels the warm start keeps are the greedy matching's
     loop = named_loop(name, orientation)
-    assert_same_march(_run_march(loop), matching_march(loop))
+    assert_same_march(_loop_march(loop), matching_march(loop))
 
 
 def test_both_routes_march_a_loop_of_complex_chart_points():
@@ -633,7 +645,7 @@ def test_routes_agree_round_chained_stars():
         loop = chained_star_loop(g, fixed)
         periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
         # complex waypoints: the periods ride in complex arithmetic
-        assert _transport(g, _loop_march(loop, 1e-9).points).dtype == np.complex128
+        assert _transport(g, _loop_march(loop).points).dtype == np.complex128
         assert periods.matrix == local.matrix, (g, fixed)
         assert periods.permutation == local.permutation
         assert periods.residual < 1e-12
@@ -674,7 +686,7 @@ class TestGroupStructure:
 
 class TestTrackRoots:
     def test_cushman_trajectories(self):
-        paths, perm = track_roots(named_loop("cushman"), steps=64)
+        paths, perm = track_roots(named_loop("cushman"))
         assert perm == CUSHMAN_PERM
         base = np.asarray(roots(fiber_polynomial(1, (0.0, 1.0, 0.0))))
         assert np.allclose(paths[0], base, atol=1e-9)
@@ -682,6 +694,21 @@ class TestTrackRoots:
         assert hops < 0.35
         closing = np.abs(np.sort_complex(paths[-1]) - np.sort_complex(base)).max()
         assert closing < 1e-6
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    @pytest.mark.parametrize("name", NAMED)
+    def test_track_roots_returns_the_routes_march(self, name, orientation):
+        loop = named_loop(name, orientation)
+        _base_frame.cache_clear()
+        _loop_march.cache_clear()
+        paths, perm = track_roots(loop)
+        assert _base_frame.cache_info().currsize == 0  # no period record
+        _loop_march.cache_clear()  # the routes march again, after the record
+        for route in (monodromy_periods, picard_lefschetz_route):
+            res = route(loop)
+            assert len(paths) == res.steps_used + 1 == STEPS[name] + 1
+            assert perm == res.permutation
+        assert hex_rows(paths.tolist()) == hex_rows(_loop_march(loop).fibers)
 
 
 class TestBasisReductions:

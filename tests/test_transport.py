@@ -173,114 +173,6 @@ def test_winding_numbers_match(seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_maintain_cable_is_bit_identical(seed):
-    rs, margin, verts, y_ref, fpoly = _scene(seed, 40)
-    ref = _maintain_cable_ref(_Cable(verts, y_ref, (1,)), rs, margin, fpoly)
-    got = _maintain_bundle(_one(np.array(verts), y_ref, [(1,)]), rs, margin, fpoly)
-    assert (ref is None) == (got is None)
-    if ref is None:
-        return
-    assert _hex(got.verts) == _hex(ref.verts)
-    assert got.starts.tolist() == [0]
-    assert got.y_ref[0] == ref.y_ref
-    assert got.y_ref[0] != y_ref
-    assert got.windings == [(1,)]
-
-
-def _upkeep_cases(verts, rs, margin):
-    """The cases a full re-scan of one cable meets, round by round.
-
-    Replays _maintain_cable_ref's rounds on the vertices alone and returns
-    the set of cases seen: "vertex 0 pushed" (in round 1), "midpoint pushed"
-    (in the round after its insertion), "4+ rounds" (rounds run, counting
-    the one that finds nothing to do), "8 rounds" (a call that ends clean in
-    its last round) and "push in round 8" (a last round that only pushes,
-    which fails the call).  The incremental upkeep tests only the midpoints
-    of the round before and their edges, so these are the cases where it
-    could part from the full re-scan.
-    """
-    verts = list(verts)
-    born = [0] * len(verts)  # the round that inserted each vertex
-    cases = set()
-    for k in range(1, 9):
-        pushed = split = False
-        for i, v in enumerate(verts):
-            for r in rs:
-                d = abs(v - r)
-                if d < margin:
-                    if d == 0.0:
-                        return cases
-                    verts[i] = r + (v - r) * (_PUSH_TARGET * margin / d)
-                    if i == 0 and k == 1:
-                        cases.add("vertex 0 pushed")
-                    if k > 1 and born[i] == k - 1:
-                        cases.add("midpoint pushed")
-                    pushed = True
-                    break
-        refined, refined_born = [], []
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            refined.append(a)
-            refined_born.append(born[i])
-            if any(
-                _segment_point_distance(a, b, r) < _EDGE_CLEAR * margin for r in rs
-            ):
-                refined.append(0.5 * (a + b))
-                refined_born.append(k)
-                split = True
-        verts, born = refined, refined_born
-        if k >= 4:
-            cases.add("4+ rounds")
-        if not (pushed or split):
-            if k == 8:
-                cases.add("8 rounds")
-            return cases
-    if pushed and not split:
-        cases.add("push in round 8")
-    return cases
-
-
-# _scene seeds that between them reach every case of _upkeep_cases; seed 0
-# is among test_maintain_cable_is_bit_identical's, the others are checked
-# against the reference below
-UPKEEP_SEEDS = (0, 80, 136)
-
-
-def test_upkeep_seeds_reach_every_case():
-    seen = set()
-    for seed in UPKEEP_SEEDS:
-        rs, margin, verts, _, _ = _scene(seed, 40)
-        seen |= _upkeep_cases(verts, rs, margin)
-    assert seen == {
-        "vertex 0 pushed",
-        "midpoint pushed",
-        "4+ rounds",
-        "8 rounds",
-        "push in round 8",
-    }
-
-
-@pytest.mark.parametrize("seed", UPKEEP_SEEDS[1:])
-def test_incremental_upkeep_matches_the_full_rescan(seed):
-    rs, margin, verts, y_ref, fpoly = _scene(seed, 40)
-    ref = _maintain_cable_ref(_Cable(verts, y_ref), rs, margin, fpoly)
-    got = _maintain_bundle(_one(np.array(verts), y_ref), rs, margin, fpoly)
-    assert (ref is None) == (got is None)
-    if ref is not None:
-        assert _hex(got.verts) == _hex(ref.verts)
-        assert got.y_ref[0] == ref.y_ref
-
-
-def test_maintain_cable_scenes_mostly_succeed():
-    ok = 0
-    for seed in range(24):
-        rs, margin, verts, y_ref, fpoly = _scene(seed, 40)
-        ok += _maintain_bundle(_one(verts, y_ref), rs, margin, fpoly) is not None
-    assert ok >= 16
-
-
 def test_maintain_cable_keeps_its_input():
     rs, margin, verts, y_ref, fpoly = _scene(0, 40)
     before = np.array(verts)
@@ -501,7 +393,9 @@ def test_transported_periods_match_the_periods_at_the_far_end(g, base):
     # which the roots stay well inside the base polygons' clearance
     target = tuple(np.add(base, (0.004 + 0.002j, -0.003, 0.002j)))
     march = _March(g, base)
-    march.traverse(target, presplit=20)
+    for k in range(1, 21):  # 20 equal pieces, each one accepted step
+        t = k / 20
+        march.traverse(tuple((1.0 - t) * a + t * b for a, b in zip(base, target)))
     assert march.steps_used == 20
     fpoly = fiber_polynomial(g, base)
     rs = tuple(roots(fpoly))
@@ -517,7 +411,7 @@ def test_transported_periods_match_the_periods_at_the_far_end(g, base):
 @pytest.mark.parametrize("name", ["cushman", "kappa1", "kappa2", "kappa3"])
 def test_a_real_loop_is_transported_in_real_arithmetic(name):
     loop = named_loop(name)
-    points = _loop_march(loop, 1e-9).points
+    points = _loop_march(loop).points
     u = _transport(loop.g, points)
     assert u.dtype == np.float64
     # the same points as complex numbers take the complex solves
