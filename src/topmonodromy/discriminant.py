@@ -37,7 +37,7 @@ def quartic_poly(a) -> ComplexPoly:
     Coordinates may be complex, as at complex chart points of a march.
     """
     a1, a2, a3 = (complex(v) for v in a)
-    return ComplexPoly.of((1.0, a3, a2, a1, 1.0))
+    return ComplexPoly((1 + 0j, a3, a2, a1, 1 + 0j))
 
 
 def sextic_poly(abc) -> ComplexPoly:
@@ -46,7 +46,7 @@ def sextic_poly(abc) -> ComplexPoly:
     Coordinates may be complex, as at complex chart points of a march.
     """
     a, b, c = (complex(v) for v in abc)
-    return ComplexPoly.of((1.0, 0.0, 3.0, c, 3.0 + b, a, 1.0))
+    return ComplexPoly((1 + 0j, 0j, 3 + 0j, c, 3.0 + b, a, 1 + 0j))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from .homology import (
     build_basis,
     cycle_labels,
 )
-from .poly import ComplexPoly, real_root_count, roots as poly_roots
+from .poly import ComplexPoly, has_repeated_root, real_root_count, roots as poly_roots
 
 _AMBIGUITY_LIMIT = 0.7
 _MAX_EDGE_NODES = 1 << 11
@@ -807,6 +807,9 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     scale = max(1.0, max(abs(r) for r in rs))
     real = sorted(r.real for r in rs if abs(r.imag) < 1e-9 * scale)
     if len(real) != 3:
+        # a double root can come back as a complex pair about 1e-7 apart
+        if has_repeated_root(g):
+            raise DegenerateInputError("cubic form has a repeated root")
         raise DegenerateInputError("cubic form does not have three real roots")
     u1, u2, u3 = real
     if not (u2 - u1 > 1e-12 and u3 - u2 > 1e-12):

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import RootFindingError, ValidationError
 
 _ABERTH_BUDGET = 400
+_ROOT_TOL = 1e-12  # roots()' default residual tolerance
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def _aberth_kernel(n):
     return namespace["sweep"]
 
 
-def roots(p: ComplexPoly, tol: float = 1e-12, initial=None):
+def roots(p: ComplexPoly, tol: float = _ROOT_TOL, initial=None):
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Returns exactly p.degree values.  `initial` optionally warm-starts the
@@ -353,9 +354,10 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def real_root_count(p: ComplexPoly) -> int:
-    """Number of distinct real roots of p over all of R, exactly, via a
-    Sturm sequence."""
+def _sturm_chain(p: ComplexPoly):
+    """p's Sturm sequence in integers: p, p' and the negated
+    pseudo-remainders, each primitive; the last member is gcd(p, p') up to
+    a constant factor."""
     if p.degree < 1:
         raise ValidationError("real_root_count requires degree >= 1")
     chain = [_primitive(_integer_coeffs(p))]
@@ -363,6 +365,19 @@ def real_root_count(p: ComplexPoly) -> int:
     while d:
         chain.append(d)
         d = _primitive([-c for c in _pseudo_rem(chain[-2], d)])
+    return chain
+
+
+def has_repeated_root(p: ComplexPoly) -> bool:
+    """Whether the real-coefficient p has a repeated root, exactly: whether
+    gcd(p, p') is not constant."""
+    return len(_sturm_chain(p)[-1]) > 1
+
+
+def real_root_count(p: ComplexPoly) -> int:
+    """Number of distinct real roots of p over all of R, exactly, via a
+    Sturm sequence."""
+    chain = _sturm_chain(p)
     # signs at -infinity: the leading coefficients, flipped for odd degree
     lo = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
     return _sign_changes(lo) - _sign_changes([c[-1] for c in chain])

@@ -3,11 +3,12 @@
 A loop in the reduced coefficient chart is traversed once by continuing the
 branch points (adaptive-bisection root tracking), and the periods ride
 along on the Gauss-Manin connection: no contour leaves the base fiber.
-Each step warm-starts the root finder from the last fiber, which returns
-every root as the continuation of its own start, so the roots keep their
-labels with no matching: a step is accepted when each root moves less
-than a third of a margin (a quarter of the smallest root separation) from
-where it started, and bisected otherwise.
+Each step runs in one kernel generated per degree around poly's Aberth
+sweep, warm-started from the last fiber, which returns every root as the
+continuation of its own start, so the roots keep their labels with no
+matching: a step is accepted when each root moves less than a third of a
+margin (a quarter of the smallest root separation) from where it started,
+and bisected otherwise.
 At the base the canonical basis polygons, each with a square root pinned
 at its first vertex, are oriented against the intersection form
 (periods.normalized_basis_contours) and integrated once, on edges
@@ -75,7 +76,6 @@ from .discriminant import g2_branch, quartic_poly, sextic_poly
 from .errors import (
     NearDiscriminantError,
     QuadratureError,
-    RootFindingError,
     TrackingError,
     ValidationError,
 )
@@ -98,7 +98,13 @@ from .periods import (
     pair_loop,
     polygon_periods,
 )
-from .poly import normalized_discriminant, real_root_count, roots
+from .poly import (
+    _ROOT_TOL,
+    _aberth_kernel,
+    normalized_discriminant,
+    real_root_count,
+    roots,
+)
 
 _MARGIN_FRAC = 0.25  # margin = this fraction of the minimal root separation
 _STEP_FRAC = 1.0 / 3.0  # accept a step when roots move less than margin * this
@@ -642,21 +648,109 @@ def _maintain_bundle(bundle, rs, margin, fpoly):
     return None
 
 
+_STEP_TEMPLATE = """
+def advance(z, rot, min_sep, coeffs):
+    {cs}, = coeffs
+    found, _ = sweep({tol!r} * max({abs_cs}), z, {desc}, {deriv})
+    if found is None:  # the sweep did not converge
+        return None
+    {zs}, = z
+    {ms}, = found
+    sep = min({seps})
+    if sep < {floor!r} * max(1.0, {abs_ms}):  # the separation floor
+        return None
+    margin = {margin_frac!r} * min(min_sep, sep)
+    if max({moves}) >= {step_frac!r} * margin:  # the displacement
+        return None
+{projections}
+    swaps = []
+{swaps}
+    swaps.sort()
+    # swaps that share a root do not commute, so their order must come from
+    # a shorter step
+    labels = [r for _, i, j in swaps for r in (i, j)]
+    if len(set(labels)) != len(labels):
+        return None
+    return found, sep, swaps
+"""
+
+
+@functools.lru_cache(maxsize=8)
+def _step_kernel(n):
+    """One march step for n roots, compiled from straight-line source.
+
+    advance(z, rot, min_sep, coeffs) warm-starts poly's Aberth sweep for
+    degree n at the roots z of the last fiber, whose least separation is
+    min_sep, on the target fiber's ascending coefficients coeffs, with
+    roots' default tol.  It returns None when the step is rejected, and
+    otherwise (roots, sep, swaps): the new roots, root i the continuation of
+    z[i], their least separation and the sorted (t, i, j) of each pair
+    i < j whose projections Re(rot z) swap, t the linearly interpolated
+    time of the swap.  The tests, in order: the sweep converges; the new
+    separation keeps the floor _SEP_FLOOR * max(1, max|r|); every root
+    moves less than _STEP_FRAC margins, a margin being _MARGIN_FRAC of the
+    smaller of the two separations; no two swaps share a root, since those
+    do not commute.  They take the float operations of the former roots()
+    call and its checks in the same order, so a march is the same bit for
+    bit.  roots() falls back to a cold start on coincident guesses, which
+    the kernel need not do: an accepted fiber keeps a separation of at
+    least _SEP_FLOOR > 0, and a base with coincident roots has margin 0, so
+    every step from it is rejected either way.
+    """
+    zs = [f"z{i}" for i in range(n)]
+    ms = [f"m{i}" for i in range(n)]
+    cs = [f"c{k}" for k in range(n + 1)]
+    pairs = list(combinations(range(n), 2))
+    swaps = []
+    for i, j in pairs:
+        swaps += [
+            f"da = pa{i} - pa{j}",
+            f"db = pb{i} - pb{j}",
+            "if (da < 0.0) != (db < 0.0):",
+            f"    swaps.append((da / (da - db), {i}, {j}))",
+        ]
+    projections = [f"pa{i} = ({z} * rot).real" for i, z in enumerate(zs)]
+    projections += [f"pb{i} = ({m} * rot).real" for i, m in enumerate(ms)]
+    source = _STEP_TEMPLATE.format(
+        cs=", ".join(cs),
+        tol=_ROOT_TOL,
+        abs_cs=", ".join(f"abs({c})" for c in cs),
+        desc=", ".join(reversed(cs)),
+        deriv=", ".join(f"{k} * c{k}" for k in range(n, 0, -1)),
+        zs=", ".join(zs),
+        ms=", ".join(ms),
+        seps=", ".join(f"abs(m{i} - m{j})" for i, j in pairs),
+        floor=_SEP_FLOOR,
+        abs_ms=", ".join(f"abs({m})" for m in ms),
+        margin_frac=_MARGIN_FRAC,
+        moves=", ".join(f"abs({z} - {m})" for z, m in zip(zs, ms)),
+        step_frac=_STEP_FRAC,
+        projections="\n".join("    " + line for line in projections),
+        swaps="\n".join("    " + line for line in swaps),
+    )
+    namespace = {"sweep": _aberth_kernel(n)}
+    exec(compile(source, f"<tracking step kernel n={n}>", "exec"), namespace)
+    return namespace["advance"]
+
+
 class _March:
     """Root transport along chart segments.
 
     Coordinates may be complex in both genera.  fibers[s] holds the roots
-    and points[s] the chart point after s accepted steps; roots keep their
-    labels, since a warm-started roots() returns each root as the
-    continuation of its start.  A step is accepted when the new roots keep
-    the separation floor and each moves less than _STEP_FRAC margins from
-    its own start; such a move is under min_sep / 12, so the labels are
-    also the nearest-distance matching of the two fibers.  A march starts
+    and points[s] the chart point after s accepted steps.  A march starts
     from the cold roots of its first fiber, the roots _base_frame finds
-    there.  It fixes the projection rot of the base roots, keeps the sorted
-    swaps of projection neighbours of each accepted step in swaps, and also
-    rejects a step in which two swaps share a root, so traverse bisects it
-    like any other step.
+    there, and fixes the projection rot of the base roots.  Each attempt
+    runs in the step kernel of its degree (_step_kernel), which warm-starts
+    poly's Aberth sweep at the last fiber, so roots keep their labels: each
+    new root continues its own start.  A step is accepted when the new
+    roots keep the separation floor, each moves less than _STEP_FRAC
+    margins from its own start, and no two of its swaps share a root;
+    such a move is under min_sep / 12, so the labels are also the
+    nearest-distance matching of the two fibers.  The sorted swaps of each
+    accepted step are kept in swaps, and traverse bisects any rejected
+    step.  On a 2-core Xeon under CPython 3.11 an attempt takes about 20 us
+    on a quartic and 33 us on a sextic, against 29-32 us and 47 us through
+    roots() and the former checks in Python.
     """
 
     def __init__(self, g, point):
@@ -671,28 +765,15 @@ class _March:
         self.swaps = []
 
     def _try_advance(self, target):
-        try:
-            rs_new = roots(fiber_polynomial(self.g, target), initial=self.rs)
-        except RootFindingError:
+        step = _step_kernel(len(self.rs))(
+            self.rs, self.rot, self.min_sep, fiber_polynomial(self.g, target).coeffs
+        )
+        if step is None:
             return False
-        sep_new = _pairwise_min_sep(rs_new)
-        scale = max(1.0, max(abs(r) for r in rs_new))
-        if sep_new < _SEP_FLOOR * scale:
-            return False
-        margin = _MARGIN_FRAC * min(self.min_sep, sep_new)
-        if max(abs(a - b) for a, b in zip(self.rs, rs_new)) >= _STEP_FRAC * margin:
-            return False
-        # crossings that share a root do not commute, so their order must
-        # come from a shorter step
-        swaps = sorted(_swaps(self.rs, rs_new, self.rot))
-        labels = [r for _, i, j in swaps for r in (i, j)]
-        if len(set(labels)) != len(labels):
-            return False
+        self.rs, self.min_sep, swaps = step
         self.swaps.append(swaps)
         self.point = tuple(target)
-        self.rs = rs_new
-        self.min_sep = sep_new
-        self.fibers.append(tuple(rs_new))
+        self.fibers.append(tuple(self.rs))
         self.points.append(self.point)
         self.steps_used += 1
         return True
@@ -860,19 +941,6 @@ def _projection(rs):
         (b - a, a) for a, b in zip(dirs, dirs[1:] + [dirs[0] + math.pi])
     )
     return cmath.exp(-1j * (start + 0.5 * width))
-
-
-def _swaps(fa, fb, rot):
-    """(t, i, j) for each pair i < j whose projections swap between the
-    fibers fa and fb, t the linearly interpolated time of the swap."""
-    pa = [(r * rot).real for r in fa]
-    pb = [(r * rot).real for r in fb]
-    events = []
-    for i, j in combinations(range(len(fa)), 2):
-        da, db = pa[i] - pa[j], pb[i] - pb[j]
-        if (da < 0.0) != (db < 0.0):
-            events.append((da / (da - db), i, j))
-    return events
 
 
 def _braid_word(fibers, swaps, rot):

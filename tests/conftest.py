@@ -5,6 +5,7 @@ purpose: they must not share code paths with the library, so that an
 algebra bug in one place cannot cancel in both.
 """
 
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -179,6 +180,33 @@ def star_loop(g, fixed, near):
     return ParameterLoop(g=g, waypoints=(base, *circle, base), stratum=stratum)
 
 
+def complex_a2_loop(orientation=1):
+    """Loop of complex chart points: on the complex line (a1, a3) = (0.3,
+    -0.2) the discriminant is a quartic in a2; circle its root near
+    2.0006 + 0.5i counter-clockwise, on 96 waypoints of 0.2 times the
+    distance to the next root, with a tail from the real base a2 = 3 to the
+    circle's top point."""
+    a1, a3 = 0.3, -0.2
+    ws = 4.0 * np.exp(2j * np.pi * np.arange(32) / 32)
+    disc = [complex(discriminant(fiber_polynomial(1, (a1, w, a3)))) for w in ws]
+    coeffs = np.fft.fft(disc)[:5] / (32 * 4.0 ** np.arange(5))
+    crit = np.roots(coeffs[::-1])
+    k = int(np.argmin(np.abs(crit - (2.0 + 0.5j))))
+    centre = complex(crit[k])
+    radius = 0.2 * float(np.min(np.abs(np.delete(crit, k) - centre)))
+    circle = [
+        (a1, centre + radius * np.exp(1j * (np.pi / 2 + 2 * np.pi * j / 96)), a3)
+        for j in range(97)
+    ]
+    base = (a1, 3.0, a3)
+    return ParameterLoop(
+        g=1,
+        waypoints=(base, *circle, base),
+        orientation=orientation,
+        stratum=(a1, centre, a3),
+    )
+
+
 def chained_star_loop(g, fixed):
     """Every star loop of the line in turn, taken counter-clockwise from
     the downward ray at the base: the product of the stars' twists."""
@@ -189,6 +217,20 @@ def chained_star_loop(g, fixed):
     for k in np.argsort(turn):
         waypoints += [*_star_circle(g, fixed, crit, k), base]
     return ParameterLoop(g=g, waypoints=tuple(waypoints))
+
+
+def projection_swaps(fa, fb, rot):
+    """(t, i, j) for each pair i < j whose projections swap between the
+    fibers fa and fb, t the linearly interpolated time of the swap: the
+    former tracking._swaps, which the march's step kernel unrolls."""
+    pa = [(r * rot).real for r in fa]
+    pb = [(r * rot).real for r in fb]
+    events = []
+    for i, j in combinations(range(len(fa)), 2):
+        da, db = pa[i] - pa[j], pb[i] - pb[j]
+        if (da < 0.0) != (db < 0.0):
+            events.append((da / (da - db), i, j))
+    return events
 
 
 class _MatchingMarch(tracking._March):
@@ -214,7 +256,7 @@ class _MatchingMarch(tracking._March):
         margin = tracking._MARGIN_FRAC * min(self.min_sep, sep_new)
         if disp >= tracking._STEP_FRAC * margin:
             return False
-        swaps = tracking._swaps(self.rs, matched, self.rot)
+        swaps = projection_swaps(self.rs, matched, self.rot)
         labels = [r for _, i, j in swaps for r in (i, j)]
         if len(set(labels)) != len(labels):
             return False
@@ -250,6 +292,6 @@ def assert_same_march(got, ref):
     assert hex_rows(got.fibers) == hex_rows(ref.fibers)
     assert hex_rows(got.points) == hex_rows(ref.points)
     assert [list(s) for s in got.swaps] == [
-        sorted(tracking._swaps(a, b, ref.rot))
+        sorted(projection_swaps(a, b, ref.rot))
         for a, b in zip(ref.fibers, ref.fibers[1:])
     ]

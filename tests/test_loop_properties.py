@@ -6,7 +6,13 @@ Examples are derandomized, so every run checks the same loops.
 import math
 
 import numpy as np
-from conftest import assert_same_march, critical_values, matching_march, star_loop
+from conftest import (
+    assert_same_march,
+    complex_a2_loop,
+    critical_values,
+    matching_march,
+    star_loop,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +196,27 @@ def test_the_two_routes_agree_on_a_complex_star_loop(g, line, pick):
     local = picard_lefschetz_route(loop)
     assert local.matrix == lattice.matrix
     assert local.permutation == lattice.permutation
+
+
+@st.composite
+def marched_loops(draw):
+    """A contractible loop at either genus's base, a star loop of a complex
+    line, or the loop of complex a2 round its critical value, either way."""
+    shape = draw(st.sampled_from(("contractible", "star", "complex a2")))
+    if shape == "contractible":
+        g = draw(st.sampled_from((1, 2)))
+        return _ball_loop(g, draw(st.lists(waypoint, min_size=3, max_size=4)))
+    if shape == "star":
+        g = draw(st.sampled_from((1, 2)))
+        line = draw(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)))
+        crit = critical_values(g, line)
+        assume(min(abs(a - b) for i, a in enumerate(crit) for b in crit[i + 1 :]) > 0.05)
+        return star_loop(g, line, crit[draw(st.integers(0, len(crit) - 1))])
+    return complex_a2_loop(draw(st.sampled_from((1, -1))))
+
+
+@settings(PROPERTY, max_examples=12)
+@given(loop=marched_loops())
+def test_the_step_kernel_marches_as_the_re_matching_reference(loop):
+    # fibers, points and swaps bit for bit, on real and complex chart points
+    assert_same_march(_loop_march(loop), matching_march(loop))

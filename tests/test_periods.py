@@ -37,7 +37,7 @@ from topmonodromy.periods import (
     reference_branch,
     residue_check,
 )
-from topmonodromy.poly import ComplexPoly, real_root_count, roots
+from topmonodromy.poly import ComplexPoly, has_repeated_root, real_root_count, roots
 from topmonodromy.spectral import SpectralCoeffs
 
 
@@ -1279,13 +1279,43 @@ def test_cubic_action_refuses_degenerate_cubic_forms(monkeypatch):
     with pytest.raises(DegenerateInputError, match="three real roots"):
         action_I1_cubic((3.0, 0.0, 0.0))
     # a = (0, 2, 0): g = 2(u - 1)^2 (u + 1).  The root finder returns the
-    # double root as a complex pair about 1e-7 apart, which the first guard
-    # refuses; a double root returned real meets the second.
-    with pytest.raises(DegenerateInputError, match="three real roots"):
+    # double root as a complex pair about 1e-7 apart, which the exact test
+    # of gcd(g, g') names; a double root returned real meets the second guard.
+    with pytest.raises(DegenerateInputError, match="repeated root"):
         action_I1_cubic((0.0, 2.0, 0.0))
     monkeypatch.setattr(periods, "poly_roots", lambda p, tol: [1 + 0j, -1 + 0j, 1 + 0j])
     with pytest.raises(DegenerateInputError, match="repeated root"):
         action_I1_cubic((0.0, 2.0, 0.0))
+
+
+# g of each point, ascending, and its number of distinct real roots:
+# 2(u - 1)^2 (u + 1), 2u^2 (u - 1) and 2(u - 1)^3
+REPEATED_CUBICS = {
+    (0.0, 2.0, 0.0): ((2.0, -2.0, -2.0, 2.0), 2),
+    (2.0, 2.0, 2.0): ((0.0, 0.0, -2.0, 2.0), 2),
+    (4.0, 6.0, 4.0): ((-2.0, 6.0, -6.0, 2.0), 1),
+}
+
+
+@pytest.mark.parametrize("a", sorted(REPEATED_CUBICS))
+def test_a_cubic_form_with_a_repeated_root_is_named_so(a):
+    coeffs, distinct = REPEATED_CUBICS[a]
+    g = ComplexPoly.of(coeffs)
+    assert has_repeated_root(g)
+    assert real_root_count(g) == distinct
+    real = [r for r in roots(g, tol=1e-13) if abs(r.imag) < 1e-9 * max(1.0, abs(r))]
+    assert len(real) < 3  # the roots alone do not show the repeat
+    with pytest.raises(DegenerateInputError, match="cubic form has a repeated root"):
+        action_I1_cubic(a)
+
+
+def test_a_cubic_form_with_one_simple_real_root_keeps_its_message():
+    # a = (3, 0, 0): g = 2u^3 - 2u - 9/4, square-free with one real root
+    g = ComplexPoly.of((-2.25, -2.0, 0.0, 2.0))
+    assert not has_repeated_root(g)
+    assert real_root_count(g) == 1
+    with pytest.raises(DegenerateInputError, match="does not have three real roots"):
+        action_I1_cubic((3.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

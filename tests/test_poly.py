@@ -13,6 +13,7 @@ from topmonodromy.poly import (
     _aberth_kernel,
     _fujiwara_radius,
     discriminant,
+    has_repeated_root,
     normalized_discriminant,
     real_root_count,
     real_roots,
@@ -371,6 +372,20 @@ def test_real_root_count_distinct_semantics():
     # (x-1)^2 (x^2+1): one distinct real root
     p = ComplexPoly.from_roots([1.0, 1.0, 1j, -1j])
     assert real_root_count(p) == 1
+
+
+@pytest.mark.parametrize(
+    "rs, repeated",
+    [
+        ([1.0, 1.0, 1j, -1j], True),  # a real double root
+        ([1j, 1j, -1j, -1j], True),  # (x^2 + 1)^2: complex double roots only
+        ([0.0, 0.0, 0.0], True),
+        ([1.0, 2.0, 1j, -1j], False),
+        ([0.5, -0.5, 3.0], False),
+    ],
+)
+def test_has_repeated_root_decides_gcd_with_the_derivative(rs, repeated):
+    assert has_repeated_root(ComplexPoly.from_roots(rs)) is repeated
 
 
 def test_real_root_count_rejects_complex():

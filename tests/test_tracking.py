@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    _MatchingMarch,
     assert_same_march,
     chained_star_loop,
+    complex_a2_loop,
     hex_rows,
     matching_march,
+    projection_swaps,
     star_loop,
 )
 
@@ -20,11 +23,12 @@ from topmonodromy.errors import (
     DegenerateInputError,
     NearDiscriminantError,
     QuadratureError,
+    RootFindingError,
     TrackingError,
     ValidationError,
 )
 from topmonodromy.homology import BranchConfig, _intersection_matrix
-from topmonodromy.poly import discriminant, roots
+from topmonodromy.poly import roots
 from topmonodromy.tracking import (
     _KAPPA_BASE,
     _KAPPA_GEOMETRY,
@@ -38,7 +42,6 @@ from topmonodromy.tracking import (
     _g2_branch_frame,
     _integer_fit,
     _loop_march,
-    _swaps,
     _transport,
     _vanishing_cycle,
     compose_loops,
@@ -369,6 +372,49 @@ class TestTypedFailures:
         for route in (monodromy_periods, picard_lefschetz_route):
             assert route(loop).matrix == CUSHMAN_MATRIX
 
+    @staticmethod
+    def _assert_both_reject(point, target):
+        # the step kernel and the reference step both reject, and neither
+        # march moves
+        for cls in (_March, _MatchingMarch):
+            state = cls(1, point)
+            rs = list(state.rs)
+            assert state._try_advance(target) is False, cls.__name__
+            assert (state.point, state.rs, state.steps_used) == (point, rs, 0)
+            assert state.fibers == [tuple(rs)]
+            assert state.swaps == []
+
+    def test_a_step_whose_sweep_does_not_converge_is_rejected(self):
+        target = (0.0, 1e300, 0.0)
+        with pytest.raises(RootFindingError):
+            roots(fiber_polynomial(1, target), initial=_March(1, self.BASE).rs)
+        self._assert_both_reject(self.BASE, target)
+
+    def test_a_step_below_the_separation_floor_is_rejected(self):
+        # a2 = 2 is the double pair +-i; 1e-12 short of it the warm start
+        # already meets the residual contract, so no root moves and only
+        # the separation floor rejects the step
+        point, target = (0.0, 2.0 - 1.1e-12, 0.0), (0.0, 2.0 - 0.9e-12, 0.0)
+        state = _March(1, point)
+        new = roots(fiber_polynomial(1, target), initial=state.rs)
+        sep = tracking._pairwise_min_sep(new)
+        assert sep < tracking._SEP_FLOOR * max(1.0, max(abs(r) for r in new))
+        margin = tracking._MARGIN_FRAC * min(state.min_sep, sep)
+        moves = [abs(a - b) for a, b in zip(state.rs, new)]
+        assert max(moves) < tracking._STEP_FRAC * margin
+        self._assert_both_reject(point, target)
+
+    def test_a_step_that_moves_a_root_too_far_is_rejected(self):
+        target = (0.0, 1.5, 0.0)
+        state = _March(1, self.BASE)
+        new = roots(fiber_polynomial(1, target), initial=state.rs)
+        sep = tracking._pairwise_min_sep(new)
+        assert sep > tracking._SEP_FLOOR * max(1.0, max(abs(r) for r in new))
+        margin = tracking._MARGIN_FRAC * min(state.min_sep, sep)
+        moves = [abs(a - b) for a, b in zip(state.rs, new)]
+        assert max(moves) >= tracking._STEP_FRAC * margin
+        self._assert_both_reject(self.BASE, target)
+
     def test_braided_step_whose_swaps_share_a_root_is_rejected(self):
         # Four real roots and a projection just off p = Im z: on a step into
         # complex a2 root 2 passes both roots 0 and 1, so the march rejects
@@ -379,13 +425,33 @@ class TestTypedFailures:
         rs = list(state.rs)
         new = roots(fiber_polynomial(1, target), initial=rs)
         perm, _ = _match_roots(rs, new)
-        swaps = _swaps(rs, [new[j] for j in perm], state.rot)
+        swaps = projection_swaps(rs, [new[j] for j in perm], state.rot)
         assert [(i, j) for _, i, j in swaps] == [(0, 2), (1, 2)]
+        ref = _MatchingMarch(1, point)
+        ref.rot = state.rot
+        assert ref._try_advance(target) is False
         assert state._try_advance(target) is False
         assert state.point == point
         assert state.rs == rs
         assert state.steps_used == 0
 
+
+    def test_a_step_with_two_crossings_records_them_in_order_of_time(self):
+        # the step into complex a2 swaps roots 0, 1 and roots 2, 3, the
+        # second pair first; both marches accept it, and the kernel keeps
+        # the reference's crossings sorted by time
+        point, target = (0.3, -2.1246, -0.2), (0.3, -2.1246 + 1e-5j, -0.2)
+        rot = cmath.exp(-1j * (0.5 * math.pi - 1e-5))
+        state, ref = _March(1, point), _MatchingMarch(1, point)
+        state.rot = ref.rot = rot
+        rs = list(state.rs)
+        assert state._try_advance(target) is True
+        assert ref._try_advance(target) is True
+        assert hex_rows(state.fibers) == hex_rows(ref.fibers)
+        swaps = projection_swaps(rs, ref.rs, rot)
+        assert [(i, j) for _, i, j in swaps] == [(0, 1), (2, 3)]
+        assert state.swaps == [sorted(swaps)]
+        assert [(i, j) for _, i, j in state.swaps[0]] == [(2, 3), (0, 1)]
 
 def _bits(res):
     return (res.matrix, res.permutation, res.residual.hex(), res.steps_used,
@@ -484,22 +550,24 @@ class TestSharedMarch:
     STALLS = [(0, 1, 0), (0, 3, 0), (0, 1, 0)]
 
     @staticmethod
-    def _count_root_solves(monkeypatch):
+    def _count_fibers(monkeypatch):
+        # every march attempt builds its target fiber; step attempts solve
+        # no roots() call, so the fibers are what counts them
         calls = []
-        solve = tracking.roots
+        fiber = tracking.fiber_polynomial
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return fiber(*args, **kwargs)
 
-        monkeypatch.setattr(tracking, "roots", counted)
+        monkeypatch.setattr(tracking, "fiber_polynomial", counted)
         return calls
 
     def test_both_routes_read_one_march(self, monkeypatch):
         loop = named_loop("kappa3")
-        _base_frame(2, loop.base, 1e-9)  # its root solve is no attempt
+        _base_frame(2, loop.base, 1e-9)  # its fiber is no attempt
         _loop_march.cache_clear()
-        calls = self._count_root_solves(monkeypatch)
+        calls = self._count_fibers(monkeypatch)
         march = _loop_march(loop)
         attempts = len(calls)
         assert attempts > march.steps_used
@@ -514,7 +582,7 @@ class TestSharedMarch:
         first, second = named_loop("cushman"), named_loop("cushman", -1)
         _base_frame(1, first.base, 1e-9)
         _loop_march.cache_clear()
-        calls = self._count_root_solves(monkeypatch)
+        calls = self._count_fibers(monkeypatch)
         monodromy_periods(first)
         once = len(calls)
         monodromy_periods(second)
@@ -603,25 +671,7 @@ def test_the_march_matches_the_former_re_matching_march(name, orientation):
 
 
 def test_both_routes_march_a_loop_of_complex_chart_points():
-    # On the complex line (a1, a3) = (0.3, -0.2) the discriminant is a
-    # quartic in a2; circle its root near 2.0006 + 0.5i counter-clockwise,
-    # with a tail from the real base a2 = 3 to the circle's top point.
-    a1, a3 = 0.3, -0.2
-    ws = 4.0 * np.exp(2j * np.pi * np.arange(32) / 32)
-    disc = [complex(discriminant(quartic_poly((a1, w, a3)))) for w in ws]
-    coeffs = np.fft.fft(disc)[:5] / (32 * 4.0 ** np.arange(5))
-    crit = np.roots(coeffs[::-1])
-    k = int(np.argmin(np.abs(crit - (2.0 + 0.5j))))
-    centre = complex(crit[k])
-    radius = 0.2 * float(np.min(np.abs(np.delete(crit, k) - centre)))
-    circle = [
-        (a1, centre + radius * np.exp(1j * (np.pi / 2 + 2 * np.pi * j / 96)), a3)
-        for j in range(97)
-    ]
-    base = (a1, 3.0, a3)
-    loop = ParameterLoop(
-        g=1, waypoints=(base, *circle, base), stratum=(a1, centre, a3)
-    )
+    loop = complex_a2_loop()
     periods, local = monodromy_periods(loop), picard_lefschetz_route(loop)
     assert periods.matrix == local.matrix == ((2, -1, 1), (0, 1, 0), (-1, 1, 0))
     assert periods.permutation == local.permutation

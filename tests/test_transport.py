@@ -235,7 +235,7 @@ def _assert_matches_refs(got, refs):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(1))
 def test_bundle_matches_each_cable_alone(shape, seed):
     rs, margin, polygons, y_refs, fpoly = _bundle_scene(seed, shape)
     refs = _cable_refs(rs, margin, polygons, y_refs, fpoly)
