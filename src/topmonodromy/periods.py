@@ -131,27 +131,15 @@ def _segment_distances(a, b, rs):
     return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
 
 
-def _next_index(starts, n):
-    """Index of each vertex's successor, wrapping at the end of its polygon.
-
-    The n vertices hold one polygon per entry of starts, each running from
-    its start to the next one (the last to the end).
-    """
-    nxt = np.arange(1, n + 1)
-    nxt[np.append(starts[1:], n) - 1] = starts
-    return nxt
-
-
-def _winding_numbers(verts, starts, rs):
-    """Turn count of each polygon around each point, one row per polygon.
+def _winding_numbers(verts, rs):
+    """Turn count of the closed polygon verts around each point of rs.
 
     Straight edges subtend less than a half turn, so the principal-angle
     sum per edge is exact.
     """
     w = np.asarray(verts, dtype=complex) - np.asarray(rs, dtype=complex)[:, None]
-    turns = np.angle(w[:, _next_index(starts, w.shape[1])] / w)
-    total = np.add.reduceat(turns, starts, axis=1)
-    return np.rint(total.T / (2.0 * math.pi)).astype(int)
+    turns = np.angle(np.roll(w, -1, axis=1) / w)
+    return np.rint(turns.sum(axis=1) / (2.0 * math.pi)).astype(int)
 
 
 def _ellipse_polygon(center, axis, a, b, orientation, excluded):
@@ -277,17 +265,15 @@ def _lift_steps(fvals, y_start=None):
 def _lift_open(fvals, y_start=None):
     """Continuous square root along a sampled path; returns (y, ambiguity).
 
-    The path runs along the last axis.  A 2-D fvals lifts one path per row,
-    with one y_start and one ambiguity per row.  Each step is read off one
-    product: for consecutive principal roots a, b with d = Re(a conj(b))
-    and s = |a|^2 + |b|^2, keeping and flipping the sign land
-    |b - a|^2 = s - 2d and |b + a|^2 = s + 2d away.  So the step flips
-    where d < 0, and its ratio of the nearer to the farther distance is
-    sqrt((s - 2|d|) / (s + 2|d|)); the ambiguity is the worst step's ratio.
+    Each step is read off one product: for consecutive principal roots a, b
+    with d = Re(a conj(b)) and s = |a|^2 + |b|^2, keeping and flipping the
+    sign land |b - a|^2 = s - 2d and |b + a|^2 = s + 2d away.  So the step
+    flips where d < 0, and its ratio of the nearer to the farther distance
+    is sqrt((s - 2|d|) / (s + 2|d|)); the ambiguity is the worst step's
+    ratio.
     """
     y, q = _lift_steps(fvals, y_start)
-    worst = np.sqrt(np.max(q, axis=-1, initial=0.0))
-    return y, (float(worst) if y.ndim == 1 else worst)
+    return y, float(np.sqrt(np.max(q, initial=0.0)))
 
 
 def _closure(y, q):
@@ -680,9 +666,9 @@ def _vanishing_pair(a):
     """
     a1, a2, a3 = a
     fpoly = quartic_poly(a)
-    rs = poly_roots(fpoly)
     if real_root_count(fpoly) > 0:
         raise ValidationError("parameters are outside component C (real roots)")
+    rs = poly_roots(fpoly)
     a2_low, x_star = _a2_deformation_path(a1, a2, a3)
     double = complex_double_pair_a2(a3)
     stratum = _palindromic(a1, a3) and double is not None and a2_low < double < a2
@@ -746,8 +732,7 @@ def action_I1(a, A: float = 1.0) -> float:
         fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
     )
     out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])
-    winding = _winding_numbers(loop.vertices, np.zeros(1, np.intp), (0.0,))
-    if winding[0, 0] != 0 and abs(a[2]) > 1e-13:
+    if _winding_numbers(loop.vertices, (0.0,))[0] != 0 and abs(a[2]) > 1e-13:
         out -= A * _sheet_sign_at_origin(fpoly, x, y) * 0.5 * a[2]
     if abs(out.imag) > 1e-9 * max(1.0, abs(out)):
         raise QuadratureError("action integral has a nonreal value")

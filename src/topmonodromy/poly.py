@@ -4,13 +4,14 @@ Coefficients are stored in ascending degree order (coeffs[k] multiplies x^k).
 The zero polynomial is the empty coefficient list and has degree -1.
 
 Root finding is a simultaneous Aberth-Ehrlich iteration started on a circle
-of radius given by the Fujiwara bound, or warm-started from the previous
-fiber's roots during continuation.  Each iterate moves from its own start,
-so a warm start returns root i as the continuation of guess i, in the
-order of the guesses; a cold start returns the roots sorted.  The
-package's polynomials have degree 3 to 6, so the iteration runs on Python
-complex scalars in a kernel generated once per degree (`_aberth_kernel`),
-not on NumPy arrays, whose per-call overhead dominated at these sizes.
+of radius given by the Fujiwara bound, or warm-started from given guesses
+(the march's step kernel runs the same sweep from the previous fiber's
+roots).  Each iterate moves from its own start, so a warm start returns
+root i as the continuation of guess i, in the order of the guesses; a cold
+start returns the roots sorted.  The package's polynomials have degree 3
+to 6, so the iteration runs on Python complex scalars in a kernel generated
+once per degree (`_aberth_kernel`), not on NumPy arrays, whose per-call
+overhead dominated at these sizes.
 Measured per call (Python 3.11, NumPy 2.4, minimum of 7 runs), a
 warm-started quartic takes 20 us against 165 us for the former NumPy sweep
 loop and 29 us for plain Python loops; a warm-started sextic takes 40 us
@@ -237,8 +238,11 @@ def roots(p: ComplexPoly, tol: float = _ROOT_TOL, initial=None):
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Returns exactly p.degree values.  `initial` optionally warm-starts the
-    iteration (used by continuation); root i is then the iterate started at
-    initial[i], so the roots come back in the order of their starts.
+    iteration; root i is then the iterate started at initial[i], so the
+    roots come back in the order of their starts.  No library code passes
+    it (the march's step kernel calls the Aberth sweep directly); it stays
+    for callers and for the tests' re-matching reference of the march,
+    conftest._MatchingMarch.
     Guesses that coincide exactly would move in lockstep, each meeting the
     residual contract on its own at one root, so they fall back to the cold
     start.  A cold start, fallen back to or not, returns the roots sorted

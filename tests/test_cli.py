@@ -58,6 +58,8 @@ REFUSED = [
     ("actions", "--point=nan,1,0"),
     ("actions", "--point=inf,1,0"),
     ("discriminant", "--g", "2", "--samples", "100000000000000000000"),
+    ("actions", "--point=1e200,1,0"),
+    ("actions", "--point=-1e300,1,0"),
 ]
 
 
