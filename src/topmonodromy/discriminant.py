@@ -17,18 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearDiscriminantError, ValidationError
+from .errors import NearDiscriminantError, ValidationError, _finite
 from .poly import ComplexPoly, normalized_discriminant, real_root_count, real_roots
 from .spectral import SpectralCoeffs
 
 _DISC_TOL = 1e-9
-
-
-def _finite(what, *values):
-    """The values, or a ValidationError when one of them is not finite."""
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"{what} must be finite, got {values}")
-    return values
 
 
 def quartic_poly(a) -> ComplexPoly:
@@ -299,25 +292,23 @@ def in_component_C(f) -> bool:
     return real_root_count(p) == 0
 
 
+def _section_csv(file, header, point, xs) -> int:
+    """Write the header, then one row x, *point(x) per x to 12 significant
+    digits; the number of rows written."""
+    writer = csv.writer(file)
+    writer.writerow(header)
+    n = 0
+    for n, x in enumerate(xs, 1):
+        values = point(x)
+        writer.writerow([f"{v:.12g}" for v in (float(x), *values)])
+    return n
+
+
 def delta_c_csv(file, c: float, u_values) -> int:
     """Write the sampled section Delta_c as CSV rows (u, a1, a2)."""
-    writer = csv.writer(file)
-    writer.writerow(["u", "a1", "a2"])
-    n = 0
-    for u in u_values:
-        a1, a2 = delta_c_section(c, u)
-        writer.writerow([f"{float(u):.12g}", f"{a1:.12g}", f"{a2:.12g}"])
-        n += 1
-    return n
+    return _section_csv(file, ["u", "a1", "a2"], lambda u: delta_c_section(c, u), u_values)
 
 
 def g2_branch_csv(file, c2_values, sign: int = 1) -> int:
     """Write the sampled sextic branch as CSV rows (c2, a, b, c)."""
-    writer = csv.writer(file)
-    writer.writerow(["c2", "a", "b", "c"])
-    n = 0
-    for c2 in c2_values:
-        a, b, c = g2_branch(c2, sign).abc
-        writer.writerow([f"{float(c2):.12g}", f"{a:.12g}", f"{b:.12g}", f"{c:.12g}"])
-        n += 1
-    return n
+    return _section_csv(file, ["c2", "a", "b", "c"], lambda c2: g2_branch(c2, sign).abc, c2_values)

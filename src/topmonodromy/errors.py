@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one finite-number check.
 
 Every numeric failure mode the library can report deliberately is a subclass
 of TopmonodromyError so the CLI can map them to machine-readable error JSON.
 """
+
+import math
 
 
 class TopmonodromyError(Exception):
@@ -57,3 +59,10 @@ class IntegrationBlowupError(TopmonodromyError):
 
 class NearDiscriminantError(TopmonodromyError):
     """Parameters too close to the discriminant locus for a reliable answer."""
+
+
+def _finite(what, *values):
+    """The values, or a ValidationError when one of them is not finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{what} must be finite, got {values}")
+    return values

@@ -109,24 +109,14 @@ def _all_matchings(indices):
             yield ((first, partner),) + tail
 
 
-def _cuts_disjoint(roots, pairs, margin):
-    for (pa, pb) in combinations(pairs, 2):
-        d = _segment_distance(
-            roots[pa[0]], roots[pa[1]], roots[pb[0]], roots[pb[1]]
-        )
-        if d <= margin:
-            return False
-    return True
+def _min_separation(pts):
+    """The least distance between two of the points."""
+    return min(abs(a - b) for a, b in combinations(pts, 2))
 
 
-def _chords_clear(roots, pairing, margin):
-    """Whether the gamma and delta chords of an ordered pairing keep more
-    than margin from each branch point off their ends and from each chord
-    they share no end with.  Branch points enter as chords (k, k)."""
-    chords = list(pairing) + [
-        (pairing[j][1], pairing[j + 1][0]) for j in range(len(pairing) - 1)
-    ]
-    segments = chords + [(k, k) for k in range(len(roots))]
+def _clear(roots, segments, margin):
+    """Whether every two segments (pairs of root indices) that share no end
+    keep more than margin apart.  A branch point k enters as (k, k)."""
     return all(
         _segment_distance(roots[a], roots[b], roots[c], roots[d]) > margin
         for (a, b), (c, d) in combinations(segments, 2)
@@ -148,7 +138,7 @@ def build_basis(roots, g, tol=1e-9) -> BranchConfig:
     if len(pts) != 2 * g + 2:
         raise ValidationError(f"need {2 * g + 2} branch points, got {len(pts)}")
     scale = max(1.0, max(abs(p) for p in pts))
-    min_sep = min(abs(a - b) for a, b in combinations(pts, 2)) if len(pts) > 1 else 0.0
+    min_sep = _min_separation(pts)
     if min_sep <= tol * scale:
         raise DegenerateInputError(
             f"branch points collide: min separation {min_sep:.3e}"
@@ -180,7 +170,7 @@ def build_basis(roots, g, tol=1e-9) -> BranchConfig:
                 break
             used.add(best)
             conj_pairs.append((i, best))
-        if good and _cuts_disjoint(pts, conj_pairs, margin):
+        if good and _clear(pts, conj_pairs, margin):
             return BranchConfig(
                 roots=pts,
                 pairing=_order_pairing(pts, conj_pairs),
@@ -191,10 +181,13 @@ def build_basis(roots, g, tol=1e-9) -> BranchConfig:
     # those whose chords, the delta ones included, keep clear of the other
     # branch points and chords when there are any
     order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
-    disjoint = [
-        m for m in _all_matchings(tuple(order)) if _cuts_disjoint(pts, m, margin)
-    ]
-    clear = [m for m in disjoint if _chords_clear(pts, _order_pairing(pts, m), margin)]
+    disjoint = [m for m in _all_matchings(tuple(order)) if _clear(pts, m, margin)]
+    dots = [(k, k) for k in range(len(pts))]
+    clear = []
+    for m in disjoint:
+        p = _order_pairing(pts, m)  # the gamma chords, then the delta chords
+        if _clear(pts, [*p, *((p[j][1], p[j + 1][0]) for j in range(g)), *dots], margin):
+            clear.append(m)
     best_pairs, best_len = None, math.inf
     for matching in clear or disjoint:
         total = sum(abs(pts[i] - pts[k]) for i, k in matching)

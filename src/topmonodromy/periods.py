@@ -47,6 +47,7 @@ from .errors import (
     NearDiscriminantError,
     QuadratureError,
     ValidationError,
+    _finite,
 )
 from .homology import (
     _GAMMA_DELTA_NEXT,
@@ -646,6 +647,16 @@ def _a2_deformation_path(a1, a2, a3):
     return a2_low, x_star
 
 
+def _action_quartic(a):
+    """The quartic of an action point that is finite and in component C,
+    which both action routes check here by the exact Sturm count first."""
+    _finite("action point", *a)
+    fpoly = quartic_poly(a)
+    if real_root_count(fpoly) > 0:
+        raise ValidationError("parameters are outside component C (real roots)")
+    return fpoly
+
+
 def _vanishing_pair(a):
     """Roots of the action quartic, the cycle-defining pair, and whether a
     lies on the palindromic stratum.
@@ -664,10 +675,8 @@ def _vanishing_pair(a):
     cycle's value is the average of the two images, the loop around the
     conjugate pair inside the unit circle (upper root first).
     """
+    fpoly = _action_quartic(a)
     a1, a2, a3 = a
-    fpoly = quartic_poly(a)
-    if real_root_count(fpoly) > 0:
-        raise ValidationError("parameters are outside component C (real roots)")
     rs = poly_roots(fpoly)
     a2_low, x_star = _a2_deformation_path(a1, a2, a3)
     double = complex_double_pair_a2(a3)
@@ -702,13 +711,6 @@ def _sheet_sign_at_origin(fpoly, x, y):
     return 1 if y0.real > 0.0 else -1
 
 
-def _finite_point(a):
-    """Refuse an action point with a NaN or infinite coordinate, as
-    TopState.of refuses such a state."""
-    if not all(math.isfinite(v) for v in a):
-        raise ValidationError(f"action point must be finite, got {tuple(a)}")
-
-
 def action_I1(a, A: float = 1.0) -> float:
     """Action integral I1 = (A i/2pi) * integral of y dx/x^2 over gamma_1.
 
@@ -721,7 +723,6 @@ def action_I1(a, A: float = 1.0) -> float:
     can fail quadrature).  A loop that winds the origin loses the pole's
     residue, with the sheet sign measured by continuing the lift to x = 0.
     """
-    _finite_point(a)
     rs, pair, stratum = _vanishing_pair(a)
     fpoly = quartic_poly(a)
     try:
@@ -783,9 +784,10 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     19.29).  c_s = -g(s)/2 is the product of the pole's three root gaps;
     the smallest, which can be below the roots' rounding, is taken from c_s
     and the other two.  A pole whose q is 0 or overflows (c_s below about
-    1e-300) drops out, as its term is at most about pi sqrt(c_s).
+    1e-300) drops out, as its term is at most about pi sqrt(c_s).  Points
+    outside component C are refused as in action_I1.
     """
-    _finite_point(a)
+    _action_quartic(a)
     a1, a2, a3 = a
     g = ComplexPoly.of((a2 - 0.25 * (a1 * a1 + a3 * a3), 0.5 * a1 * a3 - 2.0, -a2, 2.0))
     rs = poly_roots(g, tol=1e-13)

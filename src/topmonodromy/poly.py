@@ -319,10 +319,8 @@ def normalized_discriminant(p: ComplexPoly) -> float:
 
 def _integer_coeffs(p: ComplexPoly):
     """p's coefficients times their common power-of-two denominator."""
-    scale = max(p.coeff_scale(), 1.0)
-    for c in p.coeffs:
-        if abs(c.imag) > 1e-12 * scale:
-            raise ValidationError("real_root_count requires real coefficients")
+    if not p.is_real():
+        raise ValidationError("real_root_count requires real coefficients")
     ratios = [c.real.as_integer_ratio() for c in p.coeffs]
     den = max(d for _, d in ratios)
     return [n * (den // d) for n, d in ratios]

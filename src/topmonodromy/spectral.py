@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite
 from .poly import ComplexPoly
 from .topsys import LevelVector, TopState
 
@@ -28,9 +28,7 @@ class SpectralCoeffs:
         vals = tuple(float(v) for v in a)
         if len(vals) != 2 * g + 2:
             raise ValidationError(f"need 2g+2 = {2 * g + 2} coefficients, got {len(vals)}")
-        if not all(np.isfinite(vals)):
-            raise ValidationError(f"coefficients must be finite, got {vals}")
-        return cls(g=g, a=vals)
+        return cls(g=g, a=_finite("coefficients", *vals))
 
     def poly(self) -> ComplexPoly:
         """The monic spectral polynomial, ascending coefficient order."""

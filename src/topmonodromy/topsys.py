@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationBlowupError, ValidationError
+from .errors import IntegrationBlowupError, ValidationError, _finite
 
 _E3 = (0.0, 0.0, 1.0)
 # rows that Trajectory.to_csv formats and writes at a time
@@ -33,9 +33,7 @@ def _vec3(values, what):
     vec = tuple(float(v) for v in values)
     if len(vec) != 3:
         raise ValidationError(f"{what} must have 3 components, got {len(vec)}")
-    if not all(math.isfinite(v) for v in vec):
-        raise ValidationError(f"{what} must be finite, got {vec}")
-    return vec
+    return _finite(what, *vec)
 
 
 def _mass(m):
@@ -82,9 +80,7 @@ class LevelVector:
         vals = tuple(float(v) for v in values)
         if len(vals) < 2 or len(vals) % 2 != 0:
             raise ValidationError(f"level vector needs 2g+2 entries, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"level values must be finite, got {vals}")
-        return cls(m=_mass(m), values=vals)
+        return cls(m=_mass(m), values=_finite("level values", *vals))
 
     @property
     def g(self):

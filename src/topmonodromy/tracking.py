@@ -82,6 +82,7 @@ from .errors import (
 from .homology import (
     CycleClass,
     _intersection_matrix,
+    _min_separation,
     build_basis,
     cycle_labels,
     picard_lefschetz,
@@ -315,11 +316,6 @@ def _differentials(top):
     diffs = [d for d, k in _HOLOMORPHIC.items() if k <= top]
     diffs.sort(key=lambda d: _HOLOMORPHIC[d])
     return tuple(diffs)
-
-
-def _pairwise_min_sep(rs):
-    n = len(rs)
-    return min(abs(rs[i] - rs[j]) for i in range(n) for j in range(i + 1, n))
 
 
 def _match_roots(old, new):
@@ -639,7 +635,7 @@ class _March:
         self.point = _chart_point(point)
         self.steps_used = 0
         self.rs = list(roots(fiber_polynomial(g, self.point)))
-        self.min_sep = _pairwise_min_sep(self.rs)
+        self.min_sep = _min_separation(self.rs)
         self.rot = _projection(self.rs)
         self.fibers = [tuple(self.rs)]
         self.points = [self.point]

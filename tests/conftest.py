@@ -12,6 +12,7 @@ import numpy as np
 
 from topmonodromy import tracking
 from topmonodromy.errors import DegenerateInputError, RootFindingError, ValidationError
+from topmonodromy.homology import _min_separation
 from topmonodromy.periods import _PAIR_PAD
 from topmonodromy.poly import discriminant, roots
 from topmonodromy.topsys import TopState
@@ -249,7 +250,7 @@ class _MatchingMarch(tracking._March):
         rs_new = sorted(rs_new, key=lambda v: (v.real, v.imag))
         perm, disp = tracking._match_roots(self.rs, rs_new)
         matched = [rs_new[j] for j in perm]
-        sep_new = tracking._pairwise_min_sep(matched)
+        sep_new = _min_separation(matched)
         scale = max(1.0, max(abs(r) for r in matched))
         if sep_new < tracking._SEP_FLOOR * scale:
             return False

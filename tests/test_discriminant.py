@@ -243,3 +243,17 @@ class TestCsvEmission:
         assert lines[0] == "c2,a,b,c"
         c2, a, b, c = (float(v) for v in lines[1].split(","))
         assert (a, b, c) == pytest.approx(g2_branch(c2).abc, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "write, xs",
+        [
+            (lambda f, xs: delta_c_csv(f, 0.7, xs), [-2.0, -0.5, 0.25, 1.0, 3.0]),
+            (lambda f, xs: g2_branch_csv(f, xs, -1), [0.5, 1.0, 1.5, 4.0]),
+        ],
+    )
+    def test_a_generator_writes_what_a_list_writes(self, write, xs):
+        from_list, from_gen = io.StringIO(), io.StringIO()
+        assert write(from_list, xs) == len(xs)
+        assert write(from_gen, (x for x in xs)) == len(xs)
+        assert from_gen.getvalue() == from_list.getvalue()
+        assert from_list.getvalue().count("\n") == len(xs) + 1

@@ -384,6 +384,37 @@ def test_action_rejects_real_root_parameters():
         action_I1((0.0, -3.0, 0.0))
 
 
+# (0, -3, 0) and (0, -2.5, 0) are outside C with a cubic form of three real
+# roots; the huge ones have real roots that Aberth does not reach
+@pytest.mark.parametrize(
+    "a", [(0.0, -3.0, 0.0), (0.0, -2.5, 0.0), (1e200, 1.0, 0.0), (-1e300, 1.0, 0.0)]
+)
+def test_cubic_action_refuses_a_point_outside_C(a):
+    message = r"^parameters are outside component C \(real roots\)$"
+    with pytest.raises(ValidationError, match=message):
+        action_I1_cubic(a)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    st.floats(-6.0, 6.0),
+    st.floats(-8.0, 10.0),
+    st.floats(-6.0, 6.0),
+)
+def test_both_action_routes_refuse_exactly_the_points_outside_C(a1, a2, a3):
+    a = (a1, a2, a3)
+    outside = real_root_count(quartic_poly(a)) > 0
+    for action in (action_I1, action_I1_cubic):
+        try:
+            action(a)
+        except ValidationError:
+            assert outside
+            continue
+        except (DegenerateInputError, NearDiscriminantError, QuadratureError):
+            pass
+        assert not outside
+
+
 @pytest.mark.parametrize("action", [action_I1, action_I1_cubic])
 @pytest.mark.parametrize(
     "a", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (0.1, 1.2, -math.inf)]
@@ -1275,8 +1306,9 @@ def test_cubic_action_next_to_both_planes_at_once(a):
 
 
 def test_cubic_action_refuses_degenerate_cubic_forms(monkeypatch):
-    # a = (3, 0, 0): g = 2u^3 - 2u - 9/4 has one real root
-    with pytest.raises(DegenerateInputError, match="three real roots"):
+    # a = (3, 0, 0): g = 2u^3 - 2u - 9/4 has one real root, but the quartic
+    # has real roots too, and the point is refused as outside C first
+    with pytest.raises(ValidationError, match="outside component C"):
         action_I1_cubic((3.0, 0.0, 0.0))
     # a = (0, 2, 0): g = 2(u - 1)^2 (u + 1).  The root finder returns the
     # double root as a complex pair about 1e-7 apart, which the exact test
@@ -1288,34 +1320,47 @@ def test_cubic_action_refuses_degenerate_cubic_forms(monkeypatch):
         action_I1_cubic((0.0, 2.0, 0.0))
 
 
-# g of each point, ascending, and its number of distinct real roots:
-# 2(u - 1)^2 (u + 1), 2u^2 (u - 1) and 2(u - 1)^3
+# g of each point, ascending, its number of distinct real roots, and what
+# action_I1_cubic raises: 2(u - 1)^2 (u + 1) at the complex double pair of
+# C's boundary, then 2u^2 (u - 1) and 2(u - 1)^3, whose quartics
+# (x + 1)^2 (x^2 + 1) and (x + 1)^4 have real roots, so outside C
 REPEATED_CUBICS = {
-    (0.0, 2.0, 0.0): ((2.0, -2.0, -2.0, 2.0), 2),
-    (2.0, 2.0, 2.0): ((0.0, 0.0, -2.0, 2.0), 2),
-    (4.0, 6.0, 4.0): ((-2.0, 6.0, -6.0, 2.0), 1),
+    (0.0, 2.0, 0.0): (
+        (2.0, -2.0, -2.0, 2.0), 2, (DegenerateInputError, "cubic form has a repeated root")
+    ),
+    (2.0, 2.0, 2.0): ((0.0, 0.0, -2.0, 2.0), 2, (ValidationError, "outside component C")),
+    (4.0, 6.0, 4.0): ((-2.0, 6.0, -6.0, 2.0), 1, (ValidationError, "outside component C")),
 }
 
 
 @pytest.mark.parametrize("a", sorted(REPEATED_CUBICS))
 def test_a_cubic_form_with_a_repeated_root_is_named_so(a):
-    coeffs, distinct = REPEATED_CUBICS[a]
+    coeffs, distinct, (error, message) = REPEATED_CUBICS[a]
     g = ComplexPoly.of(coeffs)
     assert has_repeated_root(g)
     assert real_root_count(g) == distinct
     real = [r for r in roots(g, tol=1e-13) if abs(r.imag) < 1e-9 * max(1.0, abs(r))]
     assert len(real) < 3  # the roots alone do not show the repeat
-    with pytest.raises(DegenerateInputError, match="cubic form has a repeated root"):
+    assert (error is ValidationError) == (real_root_count(quartic_poly(a)) > 0)
+    with pytest.raises(error, match=message):
         action_I1_cubic(a)
 
 
-def test_a_cubic_form_with_one_simple_real_root_keeps_its_message():
-    # a = (3, 0, 0): g = 2u^3 - 2u - 9/4, square-free with one real root
+def test_a_cubic_form_with_one_simple_real_root_keeps_its_message(monkeypatch):
+    # a = (3, 0, 0): g = 2u^3 - 2u - 9/4, square-free with one real root;
+    # the quartic has real roots as well, so the point is outside C
     g = ComplexPoly.of((-2.25, -2.0, 0.0, 2.0))
     assert not has_repeated_root(g)
     assert real_root_count(g) == 1
-    with pytest.raises(DegenerateInputError, match="does not have three real roots"):
+    with pytest.raises(ValidationError, match="outside component C"):
         action_I1_cubic((3.0, 0.0, 0.0))
+    # inside C every cubic form seen has three real roots, so a root finder
+    # that returns one real root reaches the guard
+    a = (0.9, 2.8, -0.4)
+    assert real_root_count(quartic_poly(a)) == 0
+    monkeypatch.setattr(periods, "poly_roots", lambda p, tol: [1 + 0j, 0.5 + 1j, 0.5 - 1j])
+    with pytest.raises(DegenerateInputError, match="does not have three real roots"):
+        action_I1_cubic(a)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from topmonodromy.errors import (
     TrackingError,
     ValidationError,
 )
-from topmonodromy.homology import BranchConfig, _intersection_matrix
+from topmonodromy.homology import BranchConfig, _intersection_matrix, _min_separation
 from topmonodromy.poly import roots
 from topmonodromy.tracking import (
     _KAPPA_BASE,
@@ -397,7 +397,7 @@ class TestTypedFailures:
         point, target = (0.0, 2.0 - 1.1e-12, 0.0), (0.0, 2.0 - 0.9e-12, 0.0)
         state = _March(1, point)
         new = roots(fiber_polynomial(1, target), initial=state.rs)
-        sep = tracking._pairwise_min_sep(new)
+        sep = _min_separation(new)
         assert sep < tracking._SEP_FLOOR * max(1.0, max(abs(r) for r in new))
         margin = tracking._MARGIN_FRAC * min(state.min_sep, sep)
         moves = [abs(a - b) for a, b in zip(state.rs, new)]
@@ -408,7 +408,7 @@ class TestTypedFailures:
         target = (0.0, 1.5, 0.0)
         state = _March(1, self.BASE)
         new = roots(fiber_polynomial(1, target), initial=state.rs)
-        sep = tracking._pairwise_min_sep(new)
+        sep = _min_separation(new)
         assert sep > tracking._SEP_FLOOR * max(1.0, max(abs(r) for r in new))
         margin = tracking._MARGIN_FRAC * min(state.min_sep, sep)
         moves = [abs(a - b) for a, b in zip(state.rs, new)]
