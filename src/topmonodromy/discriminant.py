@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDiscriminantError, ValidationError, _finite
-from .poly import ComplexPoly, normalized_discriminant, real_root_count, real_roots
+from .poly import ComplexPoly, has_repeated_root, normalized_discriminant, real_root_count, real_roots
 from .spectral import SpectralCoeffs
 
 _DISC_TOL = 1e-9
@@ -278,11 +278,18 @@ def _as_poly(f) -> ComplexPoly:
 
 
 def in_component_C(f) -> bool:
-    """True iff f is real, has no real roots, and sits clearly off Delta."""
+    """True iff f is real, has no real roots, and sits clearly off Delta.
+
+    A normalized discriminant that underflows to 0, as for x^4 + 1e300 x^2
+    + 1e300, is decided exactly: f without a repeated root is classified
+    by its Sturm count, and f with one is refused.
+    """
     p = _as_poly(f)
     if any(abs(complex(v).imag) > 1e-12 * max(1.0, abs(v)) for v in p.coeffs):
         raise ValidationError("component membership is defined for real coefficients")
     d = normalized_discriminant(p)
+    if d == 0.0 and not has_repeated_root(p):
+        return real_root_count(p) == 0
     if d <= _DISC_TOL:
         if d == 0.0 or real_root_count(p) == 0:
             raise NearDiscriminantError(

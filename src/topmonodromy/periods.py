@@ -29,7 +29,11 @@ action's vanishing cycle is read off the base roots, with no root
 continuation: the conjugate pair on the real touch point's side of the
 unit circle, or on the plane a1 = a3 (where roots sit on that circle) the
 pair inside it above the complex double pair and the pair nearest the
-touch point below it.
+touch point below it.  action_I1, action_I1_cubic and residue_check,
+called one after another at one point in any order, share one record of
+that point (_point): its quartic, the quartic's cold roots and the exact
+Sturm count of its real roots, each computed on first use; only the last
+point's record is kept.
 """
 
 from __future__ import annotations
@@ -593,18 +597,55 @@ def normalized_basis_contours(f, polygons):
     return oriented
 
 
+class _PointRecord:
+    """The quartic of one chart point, with its cold roots (which
+    _vanishing_pair and residue_check read) and the exact Sturm verdict
+    (which both action routes check), each computed on first use.  A fact
+    that raises is not kept, so it raises again on the next read."""
+
+    def __init__(self, quartic):
+        self.quartic = quartic
+
+    @functools.cached_property
+    def roots(self):
+        return tuple(poly_roots(self.quartic))
+
+    @functools.cached_property
+    def has_real_roots(self):
+        return real_root_count(self.quartic) > 0
+
+
+@functools.lru_cache(maxsize=1)  # serves the calls made at one point back to back
+def _point_record(bits):
+    return _PointRecord(
+        quartic_poly([complex(float.fromhex(re), float.fromhex(im)) for re, im in bits])
+    )
+
+
+def _point(a):
+    """The record of the chart point a, the last point's record kept.
+
+    It is keyed by the bits of each coordinate's real and imaginary parts,
+    which is what quartic_poly reads: tuple equality would take -0.0 for
+    0.0, and an ndarray is not hashable.
+    """
+    return _point_record(tuple((z.real.hex(), z.imag.hex()) for z in map(complex, a)))
+
+
 def residue_check(a, tol: float = 1e-10) -> float:
     """Defect |I + i*pi*a1| of the loop-at-infinity integral of y dx/x^2.
 
     The class at infinity is realized as a negatively oriented big loop
     around every branch point, lifted to the reference sheet (anchored where
     it crosses the real axis right of every branch point), where the
-    integral must equal -i*pi*a1 exactly.
+    integral must equal -i*pi*a1 exactly.  The quartic and its roots come
+    from the point's record, which the action routes share; the check never
+    runs the Sturm count.
     """
-    fpoly = quartic_poly(a)
-    loop = big_loop(poly_roots(fpoly), orientation=-1)
+    point = _point(a)
+    loop = big_loop(point.roots, orientation=-1)
     vals, _, _ = _anchored_values(
-        fpoly, loop, ("y dx/x^2",), tol, _real_axis_anchor
+        point.quartic, loop, ("y dx/x^2",), tol, _real_axis_anchor
     )
     return abs(complex(vals[0]) + 1j * math.pi * a[0])
 
@@ -648,13 +689,28 @@ def _a2_deformation_path(a1, a2, a3):
 
 
 def _action_quartic(a):
-    """The quartic of an action point that is finite and in component C,
-    which both action routes check here by the exact Sturm count first."""
+    """The record of an action point that is finite and in component C,
+    which both action routes check here before any root finding; the finite
+    check runs on every call, as its message shows the caller's values."""
     _finite("action point", *a)
-    fpoly = quartic_poly(a)
-    if real_root_count(fpoly) > 0:
+    point = _point(a)
+    if point.has_real_roots:
         raise ValidationError("parameters are outside component C (real roots)")
-    return fpoly
+    return point
+
+
+def _on_double_pair(a1, a2, a3):
+    """Whether a point of C is the complex double pair, exactly.
+
+    A quartic with f(0) = 1, no real root and a repeated root is
+    (x^2 + p x + 1)^2, so a1 = a3 = 2p and a2 = 2 + p^2.  So the test is
+    4 a2 = 8 + a3^2, in integers from the coordinates' exact ratios, which
+    has_repeated_root would decide the same way.
+    """
+    if not _palindromic(a1, a3):
+        return False
+    (n2, d2), (n3, d3) = (float(v).as_integer_ratio() for v in (a2, a3))
+    return 4 * n2 * d3 * d3 == d2 * (8 * d3 * d3 + n3 * n3)
 
 
 def _vanishing_pair(a):
@@ -673,11 +729,15 @@ def _vanishing_pair(a):
     with a2_low < 2 + a3^2/4 < a2) the deformation passes the double pair
     through complex a2 and ends on a mixed pair either way round; the
     cycle's value is the average of the two images, the loop around the
-    conjugate pair inside the unit circle (upper root first).
+    conjugate pair inside the unit circle (upper root first).  At the
+    complex double pair itself the branch points meet in two pairs, so no
+    pair loop exists, and the point is refused as degenerate.
     """
-    fpoly = _action_quartic(a)
+    point = _action_quartic(a)
     a1, a2, a3 = a
-    rs = poly_roots(fpoly)
+    if _on_double_pair(a1, a2, a3):
+        raise DegenerateInputError("parameters are on the complex double pair (repeated root)")
+    rs = point.roots
     a2_low, x_star = _a2_deformation_path(a1, a2, a3)
     double = complex_double_pair_a2(a3)
     stratum = _palindromic(a1, a3) and double is not None and a2_low < double < a2
@@ -722,9 +782,11 @@ def action_I1(a, A: float = 1.0) -> float:
     that avoid the origin there move the value by up to about 1e-10 and
     can fail quadrature).  A loop that winds the origin loses the pole's
     residue, with the sheet sign measured by continuing the lift to x = 0.
+    The point's record, shared with action_I1_cubic and residue_check at the
+    same point, holds the Sturm count, the quartic and its roots.
     """
     rs, pair, stratum = _vanishing_pair(a)
-    fpoly = quartic_poly(a)
+    fpoly = _point(a).quartic
     try:
         loop = pair_loop(rs, pair, orientation=-1, avoid=() if stratum else (0.0,))
     except DegenerateInputError:
@@ -785,7 +847,8 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     the smallest, which can be below the roots' rounding, is taken from c_s
     and the other two.  A pole whose q is 0 or overflows (c_s below about
     1e-300) drops out, as its term is at most about pi sqrt(c_s).  Points
-    outside component C are refused as in action_I1.
+    outside component C are refused as in action_I1, by the Sturm count of
+    the point's record, which action_I1 and residue_check share.
     """
     _action_quartic(a)
     a1, a2, a3 = a

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from topmonodromy import periods
 from topmonodromy.cli import main
 from topmonodromy.topsys import TopState, first_integrals
 from topmonodromy.tracking import _base_frame, _loop_march
@@ -466,13 +467,14 @@ class TestSpectralCommand:
 
     def test_huge_state_is_classified_without_overflow(self, capsys):
         # the coefficients reach 1e300, so max|coeff|^6 overflows a float;
-        # the quartic x^4 + 1e300 x^2 + 1e300 is too close to Delta to classify
+        # the normalized discriminant of x^4 + 1e300 x^2 + 1e300 underflows
+        # to 0, and the exact gcd and Sturm tests place it in C
         code, data = run_cli_strict(
             capsys, "spectral", "--m", "0.5", "--state=1e150,0,0;0,0,1e150"
         )
         assert code == 0
         assert data["a"][1] > 1e299 and data["a"][3] > 1e299
-        assert data["no_real_branch_points"] is None
+        assert data["no_real_branch_points"] is True
 
     def test_exactly_one_source(self, capsys):
         code, data = run_cli(capsys, "spectral", "--m", "0.5")
@@ -588,6 +590,29 @@ class TestActionsCommand:
     def test_bad_point_fails(self, capsys):
         code, data = run_cli(capsys, "actions", "--point", "0.1,1.2")
         assert code == 2
+
+    def test_the_complex_double_pair_is_degenerate(self, capsys):
+        # (x^2 + 1)^2: no real roots, so not outside C, but a repeated root
+        code = main(["actions", "--point=0,2,0"])
+        captured = capsys.readouterr()
+        data = json.loads(captured.out, parse_constant=_not_json)
+        assert code == 1
+        assert data["error"]["type"] == "DegenerateInputError"
+        assert captured.err == ""
+
+    def test_both_routes_share_one_sturm_count(self, capsys, monkeypatch):
+        counts = []
+        count = periods.real_root_count
+
+        def counting(p):
+            counts.append(p)
+            return count(p)
+
+        monkeypatch.setattr(periods, "real_root_count", counting)
+        periods._point_record.cache_clear()
+        code, _ = run_cli(capsys, "actions", "--point", "0.1,1.2,0.05")
+        assert code == 0
+        assert len(counts) == 1
 
 
 class TestConfigFile:

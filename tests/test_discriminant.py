@@ -22,7 +22,7 @@ from topmonodromy.discriminant import (
     sextic_poly,
 )
 from topmonodromy.errors import NearDiscriminantError, ValidationError
-from topmonodromy.poly import normalized_discriminant
+from topmonodromy.poly import ComplexPoly, normalized_discriminant
 from topmonodromy.spectral import SpectralCoeffs
 
 
@@ -219,6 +219,24 @@ class TestComponentMembership:
     def test_double_pair_is_ambiguous(self):
         with pytest.raises(NearDiscriminantError):
             in_component_C([1.0, 0.0, 2.0, 0.0, 1.0])
+
+    # normalized discriminants that underflow to 0: x^4 + 1e300 x^2 + 1e300
+    # has no real root, x^4 - 1e300 x^2 + 1e300 has four, and neither has a
+    # repeated root, so the exact tests decide them
+    @pytest.mark.parametrize(
+        "f, inside",
+        [([1e300, 0.0, 1e300, 0.0, 1.0], True), ([1e300, 0.0, -1e300, 0.0, 1.0], False)],
+    )
+    def test_an_underflowed_discriminant_is_decided_exactly(self, f, inside):
+        assert normalized_discriminant(ComplexPoly.of(f)) == 0.0
+        assert in_component_C(f) is inside
+
+    # an exact repeated root still raises, with or without real roots
+    @pytest.mark.parametrize("f", [[1.0, 0.0, 2.0, 0.0, 1.0], [1.0, 2.0, 1.0]])
+    def test_an_exact_repeated_root_stays_ambiguous(self, f):
+        assert normalized_discriminant(ComplexPoly.of(f)) == 0.0
+        with pytest.raises(NearDiscriminantError, match="too small to classify"):
+            in_component_C(f)
 
     def test_complex_coefficients_rejected(self):
         with pytest.raises(ValidationError):

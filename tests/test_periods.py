@@ -13,6 +13,7 @@ from topmonodromy.errors import (
     DegenerateInputError,
     NearDiscriminantError,
     QuadratureError,
+    RootFindingError,
     ValidationError,
 )
 from topmonodromy.homology import build_basis
@@ -1447,3 +1448,168 @@ def test_spectral_coeffs_feed_periods_directly():
     assert all(abs(r.imag) > 1e-6 for r in rs)
     val = cycle_integral(sc, big_loop(rs, orientation=-1), "y dx/x^2")
     assert abs(val + 1j * math.pi * 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the point record that the action routes and the residue check share
+# ---------------------------------------------------------------------------
+
+# .hex() of action_I1, action_I1_cubic and residue_check, recorded before the
+# three shared a record: two general points; the plane a1 = a3 below the
+# double pair, on it and 1e-9 off it; 1e-7 off the plane above the double
+# pair; and a stratum point
+RECORD_PINS = {
+    (0.9, 2.8, -0.4): ("0x1.3633ce1ad7a79p+0", "0x1.3633ce1ad7a7ap+0", "0x1.0000000000000p-50"),
+    (0.3, 1.2, -0.2): ("0x1.c5fc5b3a3e222p-1", "0x1.c5fc5b3a3e244p-1", "0x1.0000000000000p-51"),
+    (0.4, 1.5, 0.4): ("0x1.a831c367aecc2p-1", "0x1.a831c367aecc1p-1", "0x1.0000000000000p-51"),
+    (0.4 + 1e-9, 1.5, 0.4): (
+        "0x1.a831c36554237p-1", "0x1.a831c3655423bp-1", "0x1.1e3779b97f4a8p-50"
+    ),
+    (0.3, 2.4225, 0.3 + 1e-7): (
+        "0x1.51a92dfd5adb8p+0", "0x1.51a92dfd5ac9bp+0", "0x1.07e0f66afed07p-49"
+    ),
+    (0.3, 2.4225, 0.3): ("0x1.51a92edb8fb66p+0", "0x1.51a92edb8fb64p+0", "0x0.0p+0"),
+}
+RECORD_FNS = {"I1": action_I1, "cubic": action_I1_cubic, "residue": residue_check}
+RECORD_ORDER = ("I1", "cubic", "residue")
+
+
+class _Counted:
+    """Counts the Sturm counts and the rootings of the point's quartic that
+    periods makes, through its module names."""
+
+    def __init__(self, monkeypatch):
+        self.sturm = self.quartic_roots = 0
+        count, find = periods.real_root_count, periods.poly_roots
+
+        def counting_count(p):
+            self.sturm += 1
+            return count(p)
+
+        def counting_roots(p, *args, **kwargs):
+            # the deformation path's quartic h has constant term -2, the
+            # cubic form degree 3; only the point's quartic has 1
+            self.quartic_roots += p.degree == 4 and p.coeffs[0] == 1
+            return find(p, *args, **kwargs)
+
+        monkeypatch.setattr(periods, "real_root_count", counting_count)
+        monkeypatch.setattr(periods, "poly_roots", counting_roots)
+        periods._point_record.cache_clear()
+
+    @property
+    def counts(self):
+        return self.sturm, self.quartic_roots
+
+
+@pytest.mark.parametrize(
+    "order",
+    [RECORD_ORDER, ("residue", "I1", "cubic"), ("I1",), ("cubic",), ("residue",)],
+    ids="-".join,
+)
+def test_the_record_keeps_every_value_in_any_call_order(order):
+    for a, pins in RECORD_PINS.items():
+        if len(order) == 1:
+            periods._point_record.cache_clear()
+        for name in order:
+            assert RECORD_FNS[name](a).hex() == pins[RECORD_ORDER.index(name)]
+
+
+def test_the_calls_at_one_point_count_and_root_its_quartic_once(monkeypatch):
+    counted = _Counted(monkeypatch)
+    seen = []
+    for a in [(0.9, 2.8, -0.4), (0.3, 1.2, -0.2), (0.9, 2.8, -0.4)]:
+        for name in RECORD_ORDER:
+            RECORD_FNS[name](a)
+        seen.append(counted.counts)
+    # only the last point's record is kept, so the third point rebuilds it
+    assert seen == [(1, 1), (2, 2), (3, 3)]
+
+
+def test_the_residue_check_never_runs_the_sturm_count(monkeypatch):
+    def no_count(p):
+        raise AssertionError("the residue check needs no Sturm count")
+
+    monkeypatch.setattr(periods, "real_root_count", no_count)
+    periods._point_record.cache_clear()
+    for a, pins in RECORD_PINS.items():
+        assert residue_check(a).hex() == pins[2]
+
+
+def test_a_signed_zero_rebuilds_the_record(monkeypatch):
+    counted = _Counted(monkeypatch)
+    values = [action_I1(a).hex() for a in [(0.0, 1.5, 0.3), (-0.0, 1.5, 0.3)]]
+    assert values == ["0x1.e894b2281a57ep-1"] * 2
+    assert counted.counts == (2, 2)
+
+
+def test_a_list_a_tuple_and_an_ndarray_share_the_record(monkeypatch):
+    counted = _Counted(monkeypatch)
+    for a, pins in RECORD_PINS.items():
+        for form in (tuple, list, np.array):
+            assert tuple(RECORD_FNS[n](form(a)).hex() for n in RECORD_ORDER) == pins
+    assert counted.counts == (len(RECORD_PINS), len(RECORD_PINS))
+
+
+def test_a_refused_point_raises_on_every_call(monkeypatch):
+    counted = _Counted(monkeypatch)
+    outside = (0.0, -3.0, 0.0)
+    for action in (action_I1, action_I1, action_I1_cubic):
+        with pytest.raises(ValidationError, match="outside component C"):
+            action(outside)
+    a = (0.9, 2.8, -0.4)
+    assert tuple(RECORD_FNS[n](a).hex() for n in RECORD_ORDER) == RECORD_PINS[a]
+    assert counted.counts == (2, 1)
+
+
+def test_a_root_finder_failure_is_not_kept(monkeypatch):
+    find = periods.poly_roots
+    calls = []
+
+    def failing_once(p, *args, **kwargs):
+        calls.append(p)
+        if len(calls) == 1:
+            raise RootFindingError("no roots this time")
+        return find(p, *args, **kwargs)
+
+    monkeypatch.setattr(periods, "poly_roots", failing_once)
+    periods._point_record.cache_clear()
+    a = (0.9, 2.8, -0.4)
+    with pytest.raises(RootFindingError):
+        residue_check(a)
+    assert residue_check(a).hex() == RECORD_PINS[a][2]
+
+
+# The complex double pair (x^2 + (a3/2) x + 1)^2 passes the Sturm gate (no
+# real roots) but has a repeated root; action_I1 ran into QuadratureError at
+# (0, 2, 0) and returned about 1e-16 at the other three
+@pytest.mark.parametrize(
+    "a", [(0.0, 2.0, 0.0), (0.5, 2.0625, 0.5), (-1.0, 2.25, -1.0), (0.25, 2.015625, 0.25)]
+)
+def test_both_action_routes_refuse_the_complex_double_pair(a):
+    f = quartic_poly(a)
+    assert real_root_count(f) == 0 and has_repeated_root(f)
+    message = r"^parameters are on the complex double pair \(repeated root\)$"
+    with pytest.raises(DegenerateInputError, match=message):
+        action_I1(a)
+    with pytest.raises(DegenerateInputError, match="^cubic form has a repeated root$"):
+        action_I1_cubic(a)
+    assert residue_check(a) < 1e-10
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(
+    st.one_of(st.floats(-3.9, 3.9), st.integers(-62, 62).map(lambda k: k / 16.0)),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, 1e-12, -3e-9]),
+)
+@example(0.5, 0, 0.0)
+@example(0.5, 1, 0.0)
+@example(0.1, 0, 0.0)
+def test_the_double_pair_test_agrees_with_the_exact_gcd_test(a3, ulps, off):
+    a2 = 2.0 + a3 * a3 / 4.0
+    for _ in range(abs(ulps)):
+        a2 = math.nextafter(a2, math.copysign(math.inf, ulps))
+    a = (a3 + off, a2, a3)
+    f = quartic_poly(a)
+    assume(real_root_count(f) == 0)
+    assert periods._on_double_pair(*a) == has_repeated_root(f)
