@@ -4,10 +4,10 @@ discriminant scans, and monodromy, emitted as JSON (stdout) and CSV files.
 Every report is deterministic (stable key order, no timestamps) and carries
 ``schema_version``, ``command`` and ``tolerances`` (the tolerances the run
 actually used).  A failure prints an object of just ``schema_version`` and
-``error`` (its ``type`` and ``message``) and exits 2 for invalid input, 1
-otherwise; a failed run writes no CSV.  Each command returns its own fields
-and ``main`` alone writes the report.  A JSON config file can supply any
-option; explicit flags win over the file.
+``error`` (its ``type`` and ``message``) and exits 2 for invalid input,
+argparse's errors included, 1 otherwise; a failed run writes no CSV.  Each
+command returns its own fields and ``main`` alone writes the report.  A
+JSON config file can supply any option; explicit flags win over the file.
 The ``TOPMONODROMY_TOL`` environment variable overrides the default
 quadrature tolerance when no explicit value is given.
 """
@@ -317,9 +317,18 @@ def _require(opts, key):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (an unknown flag, a missing or
+    mistyped value) raise ValidationError, which main reports as JSON;
+    --help still prints its text and exits 0."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser():
     """The parser, and per command the argparse action of each option."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topmonodromy",
         description="Spectral curves, periods, and monodromy of the "
         "generalized Lagrange top.",
@@ -436,8 +445,8 @@ def _merge_config(args, actions):
 
 def main(argv=None) -> int:
     parser, options = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         opts = _merge_config(args, options[args.command])
         command = _COMMANDS[args.command]
         report = {"command": args.command, "tolerances": {}, **command(opts)}

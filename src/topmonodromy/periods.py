@@ -33,7 +33,10 @@ touch point below it.  action_I1, action_I1_cubic and residue_check,
 called one after another at one point in any order, share one record of
 that point (_point): its quartic, the quartic's cold roots and the exact
 Sturm count of its real roots, each computed on first use; only the last
-point's record is kept.
+point's record is kept.  Each contour builds its vertex array and its edges'
+ends, half-steps and midpoints once, read-only, for every level of its
+ladder; and action_I1 takes no winding count of the origin on a pair loop
+fitted to avoid it, which keeps the origin outside the polygon.
 """
 
 from __future__ import annotations
@@ -106,16 +109,26 @@ class ContourSpec:
     clearance: float = math.inf
     origin_gap: float | None = None
 
+    @functools.cached_property
+    def _edges(self):
+        """(a, b, half, mid): the vertices and each edge's end, half-step and
+        midpoint, as read-only complex arrays built on first use.  They are
+        no field, so equality and hashing read the vertices alone."""
+        a = np.array(self.vertices, dtype=complex)
+        b = np.concatenate((a[1:], a[:1]))
+        edges = (a, b, (0.5 * (b - a))[:, None], (0.5 * (a + b))[:, None])
+        for arr in edges:
+            arr.flags.writeable = False
+        return edges
+
     def nodes(self, n):
         """Quadrature points and weights, n Gauss-Legendre nodes per edge."""
         # one row of nodes per edge; x is summed in place, so no (edges, n)
         # temporary is made beside the two outputs
         glx, glw = _leggauss(n)
-        a = np.array(self.vertices, dtype=complex)
-        b = np.concatenate((a[1:], a[:1]))
-        half = (0.5 * (b - a))[:, None]
+        _, _, half, mid = self._edges
         x = half * glx
-        x += (0.5 * (a + b))[:, None]
+        x += mid
         return x.ravel(), (half * glw).ravel()
 
 
@@ -124,15 +137,16 @@ def _segment_distances(a, b, rs):
 
     Written as split real arithmetic: it rounds exactly like the scalar
     complex formula, where complex NumPy products and absolute values can
-    differ in the last bit.
+    differ in the last bit.  A zero-length edge projects onto its vertex.
+    The points are finite (branch points and the origin): an infinite one
+    meets inf * 0 on an edge parallel to an axis, with a RuntimeWarning.
     """
     rx, ry = rs.real, rs.imag
     ax, ay = a.real[:, None], a.imag[:, None]
     dx, dy = (b.real - a.real)[:, None], (b.imag - a.imag)[:, None]
     l2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((rx - ax) * dx + (ry - ay) * dy) / l2
-    t = np.where(l2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    num = (rx - ax) * dx + (ry - ay) * dy
+    t = np.clip(np.divide(num, l2, out=np.zeros_like(num), where=l2 != 0.0), 0.0, 1.0)
     return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
 
 
@@ -387,8 +401,7 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
     if any(d == "y dx/x^2" for d in differentials):
         gap = contour.origin_gap
         if gap is None:
-            a = np.array(contour.vertices, dtype=complex)
-            b = np.concatenate((a[1:], a[:1]))
+            a, b, _, _ = contour._edges
             gap = np.min(_segment_distances(a, b, np.zeros(1)))
         if gap < 1e-12:
             raise QuadratureError("contour passes through the origin pole", location=0.0)
@@ -713,7 +726,7 @@ def _on_double_pair(a1, a2, a3):
     return 4 * n2 * d3 * d3 == d2 * (8 * d3 * d3 + n3 * n3)
 
 
-def _vanishing_pair(a):
+def _vanishing_pair(a, point=None):
     """Roots of the action quartic, the cycle-defining pair, and whether a
     lies on the palindromic stratum.
 
@@ -731,9 +744,10 @@ def _vanishing_pair(a):
     cycle's value is the average of the two images, the loop around the
     conjugate pair inside the unit circle (upper root first).  At the
     complex double pair itself the branch points meet in two pairs, so no
-    pair loop exists, and the point is refused as degenerate.
+    pair loop exists, and the point is refused as degenerate.  A caller that
+    holds the record of _action_quartic(a) passes it as point.
     """
-    point = _action_quartic(a)
+    point = point or _action_quartic(a)
     a1, a2, a3 = a
     if _on_double_pair(a1, a2, a3):
         raise DegenerateInputError("parameters are on the complex double pair (repeated root)")
@@ -781,21 +795,27 @@ def action_I1(a, A: float = 1.0) -> float:
     except on the palindromic stratum, where the plain loop is kept (loops
     that avoid the origin there move the value by up to about 1e-10 and
     can fail quadrature).  A loop that winds the origin loses the pole's
-    residue, with the sheet sign measured by continuing the lift to x = 0.
-    The point's record, shared with action_I1_cubic and residue_check at the
-    same point, holds the Sturm count, the quartic and its roots.
+    residue, with the sheet sign measured by continuing the lift to x = 0;
+    a loop fitted to avoid the origin keeps it outside the 1.2-times scaled
+    ellipse, so its winding count is 0 and is not taken.  The point's
+    record, shared with action_I1_cubic and residue_check at the same point,
+    holds the Sturm count, the quartic and its roots; it is fetched once.
+    A must be finite.
     """
-    rs, pair, stratum = _vanishing_pair(a)
-    fpoly = _point(a).quartic
+    _finite("area A", A)
+    point = _action_quartic(a)
+    rs, pair, stratum = _vanishing_pair(a, point)
+    fpoly = point.quartic
+    avoid = () if stratum else (0.0,)
     try:
-        loop = pair_loop(rs, pair, orientation=-1, avoid=() if stratum else (0.0,))
+        loop = pair_loop(rs, pair, orientation=-1, avoid=avoid)
     except DegenerateInputError:
-        loop = pair_loop(rs, pair, orientation=-1)
+        loop, avoid = pair_loop(rs, pair, orientation=-1), ()
     vals, x, y = _anchored_values(
         fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
     )
     out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])
-    if _winding_numbers(loop.vertices, (0.0,))[0] != 0 and abs(a[2]) > 1e-13:
+    if not avoid and _winding_numbers(loop._edges[0], (0.0,))[0] != 0 and abs(a[2]) > 1e-13:
         out -= A * _sheet_sign_at_origin(fpoly, x, y) * 0.5 * a[2]
     if abs(out.imag) > 1e-9 * max(1.0, abs(out)):
         raise QuadratureError("action integral has a nonreal value")
@@ -811,7 +831,7 @@ def _carlson(y, z, ps):
     """
     vs, tails, scale = [0.0, y, z, y, z, *ps], [0.0] * (len(ps) + 2), 1.0
     while max(vs) - min(vs) > 1e-3 * min(vs):
-        sx, sv, sw, *sp = (math.sqrt(u) for u in vs)
+        sx, sv, sw, *sp = map(math.sqrt, vs)
         for i, s in enumerate(sp):
             d = (s + sx) * (s + sv) * (s + sw)
             # e = (p - x)(p - y)(p - z)/d^2, one factor at a time: p^3 overflows
@@ -824,7 +844,7 @@ def _carlson(y, z, ps):
     (x, v, w, *pp), rjs = vs, []
     for p, tail in zip(pp, tails):
         mean = (x + v + w + 2.0 * p) / 5.0
-        X, Y, Z, P = (1.0 - u / mean for u in (x, v, w, p))
+        X, Y, Z, P = [1.0 - u / mean for u in (x, v, w, p)]
         xyz, e2 = X * Y * Z, X * Y + X * Z + Y * Z - 3.0 * P * P
         e3, e4 = xyz + 2.0 * e2 * P + 4.0 * P**3, (2.0 * xyz + e2 * P + 3.0 * P**3) * P
         series = 1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
@@ -848,8 +868,10 @@ def action_I1_cubic(a, A: float = 1.0) -> float:
     and the other two.  A pole whose q is 0 or overflows (c_s below about
     1e-300) drops out, as its term is at most about pi sqrt(c_s).  Points
     outside component C are refused as in action_I1, by the Sturm count of
-    the point's record, which action_I1 and residue_check share.
+    the point's record, which action_I1 and residue_check share.  A must be
+    finite.
     """
+    _finite("area A", A)
     _action_quartic(a)
     a1, a2, a3 = a
     g = ComplexPoly.of((a2 - 0.25 * (a1 * a1 + a3 * a3), 0.5 * a1 * a3 - 2.0, -a2, 2.0))

@@ -41,7 +41,9 @@ REPORTS = {
 }
 
 # numbers from outside, each refused with exit 2, strict JSON and no CSV:
-# non-finite input, closed forms that leave the float range, a bad u or sign
+# non-finite input, closed forms that leave the float range, a bad u or sign,
+# and argparse's own errors (a value that argparse takes for a flag, an
+# unknown flag, a missing value)
 REFUSED = [
     ("spectral", "--m", "-1", "--levels", "1,2,3,4"),
     ("discriminant", "--g", "2", "--c2-min", "1e-200", "--c2-max", "1e-100"),
@@ -61,6 +63,10 @@ REFUSED = [
     ("discriminant", "--g", "2", "--samples", "100000000000000000000"),
     ("actions", "--point=1e200,1,0"),
     ("actions", "--point=-1e300,1,0"),
+    ("invariants", "--m", "-1e300", "--state=1,0,0;0,0,1"),
+    ("invariants", "--m", "-inf", "--state=1,0,0;0,0,1"),
+    ("actions", "--bogus"),
+    ("actions", "--point"),
 ]
 
 
@@ -112,9 +118,19 @@ class TestReports:
         captured = capsys.readouterr()
         data = json.loads(captured.out, parse_constant=_not_json)
         assert code == 2
+        assert set(data) == {"schema_version", "error"}
         assert data["error"]["type"] == "ValidationError"
         assert captured.err == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [("--help",), ("actions", "--help")])
+    def test_help_prints_its_text_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 0
+        assert captured.out.startswith("usage: topmonodromy")
+        assert captured.err == ""
 
 
 class TestMonodromyCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,52 @@ def test_pair_loop_encloses_only_its_pair():
         others = [rs[i] for i in range(4) if i not in cfg.pairing[j]]
         assert min(np.abs(x - r).min() for r in others) > 0.05
         assert spec.clearance > 0.05
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    a1=st.floats(-3.0, 3.0),
+    a2=st.floats(-3.0, 8.0),
+    a3=st.floats(-3.0, 3.0),
+    palindromic=st.booleans(),
+)
+def test_a_pair_loop_fitted_to_avoid_the_origin_does_not_wind_it(
+    a1, a2, a3, palindromic
+):
+    # action_I1 takes no winding count on such a loop: the fit keeps the
+    # origin outside the 1.2-times scaled ellipse, so outside the polygon
+    a = (a1, a2, a1 if palindromic else a3)
+    f = quartic_poly(a)
+    assume(real_root_count(f) == 0 and not has_repeated_root(f))
+    rs = roots(f)
+    fitted = 0
+    for pair in ((i, j) for i in range(4) for j in range(4) if i != j):
+        for o in (1, -1):
+            try:
+                spec = pair_loop(rs, pair, orientation=o, avoid=(0.0,))
+            except DegenerateInputError:
+                continue
+            assert windings(spec, (0.0,)) == [0]
+            fitted += 1
+    assume(fitted)
+
+
+def test_contour_arrays_are_read_only_and_take_no_part_in_equality():
+    rs = roots(UNIT_QUARTIC)
+    spec = pair_loop(rs, build_basis(rs, 1).pairing[0], avoid=(0.0,))
+    twin = ContourSpec(spec.vertices, spec.clearance, spec.origin_gap)
+    spec.nodes(12)  # builds spec's arrays; twin has none yet
+    assert "_edges" in vars(spec) and "_edges" not in vars(twin)
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    a, b, half, mid = spec._edges
+    assert a.tolist() == list(spec.vertices)
+    assert b.tolist() == list(spec.vertices[1:] + spec.vertices[:1])
+    for arr in spec._edges:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert spec._edges is spec._edges
+    assert ContourSpec(spec.vertices[::-1]) != spec
 
 
 def test_pair_loop_rejects_bad_input():
@@ -423,6 +470,15 @@ def test_both_action_routes_refuse_exactly_the_points_outside_C(a1, a2, a3):
 def test_action_rejects_a_point_that_is_not_finite(action, a):
     with pytest.raises(ValidationError, match="must be finite"):
         action(a)
+
+
+@pytest.mark.parametrize("action", [action_I1, action_I1_cubic])
+@pytest.mark.parametrize("A", [math.nan, math.inf, -math.inf])
+def test_action_rejects_an_area_that_is_not_finite(action, A, monkeypatch):
+    # refused before any work: the point's record is never asked for
+    monkeypatch.setattr(periods, "_point", None)
+    with pytest.raises(ValidationError, match=r"^area A must be finite"):
+        action((0.1, 1.2, 0.05), A=A)
 
 
 def test_action_near_discriminant_guard():
@@ -1402,6 +1458,51 @@ def test_clearance_and_origin_gap_are_the_former_measurements(seed):
                 )
                 checked += 1
     assert checked >= 6
+
+
+def segment_distances_ref(a, b, rs):
+    """The former _segment_distances, with its errstate context, kept
+    verbatim."""
+    rx, ry = rs.real, rs.imag
+    ax, ay = a.real[:, None], a.imag[:, None]
+    dx, dy = (b.real - a.real)[:, None], (b.imag - a.imag)[:, None]
+    l2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((rx - ax) * dx + (ry - ay) * dy) / l2
+    t = np.where(l2 == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    return np.hypot(rx - (ax + t * dx), ry - (ay + t * dy))
+
+
+NON_FINITE = [complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0),
+              complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.inf, -math.inf),
+              complex(math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_segment_distances_are_the_former_errstate_ones(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 40))
+    a = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-3, 3)
+    a.real[1::3] = a.real[0]  # edges parallel to an axis
+    k = rng.integers(0, m - 1, size=3)
+    a[k + 1] = a[k]  # zero-length edges
+    b = np.concatenate((a[1:], a[:1]))
+    finite = np.concatenate((a[:3], rng.standard_normal(5) + 1j * rng.standard_normal(5)))
+    nan = np.array([p for p in NON_FINITE if not np.isinf(p)])
+    inf = np.array([p for p in NON_FINITE if np.isinf(p)])
+    assert np.any(a == b)
+    for rs in (finite, nan, inf, np.concatenate((finite, nan, inf))):
+        want = segment_distances_ref(a, b, rs)
+        if np.isinf(rs).any():
+            # an infinite point gives inf * 0 on an edge parallel to an
+            # axis or of zero length, which the former errstate hid
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                got = periods._segment_distances(a, b, rs)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = periods._segment_distances(a, b, rs)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_an_ellipse_edge_at_the_origin_fails_at_the_origin():

@@ -231,7 +231,9 @@ def test_polyline_nodes_are_bit_identical(n):
         )
         verts.real[:: int(rng.integers(2, 6))] = 0.0
         spec = polyline(verts)
-        x, w = spec.nodes(n)
-        x_ref, w_ref = _polyline_nodes_ref(spec.vertices, n)
-        assert x.tobytes() == x_ref.tobytes()
-        assert w.tobytes() == w_ref.tobytes()
+        # every level after the first reads the edge arrays the first built
+        for level in (12, n):
+            x, w = spec.nodes(level)
+            x_ref, w_ref = _polyline_nodes_ref(spec.vertices, level)
+            assert x.tobytes() == x_ref.tobytes()
+            assert w.tobytes() == w_ref.tobytes()
