@@ -4,7 +4,7 @@ Every numeric failure mode the library can report deliberately is a subclass
 of TopmonodromyError so the CLI can map them to machine-readable error JSON.
 """
 
-import math
+import cmath
 
 
 class TopmonodromyError(Exception):
@@ -62,7 +62,8 @@ class NearDiscriminantError(TopmonodromyError):
 
 
 def _finite(what, *values):
-    """The values, or a ValidationError when one of them is not finite."""
-    if not all(math.isfinite(v) for v in values):
+    """The values, real or complex, or a ValidationError when one of them
+    is not finite."""
+    if not all(cmath.isfinite(v) for v in values):
         raise ValidationError(f"{what} must be finite, got {values}")
     return values

@@ -1,18 +1,19 @@
 """Contour integration of x^k dx/y and y dx/x^2 on y^2 = f(x).
 
 Every contour is a closed polygon (ContourSpec) whose vertex order carries
-the orientation; pair_loop and big_loop put 48 vertices on an ellipse
-around one cut or on a circle around every branch point.  Each integral
-runs Gauss-Legendre rules on every edge, with 12, 24, 48, ... up to 1536
-nodes per edge, until two consecutive levels agree; the finer one is
-returned.  The rule on an edge converges geometrically, at a rate set by
-how far the edge keeps from the branch points and the origin, so the finer
-of two agreeing levels is accurate far beyond their agreement: on the
-action's pair and big loops 12 and 24 nodes usually agree, and the 24-node
-value is accurate to rounding.  The square root is continued node by node,
-with the sign of each step read off one product; a lift is accepted only
-when every step has an unambiguous sign choice and the lift closes up
-after a full circuit.  One rule then fixes the sheet: an
+the orientation; pair_loop puts 48 vertices on an ellipse around one cut,
+and big_loop 16 on a circle around every branch point and the origin.
+Each integral runs Gauss-Legendre rules on every edge, with 12, 24, 48,
+... up to 1536 nodes per edge, until two consecutive levels agree; the
+finer one is returned.  The rule on an edge converges geometrically, at a
+rate set by how far the edge keeps from the branch points and the origin,
+so the finer of two agreeing levels is accurate far beyond their
+agreement: on the action's pair and big loops 12 and 24 nodes usually
+agree, and the 24-node value is accurate to rounding.  The square root
+is continued node by node, with the sign of each step read off one
+product; a lift is accepted only when every step has an unambiguous sign
+choice and the lift closes up after a full circuit.  One rule then fixes
+the sheet: an
 anchor names a node j and a square root y_j there, and the lift takes the
 sign that lands nearer y_j.  cycle_integral anchors to a single-valued
 branch of sqrt(f) whose cuts are the segments of the canonical pairing and
@@ -71,7 +72,7 @@ _MAX_EDGE_NODES = 1 << 11
 _PAIR_PAD = 0.45  # pair_loop's first pad, as a fraction of the nearest gap
 _BIG_LOOP_FACTOR = 2.0  # big_loop radius = factor * reach + pad
 _BIG_LOOP_PAD = 1.0
-_LOOP_VERTS = 48  # vertices of a pair or big loop
+_LOOP_VERTS = 48  # vertices of a pair loop; the big loop keeps every third
 _LOOP_T = np.arange(_LOOP_VERTS) * (2.0 * math.pi / _LOOP_VERTS)
 _LOOP_COS, _LOOP_SIN = np.cos(_LOOP_T), np.sin(_LOOP_T)
 # The ladder's node counts per edge, doubling from 12 within _MAX_EDGE_NODES.
@@ -138,8 +139,9 @@ def _segment_distances(a, b, rs):
     Written as split real arithmetic: it rounds exactly like the scalar
     complex formula, where complex NumPy products and absolute values can
     differ in the last bit.  A zero-length edge projects onto its vertex.
-    The points are finite (branch points and the origin): an infinite one
-    meets inf * 0 on an edge parallel to an axis, with a RuntimeWarning.
+    The points are finite branch points and the origin, as the contour
+    builders check: an infinite one meets inf * 0 on an edge parallel to an
+    axis, with a RuntimeWarning.
     """
     rx, ry = rs.real, rs.imag
     ax, ay = a.real[:, None], a.imag[:, None]
@@ -161,18 +163,15 @@ def _winding_numbers(verts, rs):
     return np.rint(turns.sum(axis=1) / (2.0 * math.pi)).astype(int)
 
 
-def _ellipse_polygon(center, axis, a, b, orientation, excluded):
-    """Polygon of _LOOP_VERTS points on an ellipse, with its exact clearance.
+def _closed_polygon(verts, orientation, excluded):
+    """Contour through verts, with its exact clearance and origin gap.
 
-    The ellipse has semi-axis a along the unit direction axis and b across
-    it.  The vertices sit at parameters t = 2 pi k / _LOOP_VERTS from t = 0;
-    orientation -1 keeps vertex 0 and reverses the others.  The clearance is
+    Orientation -1 keeps vertex 0 and reverses the others.  The clearance is
     the least distance from the excluded points to the edges; the origin's
     distance is measured in the same call, as one more column.
     """
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
-    verts = center + axis * (a * _LOOP_COS + 1j * b * _LOOP_SIN)
     if orientation == -1:
         verts = np.concatenate((verts[:1], verts[:0:-1]))
     ends = np.concatenate((verts[1:], verts[:1]))
@@ -188,8 +187,12 @@ def pair_loop(roots, pair, orientation=1, avoid=()):
     """Polygon on an ellipse around the cut joining roots[pair[0]], roots[pair[1]].
 
     Every other root, plus the points in avoid, stays outside with margin.
+    The ellipse has semi-axis a along the cut and b across it, and its
+    _LOOP_VERTS vertices sit at parameters t = 2 pi k / _LOOP_VERTS from
+    t = 0.  The roots and the points in avoid must be finite.
     """
-    pts = tuple(complex(r) for r in roots)
+    pts = _finite("pair loop roots", *map(complex, roots))
+    avoid = _finite("pair loop avoid points", *map(complex, avoid))
     i, j = pair
     if not (0 <= i < len(pts) and 0 <= j < len(pts)) or i == j:
         raise ValidationError("pair must name two distinct root indices")
@@ -200,7 +203,7 @@ def pair_loop(roots, pair, orientation=1, avoid=()):
     axis = (r2 - r1) / d
     center = 0.5 * (r1 + r2)
     excluded = [p for k, p in enumerate(pts) if k not in (i, j)]
-    excluded += [complex(p) for p in avoid]
+    excluded += avoid
 
     def seg_dist(p):
         t = ((p - center) / axis).real
@@ -220,20 +223,33 @@ def pair_loop(roots, pair, orientation=1, avoid=()):
                 ok = False
                 break
         if ok:
-            return _ellipse_polygon(center, axis, a, b, orientation, excluded)
+            verts = center + axis * (a * _LOOP_COS + 1j * b * _LOOP_SIN)
+            return _closed_polygon(verts, orientation, excluded)
         pad *= 0.6
     raise DegenerateInputError("cannot fit a pair loop between branch points")
 
 
 def big_loop(roots, orientation=1):
-    """Polygon on a circle around every branch point and the origin."""
-    pts = np.asarray(tuple(complex(r) for r in roots))
+    """Polygon on a circle around every branch point and the origin.
+
+    The circle is centred at the roots' mean c and has radius R = 2 rho + 1,
+    with rho the farthest of the roots and the origin from c, so that every
+    singularity of x^k dx/y and y dx/x^2 lies within R/2 of c.  Its 16
+    vertices are every third point of the pair loops' 48-point table, at
+    t = 2 pi k / 16.  Then each edge, of half-length R sin(pi/16) = 0.195 R,
+    keeps R cos(pi/16) - R/2 >= 0.481 R from every singularity: Bernstein
+    parameter 5.12, so the 12-node rule is good to about 1e-17.  And vertex
+    0 lies on the real axis at x = c + R >= (R + 1)/2, as |c| <= rho; the
+    level-12 node next to it sits 0.0035 R off the axis, well inside
+    _real_axis_anchor's threshold 1e-2 (1 + x), about 0.005 R + 0.015 or
+    more; a 12-gon would keep 8 % of margin there.  The roots must be finite.
+    """
+    pts = np.array(_finite("big loop roots", *map(complex, roots)))
+    singular = np.append(pts, 0.0)
     center = complex(np.mean(pts))
-    reach = float(np.max(np.abs(pts - center)))
-    radius = _BIG_LOOP_FACTOR * reach + _BIG_LOOP_PAD
-    return _ellipse_polygon(
-        center, 1.0 + 0.0j, radius, radius, orientation, np.append(pts, 0.0)
-    )
+    radius = _BIG_LOOP_FACTOR * float(np.max(np.abs(singular - center))) + _BIG_LOOP_PAD
+    verts = center + radius * (_LOOP_COS[::3] + 1j * _LOOP_SIN[::3])
+    return _closed_polygon(verts, orientation, singular)
 
 
 def polyline(vertices):
@@ -396,7 +412,7 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
     level rounds as it would alone.  y dx/x^2 needs the edges clear of the
     origin, by the contour's origin_gap, or measured here when it has none.
     """
-    if contour.clearance <= 0.0:
+    if not contour.clearance > 0.0:  # a nan clearance is refused too
         raise ValidationError("contour has nonpositive clearance")
     if any(d == "y dx/x^2" for d in differentials):
         gap = contour.origin_gap
@@ -651,7 +667,12 @@ def residue_check(a, tol: float = 1e-10) -> float:
     The class at infinity is realized as a negatively oriented big loop
     around every branch point, lifted to the reference sheet (anchored where
     it crosses the real axis right of every branch point), where the
-    integral must equal -i*pi*a1 exactly.  The quartic and its roots come
+    integral must equal -i*pi*a1 exactly.  The loop's radius is 2 rho + 1,
+    rho the farthest of the roots and the origin from the roots' mean, so
+    its 16 edges keep 0.481 R from every singularity at half-length 0.195 R
+    (Bernstein parameter 5.12: 12 nodes per edge reach about 1e-17), and the
+    anchor node sits 0.0035 R off the real axis, inside the anchor's
+    threshold of at least 0.005 R + 0.015.  The quartic and its roots come
     from the point's record, which the action routes share; the check never
     runs the Sturm count.
     """

@@ -7,7 +7,7 @@ import pytest
 
 from topmonodromy.discriminant import delta_c_section, g2_branch
 from topmonodromy.errors import ValidationError
-from topmonodromy.periods import action_I1, action_I1_cubic
+from topmonodromy.periods import action_I1, action_I1_cubic, big_loop, pair_loop
 from topmonodromy.spectral import SpectralCoeffs
 from topmonodromy.topsys import LevelVector, TopState
 
@@ -37,6 +37,14 @@ REFUSALS = {
     "cubic action": (
         lambda: action_I1_cubic([0.1, 1.2, -INF]),
         "action point must be finite, got (0.1, 1.2, -inf)",
+    ),
+    "big loop roots": (
+        lambda: big_loop([0, 1, NAN]),
+        "big loop roots must be finite, got (0j, (1+0j), (nan+0j))",
+    ),
+    "pair loop avoid points": (
+        lambda: pair_loop([0, 1, 3], (0, 1), avoid=(0.0, complex(0.5, -INF))),
+        "pair loop avoid points must be finite, got (0j, (0.5-infj))",
     ),
     "section input": (
         lambda: delta_c_section(NAN, 1),

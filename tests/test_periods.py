@@ -181,6 +181,38 @@ def test_pair_loop_rejects_bad_input():
         pair_loop(rs, (0, 9))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pair_loop([0, 1, math.inf, 2j], (0, 1)),
+        lambda: pair_loop([0, 1, 3, math.nan], (0, 1)),
+        lambda: pair_loop([0, 1, 3], (0, 1), avoid=(complex(0.0, math.inf),)),
+        lambda: pair_loop([0, 1, 3], (0, 1), avoid=(0.0, math.nan)),
+        lambda: big_loop([0, 1, math.nan]),
+        lambda: big_loop([0, 1, math.inf]),
+        lambda: big_loop([0, 1, complex(-math.inf, 1.0)]),
+    ],
+    ids=["pair-inf", "pair-nan", "avoid-inf", "avoid-nan", "big-nan", "big-inf", "big-neg-inf"],
+)
+def test_contour_builders_refuse_points_that_are_not_finite(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="must be finite"):
+            build()
+
+
+# a clearance of 0.0 is a case of test_batched_ladder_fails_like_the_per_level_ladder
+@pytest.mark.parametrize("clearance", [-1.0, math.nan])
+def test_a_contour_without_positive_clearance_is_refused(clearance):
+    spec = ContourSpec(vertices=(1.0, 1.0j, -1.0), clearance=clearance)
+    with pytest.raises(ValidationError, match="nonpositive clearance"):
+        cycle_integral(UNIT_QUARTIC, spec, "dx/y")
+    with pytest.raises(ValidationError, match="nonpositive clearance"):
+        periods._anchored_values(
+            UNIT_QUARTIC, spec, ("y dx/x^2",), 1e-10, periods._real_axis_anchor
+        )
+
+
 def test_big_loop_contains_all_roots():
     rs = roots(UNIT_QUARTIC)
     for o in (1, -1):
@@ -302,6 +334,55 @@ def test_residue_identity_on_big_loop():
     # the integral equals -i pi a1 exactly.
     for a in [(0.0, 2.0, 0.0), (1.0, 0.3, -0.4), (-0.7, 1.9, 0.3)]:
         assert residue_check(a) < 1e-10
+
+
+# Points of C: |a1|, |a3| <= 1 with a2 log-uniform in [2.5, 1e4]; and the
+# small-reach family (-+4, 6 + delta, -+4) just above the real fourfold root
+# (x -+ 1)^4 at delta = 0, whose roots all sit within about delta^(1/4) of
+# +-1, so a circle sized to the roots alone passed close to the origin.
+POINTS_OF_C = st.tuples(
+    st.floats(-1.0, 1.0),
+    st.floats(math.log(2.5), math.log(1e4)).map(math.exp),
+    st.floats(-1.0, 1.0),
+) | st.tuples(st.sampled_from((-4.0, 4.0)), st.floats(-12.0, -4.0)).map(
+    lambda t: (t[0], 6.0 + 10.0 ** t[1], t[0])
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(a=POINTS_OF_C, orientation=st.sampled_from((1, -1)))
+def test_big_loop_is_sized_to_its_integrand(a, orientation):
+    f = quartic_poly(a)
+    assume(real_root_count(f) == 0)
+    rs = np.array(roots(f))
+    loop = big_loop(rs, orientation=orientation)
+    # radius 2 rho + 1, rho the farthest of the roots and the origin from
+    # the roots' mean; vertices every third point of the 48-point table
+    center = complex(np.mean(rs))
+    radius = 2.0 * float(np.max(np.abs(np.append(rs, 0.0) - center))) + 1.0
+    verts = center + radius * (periods._LOOP_COS[::3] + 1j * periods._LOOP_SIN[::3])
+    if orientation == -1:
+        verts = np.concatenate((verts[:1], verts[:0:-1]))
+    assert len(loop.vertices) == 16
+    assert np.array(loop.vertices).tobytes() == verts.tobytes()
+    assert windings(loop, [*rs, 0.0]) == [orientation] * 5
+    assert loop.origin_gap >= 0.45 * radius
+    assert loop.clearance >= 0.45 * radius
+    x, _ = loop.nodes(12)
+    j, _ = periods._real_axis_anchor(x, f(x))  # raises past its threshold
+    # right of every root, and within 3/4 of the threshold 1e-2 (1 + |x|):
+    # 0.0035 R off the axis against at least 0.005 R + 0.015
+    assert x[j].real > max(rs.real)
+    assert abs(x[j].imag) <= 0.75e-2 * (1.0 + abs(x[j].real))
+    assert residue_check(a) < 1e-12 * max(1.0, abs(a[0]))
+
+
+def test_the_big_loop_keeps_clear_of_the_origin_next_to_a_fourfold_root():
+    # 6 + 1e-12 is in C by the exact Sturm count; the circle around the
+    # roots alone passed about 3e-3 from the origin, with a defect of 3.5e-10
+    a = (-4.0, 6.0 + 1e-12, -4.0)
+    assert real_root_count(quartic_poly(a)) == 0
+    assert residue_check(a) < 1e-12
 
 
 def test_big_loop_y_dx_over_x2_matches_minus_i_pi_a1():
@@ -1281,7 +1362,8 @@ def test_batched_ladder_fails_like_the_per_level_ladder():
          1e-10),
         # f vanishes at a node of the 24-node level alone
         (ComplexPoly.of([-x24[5], 1.0]), triangle, ("dx/y",), 1e-10),
-        (UNIT_QUARTIC, big_loop(rs, orientation=-1), ("y dx/x^2",), 1e-30),
+        # a big loop's ladder exhausted: no two levels can agree to 0
+        (UNIT_QUARTIC, big_loop(rs, orientation=-1), ("y dx/x^2",), 0.0),
     ]
     errors = []
     for f, spec, diffs, tol in cases:
@@ -1295,7 +1377,7 @@ def test_batched_ladder_fails_like_the_per_level_ladder():
         ("contour passes through the origin pole", 0.0),
         ("contour has nonpositive clearance", None),
         ("contour passes through a branch point", None),
-        ("quadrature did not reach tol=1e-30", None),
+        ("quadrature did not reach tol=0.0", None),
     ]
     assert abs(errors[1][1] - rs[0]) < 1e-3
 
@@ -1555,19 +1637,20 @@ def test_spectral_coeffs_feed_periods_directly():
 # the point record that the action routes and the residue check share
 # ---------------------------------------------------------------------------
 
-# .hex() of action_I1, action_I1_cubic and residue_check, recorded before the
-# three shared a record: two general points; the plane a1 = a3 below the
-# double pair, on it and 1e-9 off it; 1e-7 off the plane above the double
-# pair; and a stratum point
+# .hex() of action_I1, action_I1_cubic and residue_check at two general
+# points; the plane a1 = a3 below the double pair, on it and 1e-9 off it;
+# 1e-7 off the plane above the double pair; and a stratum point.  The action
+# values were recorded before the three shared a record, the residue defects
+# on the 16-vertex big loop whose circle covers the origin.
 RECORD_PINS = {
-    (0.9, 2.8, -0.4): ("0x1.3633ce1ad7a79p+0", "0x1.3633ce1ad7a7ap+0", "0x1.0000000000000p-50"),
+    (0.9, 2.8, -0.4): ("0x1.3633ce1ad7a79p+0", "0x1.3633ce1ad7a7ap+0", "0x0.0p+0"),
     (0.3, 1.2, -0.2): ("0x1.c5fc5b3a3e222p-1", "0x1.c5fc5b3a3e244p-1", "0x1.0000000000000p-51"),
-    (0.4, 1.5, 0.4): ("0x1.a831c367aecc2p-1", "0x1.a831c367aecc1p-1", "0x1.0000000000000p-51"),
+    (0.4, 1.5, 0.4): ("0x1.a831c367aecc2p-1", "0x1.a831c367aecc1p-1", "0x0.0p+0"),
     (0.4 + 1e-9, 1.5, 0.4): (
         "0x1.a831c36554237p-1", "0x1.a831c3655423bp-1", "0x1.1e3779b97f4a8p-50"
     ),
     (0.3, 2.4225, 0.3 + 1e-7): (
-        "0x1.51a92dfd5adb8p+0", "0x1.51a92dfd5ac9bp+0", "0x1.07e0f66afed07p-49"
+        "0x1.51a92dfd5adb8p+0", "0x1.51a92dfd5ac9bp+0", "0x1.1e3779b97f4a8p-50"
     ),
     (0.3, 2.4225, 0.3): ("0x1.51a92edb8fb66p+0", "0x1.51a92edb8fb64p+0", "0x0.0p+0"),
 }
