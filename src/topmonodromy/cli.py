@@ -239,7 +239,7 @@ def _parse_loop(opts):
     if base is not None:
         want = _parse_floats(base, "base")
         if len(want) != 3 or any(
-            abs(a - b) > 1e-12 for a, b in zip(want, loop.base)
+            not abs(a - b) <= 1e-12 for a, b in zip(want, loop.base)
         ):
             raise ValidationError(
                 f"--base {base} does not match the loop base {loop.base}"

@@ -287,7 +287,16 @@ def _signed(cand, signs):
 
 
 def _lift_steps(fvals, y_start=None):
-    """The lift of _lift_open, with the squared ambiguity of every step."""
+    """Continuous square root along a sampled path; returns (y, q), q the
+    squared ambiguity of every step.
+
+    Each step is read off one product: for consecutive principal roots a, b
+    with d = Re(a conj(b)) and s = |a|^2 + |b|^2, keeping and flipping the
+    sign land |b - a|^2 = s - 2d and |b + a|^2 = s + 2d away.  So the step
+    flips where d < 0, and its ambiguity, the ratio of the nearer to the
+    farther distance, is sqrt(q) with q = (s - 2|d|) / (s + 2|d|).  y_start
+    optionally pins the sheet of the first sample.
+    """
     cand, signs, q = _step_signs(fvals)
     y = _signed(cand, signs)
     if y_start is not None:
@@ -295,20 +304,6 @@ def _lift_steps(fvals, y_start=None):
         flip = np.abs(y0 - y_start) > np.abs(y0 + y_start)
         y = np.where(flip[..., None], -y, y)
     return y, q
-
-
-def _lift_open(fvals, y_start=None):
-    """Continuous square root along a sampled path; returns (y, ambiguity).
-
-    Each step is read off one product: for consecutive principal roots a, b
-    with d = Re(a conj(b)) and s = |a|^2 + |b|^2, keeping and flipping the
-    sign land |b - a|^2 = s - 2d and |b + a|^2 = s + 2d away.  So the step
-    flips where d < 0, and its ratio of the nearer to the farther distance
-    is sqrt((s - 2|d|) / (s + 2|d|)); the ambiguity is the worst step's
-    ratio.
-    """
-    y, q = _lift_steps(fvals, y_start)
-    return y, float(np.sqrt(np.max(q, initial=0.0)))
 
 
 def _closure(y, q):
@@ -747,7 +742,7 @@ def _on_double_pair(a1, a2, a3):
     return 4 * n2 * d3 * d3 == d2 * (8 * d3 * d3 + n3 * n3)
 
 
-def _vanishing_pair(a, point=None):
+def _vanishing_pair(a, point):
     """Roots of the action quartic, the cycle-defining pair, and whether a
     lies on the palindromic stratum.
 
@@ -765,10 +760,9 @@ def _vanishing_pair(a, point=None):
     cycle's value is the average of the two images, the loop around the
     conjugate pair inside the unit circle (upper root first).  At the
     complex double pair itself the branch points meet in two pairs, so no
-    pair loop exists, and the point is refused as degenerate.  A caller that
-    holds the record of _action_quartic(a) passes it as point.
+    pair loop exists, and the point is refused as degenerate.  point is the
+    record of _action_quartic(a), whose roots are read.
     """
-    point = point or _action_quartic(a)
     a1, a2, a3 = a
     if _on_double_pair(a1, a2, a3):
         raise DegenerateInputError("parameters are on the complex double pair (repeated root)")

@@ -3,15 +3,15 @@
 Coefficients are stored in ascending degree order (coeffs[k] multiplies x^k).
 The zero polynomial is the empty coefficient list and has degree -1.
 
-Root finding is a simultaneous Aberth-Ehrlich iteration started on a circle
-of radius given by the Fujiwara bound, or warm-started from given guesses
-(the march's step kernel runs the same sweep from the previous fiber's
-roots).  Each iterate moves from its own start, so a warm start returns
-root i as the continuation of guess i, in the order of the guesses; a cold
-start returns the roots sorted.  The package's polynomials have degree 3
-to 6, so the iteration runs on Python complex scalars in a kernel generated
-once per degree (`_aberth_kernel`), not on NumPy arrays, whose per-call
-overhead dominated at these sizes.
+Root finding is a simultaneous Aberth-Ehrlich iteration, the sweep of
+`_aberth_kernel`, which has two callers: `roots` starts it cold on a circle
+of radius given by the Fujiwara bound and returns the roots sorted, and the
+march's step kernel (`tracking._step_kernel`) warm-starts it from the
+previous fiber's roots.  Each iterate moves from its own start, so a warm
+start returns root i as the continuation of guess i.  The package's
+polynomials have degree 3 to 6, so the iteration runs on Python complex
+scalars in a kernel generated once per degree, not on NumPy arrays, whose
+per-call overhead dominated at these sizes.
 Measured per call (Python 3.11, NumPy 2.4, minimum of 7 runs), a
 warm-started quartic takes 20 us against 165 us for the former NumPy sweep
 loop and 29 us for plain Python loops; a warm-started sextic takes 40 us
@@ -234,19 +234,13 @@ def _aberth_kernel(n):
     return namespace["sweep"]
 
 
-def roots(p: ComplexPoly, tol: float = _ROOT_TOL, initial=None):
-    """All roots of p by simultaneous Aberth-Ehrlich iteration.
+def roots(p: ComplexPoly, tol: float = _ROOT_TOL):
+    """All roots of p by simultaneous Aberth-Ehrlich iteration, sorted
+    lexicographically by (real, imag).
 
-    Returns exactly p.degree values.  `initial` optionally warm-starts the
-    iteration; root i is then the iterate started at initial[i], so the
-    roots come back in the order of their starts.  No library code passes
-    it (the march's step kernel calls the Aberth sweep directly); it stays
-    for callers and for the tests' re-matching reference of the march,
-    conftest._MatchingMarch.
-    Guesses that coincide exactly would move in lockstep, each meeting the
-    residual contract on its own at one root, so they fall back to the cold
-    start.  A cold start, fallen back to or not, returns the roots sorted
-    lexicographically by (real, imag).  Residual contract:
+    Returns exactly p.degree values.  The iteration starts cold, on the
+    Fujiwara circle; the march warm-starts the same sweep in its own step
+    kernel (tracking._step_kernel).  Residual contract:
     |p(r)| <= tol * max|coeff| * max(1,|r|)^degree.  Raises
     RootFindingError when the contract is not met within _ABERTH_BUDGET
     sweeps or the iteration overflows.
@@ -254,23 +248,8 @@ def roots(p: ComplexPoly, tol: float = _ROOT_TOL, initial=None):
     n = p.degree
     if n < 1:
         raise ValidationError("roots requires degree >= 1")
-    z = None
-    if initial is not None:
-        try:
-            z = [complex(v) for v in initial]
-        except (TypeError, ValueError):
-            z = None
-        if z is None or len(z) != n:
-            raise ValidationError("initial guesses must match the degree")
-        if len(set(z)) < n:
-            z = None
-    warm = z is not None
-    if not warm:
-        radius = _fujiwara_radius(p.coeffs)
-        z = [
-            cmath.rect(radius, 2.0 * math.pi * (k + 0.5) / n + 0.41)
-            for k in range(n)
-        ]
+    radius = _fujiwara_radius(p.coeffs)
+    z = [cmath.rect(radius, 2.0 * math.pi * (k + 0.5) / n + 0.41) for k in range(n)]
     desc = p.coeffs[::-1]
     deriv = [k * c for k, c in zip(range(n, 0, -1), desc)]
     z, best = _aberth_kernel(n)(tol * p.coeff_scale(), z, *desc, *deriv)
@@ -279,7 +258,7 @@ def roots(p: ComplexPoly, tol: float = _ROOT_TOL, initial=None):
             "Aberth iteration did not converge within %d sweeps" % _ABERTH_BUDGET,
             best_residual=best,
         )
-    return z if warm else sorted(z, key=lambda v: (v.real, v.imag))
+    return sorted(z, key=lambda v: (v.real, v.imag))
 
 
 def _sylvester(p: ComplexPoly, q: ComplexPoly) -> np.ndarray:
@@ -312,9 +291,20 @@ def discriminant(p: ComplexPoly) -> complex:
 
 
 def normalized_discriminant(p: ComplexPoly) -> float:
-    """|disc(p / max|coeff|)|: scale-invariant, as disc has degree 2n - 2."""
+    """|disc(p / max|coeff|)|: scale-invariant, as disc has degree 2n - 2.
+
+    Where a pivot of the Sylvester elimination underflows, LAPACK's
+    determinant reads NaN and raises divide and invalid flags.  For finite
+    coefficients the discriminant is then below the float range (at most
+    4e-308 in exact arithmetic on grids of extreme quartics and sextics),
+    so it reads 0.0, which in_component_C decides exactly.
+    """
     scale = p.coeff_scale()
-    return abs(discriminant(ComplexPoly.of([c / scale for c in p.coeffs])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = abs(discriminant(ComplexPoly.of([c / scale for c in p.coeffs])))
+    if math.isnan(d) and all(map(cmath.isfinite, p.coeffs)):
+        return 0.0
+    return d
 
 
 def _integer_coeffs(p: ComplexPoly):

@@ -163,7 +163,10 @@ def parameter_loop(g, waypoints, orientation=1, name="", stratum=None):
         raise ValidationError("orientation must be +1 or -1")
     pts = []
     for w in waypoints:
-        t = tuple(float(v) for v in w)
+        try:
+            t = tuple(float(v) for v in w)
+        except (TypeError, ValueError, OverflowError):
+            t = ()
         if len(t) != 3 or not all(math.isfinite(v) for v in t):
             raise ValidationError("each waypoint needs 3 finite coordinates")
         pts.append(t)
@@ -567,12 +570,12 @@ def _step_kernel(n):
     separation keeps the floor _SEP_FLOOR * max(1, max|r|); every root
     moves less than _STEP_FRAC margins, a margin being _MARGIN_FRAC of the
     smaller of the two separations; no two swaps share a root, since those
-    do not commute.  They take the float operations of the former roots()
-    call and its checks in the same order, so a march is the same bit for
-    bit.  roots() falls back to a cold start on coincident guesses, which
-    the kernel need not do: an accepted fiber keeps a separation of at
-    least _SEP_FLOOR > 0, and a base with coincident roots has margin 0, so
-    every step from it is rejected either way.
+    do not commute.  They take the float operations of the former
+    warm-started roots() call and its checks in the same order, so a march
+    is the same bit for bit.  Coincident starts need no cold fallback: an
+    accepted fiber keeps a separation of at least _SEP_FLOOR > 0, and a
+    base with coincident roots has margin 0, so every step from it is
+    rejected.
     """
     zs = [f"z{i}" for i in range(n)]
     ms = [f"m{i}" for i in range(n)]

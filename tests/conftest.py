@@ -10,11 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from topmonodromy import tracking
+from topmonodromy import poly, tracking
 from topmonodromy.errors import DegenerateInputError, RootFindingError, ValidationError
 from topmonodromy.homology import _min_separation
 from topmonodromy.periods import _PAIR_PAD
-from topmonodromy.poly import discriminant, roots
+from topmonodromy.poly import discriminant
 from topmonodromy.topsys import TopState
 from topmonodromy.tracking import ParameterLoop, fiber_polynomial
 
@@ -234,6 +234,21 @@ def projection_swaps(fa, fb, rot):
     return events
 
 
+def warm_roots(p, guesses, tol=1e-12):
+    """The roots of p by poly's Aberth sweep started at the distinct guesses,
+    root i the continuation of guesses[i]: the former roots(p,
+    initial=guesses), with the same arguments to the same kernel.  Raises
+    RootFindingError as roots() does."""
+    z = [complex(v) for v in guesses]
+    assert len(z) == p.degree and len(set(z)) == len(z), "distinct guesses, one per root"
+    desc = p.coeffs[::-1]
+    deriv = [k * c for k, c in zip(range(p.degree, 0, -1), desc)]
+    z, best = poly._aberth_kernel(p.degree)(tol * p.coeff_scale(), z, *desc, *deriv)
+    if z is None:
+        raise RootFindingError("the warm-started sweep did not converge", best_residual=best)
+    return z
+
+
 class _MatchingMarch(tracking._March):
     """The root march as it was before warm-started roots kept their labels.
 
@@ -244,7 +259,7 @@ class _MatchingMarch(tracking._March):
 
     def _try_advance(self, target):
         try:
-            rs_new = roots(fiber_polynomial(self.g, target), initial=self.rs)
+            rs_new = warm_roots(fiber_polynomial(self.g, target), self.rs)
         except RootFindingError:
             return False
         rs_new = sorted(rs_new, key=lambda v: (v.real, v.imag))

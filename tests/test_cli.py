@@ -1,9 +1,18 @@
 """Tests for the command-line front end."""
 
 import csv
+import io
 import json
+import math
+import os
+import signal
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topmonodromy import periods
 from topmonodromy.cli import main
@@ -67,6 +76,8 @@ REFUSED = [
     ("invariants", "--m", "-inf", "--state=1,0,0;0,0,1"),
     ("actions", "--bogus"),
     ("actions", "--point"),
+    ("monodromy", "--g", "1", "--loop", "cushman", "--base=nan,1,0"),
+    ("monodromy", "--g", "1", "--loop", "cushman", "--base=0,nan,0"),
 ]
 
 
@@ -703,3 +714,106 @@ class TestConfigFile:
         cfg.write_text("{not json")
         code, data = run_cli(capsys, "actions", "--config", str(cfg))
         assert code == 2
+
+
+# The boundary property: argvs built from extreme floats, run in process
+# through main.  simulate and monodromy are left out, since one example of
+# either runs a whole integration or march.
+EXTREMES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-8, 0.5, 1.0, -1.0, 2.0, 1e8, 1e150,
+    1e300, -1e300, sys.float_info.max, -sys.float_info.max,
+    math.nan, math.inf, -math.inf,
+)
+# The error types an example may exit 1 with, each with the ROADMAP item
+# that tracks it or the reason it is a documented refusal.
+EXIT_1_TYPES = {
+    "RootFindingError": "ROADMAP item 18: the cold root finder at extreme scales",
+    "QuadratureError": "ROADMAP item 17: the contour action route on all of C",
+    "NearDiscriminantError": "a documented refusal: a point too close to the discriminant",
+    "DegenerateInputError": "a documented refusal: a degenerate point",
+}
+EXAMPLE_SECONDS = 10
+
+
+def _numbers(count):
+    """count values of EXTREMES, comma-separated."""
+    values = st.lists(st.sampled_from(EXTREMES), min_size=count, max_size=count)
+    return values.map(lambda vs: ",".join(map(repr, vs)))
+
+
+@st.composite
+def _option(draw, flag, text):
+    """flag and its value, as --flag=value or as --flag value."""
+    return [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+
+
+@st.composite
+def _state(draw):
+    g = draw(st.sampled_from((1, 2)))
+    return ";".join(draw(_numbers(3)) for _ in range(g + 1))
+
+
+@st.composite
+def _argv(draw, command, out):
+    argv = [command]
+    if command == "actions":
+        argv += draw(_option("--point", draw(_numbers(3))))
+        if draw(st.booleans()):
+            argv += draw(_option("--area", draw(_numbers(1))))
+    elif command == "invariants":
+        argv += draw(_option("--m", draw(_numbers(1))))
+        argv += draw(_option("--state", draw(_state())))
+    elif command == "spectral":
+        argv += draw(_option("--m", draw(_numbers(1))))
+        if draw(st.booleans()):
+            argv += draw(_option("--state", draw(_state())))
+        else:
+            count = draw(st.sampled_from((4, 6)))
+            argv += draw(_option("--levels", draw(_numbers(count))))
+    else:
+        g = draw(st.sampled_from((1, 2)))
+        argv += ["--g", str(g), "--samples", "3", f"--out={out}"]
+        flags = ("--c", "--u-min", "--u-max") if g == 1 else ("--c2-min", "--c2-max")
+        for flag in flags:
+            if flag == "--c" or draw(st.booleans()):
+                argv += draw(_option(flag, draw(_numbers(1))))
+    return argv
+
+
+def _alarm(signum, frame):
+    raise AssertionError(f"an example ran past {EXAMPLE_SECONDS} s")
+
+
+class TestBoundaryProperty:
+    @pytest.mark.parametrize("command", ["actions", "invariants", "spectral", "discriminant"])
+    def test_extreme_numbers_give_a_report_or_a_typed_refusal(self, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out.csv")
+
+            @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+            @given(_argv(command, out))
+            def check(argv):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                previous = signal.signal(signal.SIGALRM, _alarm)
+                signal.alarm(EXAMPLE_SECONDS)
+                try:
+                    with redirect_stdout(stdout), redirect_stderr(stderr):
+                        code = main(argv)
+                finally:
+                    signal.alarm(0)
+                    signal.signal(signal.SIGALRM, previous)
+                data = json.loads(stdout.getvalue(), parse_constant=_not_json)
+                assert isinstance(data, dict)
+                assert stderr.getvalue() == ""
+                assert code in (0, 1, 2)
+                if code == 0:
+                    assert data["command"] == command
+                else:
+                    assert set(data) == {"schema_version", "error"}
+                    assert not os.path.exists(out)
+                if code == 1:
+                    assert data["error"]["type"] in EXIT_1_TYPES, data["error"]
+                if os.path.exists(out):
+                    os.remove(out)
+
+            check()

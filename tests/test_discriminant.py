@@ -222,10 +222,17 @@ class TestComponentMembership:
 
     # normalized discriminants that underflow to 0: x^4 + 1e300 x^2 + 1e300
     # has no real root, x^4 - 1e300 x^2 + 1e300 has four, and neither has a
-    # repeated root, so the exact tests decide them
+    # repeated root, so the exact tests decide them.  For x^4 +- 1e-323 an
+    # elimination pivot underflows and LAPACK's determinant read NaN, with a
+    # divide warning
     @pytest.mark.parametrize(
         "f, inside",
-        [([1e300, 0.0, 1e300, 0.0, 1.0], True), ([1e300, 0.0, -1e300, 0.0, 1.0], False)],
+        [
+            ([1e300, 0.0, 1e300, 0.0, 1.0], True),
+            ([1e300, 0.0, -1e300, 0.0, 1.0], False),
+            ([1e-323, 0.0, 0.0, 0.0, 1.0], True),
+            ([-1e-323, 0.0, 0.0, 0.0, 1.0], False),
+        ],
     )
     def test_an_underflowed_discriminant_is_decided_exactly(self, f, inside):
         assert normalized_discriminant(ComplexPoly.of(f)) == 0.0

@@ -26,7 +26,7 @@ from topmonodromy.homology import (
 )
 from topmonodromy.periods import (
     _AMBIGUITY_LIMIT,
-    _lift_open,
+    _lift_steps,
     _vertex_sqrt,
     basis_contours,
     realized_intersection,
@@ -63,8 +63,8 @@ def _lift_to_parameter(fpoly, spec, t):
         return complex(np.sqrt(fpoly(on_ellipse(spec, 0.0))))
     n = max(64, int(8192 * t / (2.0 * math.pi)))
     x = on_ellipse(spec, np.linspace(0.0, t, n))
-    y, worst = _lift_open(fpoly(x))
-    if worst >= _AMBIGUITY_LIMIT:
+    y, q = _lift_steps(fpoly(x))
+    if float(np.sqrt(np.max(q, initial=0.0))) >= _AMBIGUITY_LIMIT:
         raise QuadratureError("ambiguous lift while locating a crossing")
     return complex(y[-1])
 

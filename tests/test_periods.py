@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Ellipse, ellipse_fit_ref, on_ellipse
+from conftest import Ellipse, ellipse_fit_ref, on_ellipse, warm_roots
 from test_orientation import THIN_BASE
 from topmonodromy import periods, tracking
 from topmonodromy.discriminant import in_component_C, quartic_poly
@@ -22,7 +22,8 @@ from topmonodromy.periods import (
     _AMBIGUITY_LIMIT,
     ContourSpec,
     _a2_deformation_path,
-    _lift_open,
+    _action_quartic,
+    _lift_steps,
     _sheet_sign_at_origin,
     _vertex_sqrt,
     _vanishing_pair,
@@ -642,7 +643,7 @@ def _pair_off_the_roots(a, monkeypatch):
         raise AssertionError("the action needs no root continuation")
 
     monkeypatch.setattr(tracking, "_March", no_march)
-    rs, (i, j), stratum = _vanishing_pair(a)
+    rs, (i, j), stratum = _vanishing_pair(a, _action_quartic(a))
     assert rs[i].imag * rs[j].imag < 0.0
     assert abs(rs[j] - rs[i].conjugate()) <= 1e-12
     assert abs(action_I1(a) - cubic_form_action(a)) < 1e-12
@@ -831,7 +832,7 @@ def fixed_grid_vanishing_pair(a):
         cur = list(rs)
         for s in samples[1:]:
             sep = min(abs(cur[i] - cur[j]) for i in range(4) for j in range(i + 1, 4))
-            new = roots(ComplexPoly.of((1.0, a3, s, a1, 1.0)), initial=cur)
+            new = warm_roots(ComplexPoly.of((1.0, a3, s, a1, 1.0)), cur)
             free = list(range(4))
             matched = []
             for c0 in cur:
@@ -914,7 +915,7 @@ def test_vanishing_pair_matches_fixed_grid_reference(palindromic, detour):
     if not palindromic:
         points += seeded_near_plane_points(2718, 8)
     for a in points:
-        rs, pair, stratum = _vanishing_pair(a)
+        rs, pair, stratum = _vanishing_pair(a, _action_quartic(a))
         assert stratum == detour
         if detour:
             # the stratum reads the conjugate pair inside the unit circle,
@@ -933,7 +934,8 @@ def test_vanishing_pair_matches_fixed_grid_reference(palindromic, detour):
 
 def lift_closed_ref(fvals):
     """The former periods._lift_closed, kept verbatim."""
-    y, worst = _lift_open(fvals)
+    y, q = _lift_steps(fvals)
+    worst = float(np.sqrt(np.max(q, initial=0.0)))
     d_keep = abs(y[0] - y[-1])
     d_flip = abs(y[0] + y[-1])
     hi = max(d_keep, d_flip)
@@ -983,7 +985,7 @@ def action_ellipse_ref(a):
     loop with the origin residue stripped when the origin lies inside the
     ellipse."""
     a3 = a[2]
-    rs, (i, j), stratum = _vanishing_pair(a)
+    rs, (i, j), stratum = _vanishing_pair(a, _action_quartic(a))
     fpoly = SpectralCoeffs.of(1, (a[0], a[1], a[2], 1.0)).poly()
     if not stratum:
         try:
@@ -1172,7 +1174,8 @@ def test_lift_from_one_product_matches_the_former_lift(rows, pinned):
             y_start = rng.standard_normal(fv.shape[:-1]) + 1j * rng.standard_normal(
                 fv.shape[:-1]
             )
-        y, worst = _lift_open(fv, y_start)
+        y, q = _lift_steps(fv, y_start)
+        worst = np.sqrt(np.max(q, axis=-1, initial=0.0))
         y_ref, worst_ref = lift_open_ref(fv, y_start)
         for k in range(rows or 1):
             w, w_ref = np.ravel(worst)[k], np.ravel(worst_ref)[k]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import warm_roots
 
 from topmonodromy.errors import RootFindingError, ValidationError
 from topmonodromy.poly import (
@@ -40,8 +41,9 @@ def numpy_roots(p, tol=1e-12, initial=None):
     The same Aberth-Ehrlich iteration as the library's scalar kernel, as
     whole-array NumPy passes.  NumPy's complex multiply may fuse into FMA and
     its complex abs is not libm hypot, so the two agree to rounding, not bit
-    for bit.  The roots come back in the order roots() promises: in the
-    order of distinct starting guesses, and sorted otherwise.
+    for bit.  The roots come back in the order of distinct starting guesses,
+    as conftest.warm_roots returns them, and sorted otherwise, as roots()
+    returns them.
     """
     n = p.degree
     a = np.asarray(p.coeffs, dtype=complex)
@@ -93,7 +95,7 @@ def test_roots_match_numpy_reference(degree, warm):
             exact = numpy_roots(p, tol=tol)
             initial = [r + 1e-3 * complex(*rng.normal(size=2)) for r in exact]
         want = numpy_roots(p, tol=tol, initial=initial)
-        got = roots(p, tol=tol, initial=initial)
+        got = warm_roots(p, initial, tol=tol) if warm else roots(p, tol=tol)
         assert len(got) == degree
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
@@ -122,14 +124,14 @@ def test_roots_degenerate_starts_match_reference(coeffs, initial):
     p = ComplexPoly.of(coeffs)
     with np.errstate(all="ignore"):
         want = numpy_roots(p, initial=initial)
-    got = roots(p, initial=initial)
+    got = warm_roots(p, initial)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
 
 def test_aberth_kernel_coincident_start_matches_reference():
     # coincident iterates: the pair term is undefined, both move by Newton.
-    # roots() starts such guesses cold, so this calls the kernel directly.
+    # warm_roots refuses such guesses, so this calls the kernel directly.
     p = ComplexPoly.of([1.0, -2.0, 1.0])
     initial = [1.1 + 0j, 1.1 + 0j]
     with np.errstate(all="ignore"):
@@ -140,19 +142,6 @@ def test_aberth_kernel_coincident_start_matches_reference():
     got = sorted(got, key=lambda v: (v.real, v.imag))
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
-
-
-def test_coincident_warm_start_falls_back_to_the_cold_start():
-    # from coincident guesses both iterates would settle on the root 1, each
-    # meeting the residual contract, and 2 would never be found
-    p = ComplexPoly.of([2.0, -3.0, 1.0])
-    got = roots(p, initial=[1.1, 1.1])
-    assert got == roots(p)
-    assert [round(r.real, 12) for r in got] == [1.0, 2.0]
-    assert max(abs(r.imag) for r in got) < 1e-12
-    # a start with only two guesses in common falls back as well
-    q = ComplexPoly.from_roots([1.0, 2.0, 3.0])
-    assert roots(q, initial=[0.9, 0.9, 3.1]) == roots(q)
 
 
 def test_a_warm_start_returns_each_root_at_the_place_of_its_guess():
@@ -167,7 +156,7 @@ def test_a_warm_start_returns_each_root_at_the_place_of_its_guess():
     for _ in range(6):
         order = rng.permutation(len(want))
         initial = [want[k] + 0.05 * complex(*rng.normal(size=2)) for k in order]
-        got = roots(p, initial=initial)
+        got = warm_roots(p, initial)
         assert max(abs(got[i] - want[k]) for i, k in enumerate(order)) < 1e-12
 
 
@@ -182,18 +171,11 @@ def test_a_warm_start_returns_each_root_at_the_place_of_its_guess():
     ids=["overflow", "nan"],
 )
 def test_roots_non_finite_iteration_fails(coeffs, initial):
+    p = ComplexPoly.of(coeffs)
     with pytest.raises(RootFindingError) as err:
-        roots(ComplexPoly.of(coeffs), initial=initial)
+        roots(p) if initial is None else warm_roots(p, initial)
     # no sweep had a finite residual ratio for every root
     assert err.value.best_residual == math.inf
-
-
-@pytest.mark.parametrize(
-    "initial", [[1.0], [1.0, 2.0, 3.0], np.zeros((2, 1)), [[1.0, 2.0]]]
-)
-def test_roots_initial_must_match_degree(initial):
-    with pytest.raises(ValidationError):
-        roots(ComplexPoly.of([1.0, 0.0, 1.0]), initial=initial)
 
 
 def test_roots_quadratic_pure_imaginary():

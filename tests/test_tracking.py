@@ -15,6 +15,7 @@ from conftest import (
     matching_march,
     projection_swaps,
     star_loop,
+    warm_roots,
 )
 
 from topmonodromy.discriminant import quartic_poly, sextic_poly
@@ -118,6 +119,15 @@ class TestParameterLoop:
     def test_requires_finite_coordinates(self):
         with pytest.raises(ValidationError):
             parameter_loop(1, [(0, 1, 0), (0, float("nan"), 0), (0, 1, 0)])
+
+    # each raised TypeError, ValueError or OverflowError from float() before
+    @pytest.mark.parametrize(
+        "bad", [(0, 1j, 0), 1.5, ("a", 1, 0), (10**400, 1, 0)],
+        ids=["complex", "scalar", "text", "huge-int"],
+    )
+    def test_malformed_waypoints_are_refused_typed(self, bad):
+        with pytest.raises(ValidationError, match="3 finite coordinates"):
+            parameter_loop(1, [(0, 1, 0), bad, (0, 1, 0)])
 
     def test_rejects_waypoint_on_discriminant(self):
         with pytest.raises(NearDiscriminantError):
@@ -387,7 +397,7 @@ class TestTypedFailures:
     def test_a_step_whose_sweep_does_not_converge_is_rejected(self):
         target = (0.0, 1e300, 0.0)
         with pytest.raises(RootFindingError):
-            roots(fiber_polynomial(1, target), initial=_March(1, self.BASE).rs)
+            warm_roots(fiber_polynomial(1, target), _March(1, self.BASE).rs)
         self._assert_both_reject(self.BASE, target)
 
     def test_a_step_below_the_separation_floor_is_rejected(self):
@@ -396,7 +406,7 @@ class TestTypedFailures:
         # the separation floor rejects the step
         point, target = (0.0, 2.0 - 1.1e-12, 0.0), (0.0, 2.0 - 0.9e-12, 0.0)
         state = _March(1, point)
-        new = roots(fiber_polynomial(1, target), initial=state.rs)
+        new = warm_roots(fiber_polynomial(1, target), state.rs)
         sep = _min_separation(new)
         assert sep < tracking._SEP_FLOOR * max(1.0, max(abs(r) for r in new))
         margin = tracking._MARGIN_FRAC * min(state.min_sep, sep)
@@ -407,7 +417,7 @@ class TestTypedFailures:
     def test_a_step_that_moves_a_root_too_far_is_rejected(self):
         target = (0.0, 1.5, 0.0)
         state = _March(1, self.BASE)
-        new = roots(fiber_polynomial(1, target), initial=state.rs)
+        new = warm_roots(fiber_polynomial(1, target), state.rs)
         sep = _min_separation(new)
         assert sep > tracking._SEP_FLOOR * max(1.0, max(abs(r) for r in new))
         margin = tracking._MARGIN_FRAC * min(state.min_sep, sep)
@@ -423,7 +433,7 @@ class TestTypedFailures:
         state = _March(1, point)
         state.rot = cmath.exp(-1j * (0.5 * math.pi - 1e-6))
         rs = list(state.rs)
-        new = roots(fiber_polynomial(1, target), initial=rs)
+        new = warm_roots(fiber_polynomial(1, target), rs)
         perm, _ = _match_roots(rs, new)
         swaps = projection_swaps(rs, [new[j] for j in perm], state.rot)
         assert [(i, j) for _, i, j in swaps] == [(0, 2), (1, 2)]
