@@ -13,17 +13,17 @@ agree, and the 24-node value is accurate to rounding.  The square root
 is continued node by node, with the sign of each step read off one
 product; a lift is accepted only when every step has an unambiguous sign
 choice and the lift closes up after a full circuit.  One rule then fixes
-the sheet: an
-anchor names a node j and a square root y_j there, and the lift takes the
-sign that lands nearer y_j.  cycle_integral anchors to a single-valued
-branch of sqrt(f) whose cuts are the segments of the canonical pairing and
-which behaves like +x^{g+1} at large positive real x; because the branch is
-evaluated pointwise, homotopic contours always integrate on the same sheet.
-The action and the residue check anchor y = +sqrt(f) where the contour
-crosses the real axis right of the branch points it encloses (f > 0 there),
-which normalizes the vanishing cycle the same way at every cut.  The
-monodromy tracker's basis polygons integrate on the sheet of a square root
-pinned at their first vertex, and are oriented on those same polygons:
+the sheet: a contour's anchor (k, y_k), a root y_k of f at vertex k, is
+fixed before the ladder, and each level's lift takes the sign nearer y_k
+at its first node on edge k.  cycle_integral anchors at the vertex of
+largest |f| to a single-valued branch of sqrt(f) with cuts on the
+canonical pairing, like +x^{g+1} at large positive real x; evaluated
+pointwise, it puts homotopic contours on the same sheet.  The action and
+the residue check anchor y = +sqrt(f) at the rightmost vertex, which
+their loops put on the real axis right of the branch points they enclose
+(f > 0 there).  The monodromy tracker's basis polygons integrate on the
+sheet of a square root pinned at their first vertex, and are oriented on
+those same polygons:
 normalized_basis_contours counts their signed same-sheet crossings and
 reverses each polygon whose sign is -1.  The
 action's vanishing cycle is read off the base roots, with no root
@@ -239,10 +239,10 @@ def big_loop(roots, orientation=1):
     t = 2 pi k / 16.  Then each edge, of half-length R sin(pi/16) = 0.195 R,
     keeps R cos(pi/16) - R/2 >= 0.481 R from every singularity: Bernstein
     parameter 5.12, so the 12-node rule is good to about 1e-17.  And vertex
-    0 lies on the real axis at x = c + R >= (R + 1)/2, as |c| <= rho; the
-    level-12 node next to it sits 0.0035 R off the axis, well inside
-    _real_axis_anchor's threshold 1e-2 (1 + x), about 0.005 R + 0.015 or
-    more; a 12-gon would keep 8 % of margin there.  The roots must be finite.
+    0, the rightmost, lies on the real axis (for conjugate-symmetric roots,
+    to rounding) at x = c + R >= (R + 1)/2, as |c| <= rho: right of every
+    branch point, where _real_axis_anchor pins the sheet.  The roots must
+    be finite.
     """
     pts = np.array(_finite("big loop roots", *map(complex, roots)))
     singular = np.append(pts, 0.0)
@@ -353,32 +353,25 @@ def reference_branch(f, x):
     return out if np.ndim(x) else complex(out)
 
 
-def _branch_anchor(fpoly):
-    """Anchor on the cut-plane branch, at the node where |f| is largest."""
-    lead, pairs = fpoly.coeffs[-1], _cut_pairs(fpoly)
-
-    def anchor(x, fv):
-        j = int(np.argmax(np.abs(fv)))
-        return j, complex(_pair_product(lead, pairs, x[j]))
-
-    return anchor
+def _branch_anchor(fpoly, contour):
+    """Anchor on the cut-plane branch, at the vertex where |f| is largest."""
+    verts = contour._edges[0]
+    k = int(np.argmax(np.abs(fpoly(verts))))
+    return k, complex(_pair_product(fpoly.coeffs[-1], _cut_pairs(fpoly), verts[k]))
 
 
-def _real_axis_anchor(x, fv):
-    """Anchor y = +sqrt(f) at the contour's rightmost real-axis crossing.
-
-    The crossing is the node nearest the real axis among those right of the
-    nodes' mean.  Valid when f > 0 on the real axis from that crossing out to +infinity:
-    continuing +sqrt(f) inward from far on the positive real axis stays real
-    positive up to the crossing, so it sits on the reference sheet.  That
-    holds for a loop around a cut of a curve with no real branch points,
-    and for the big loop, which crosses right of every branch point.
+def _real_axis_anchor(fpoly, contour):
+    """Anchor y = +sqrt(f) at the contour's rightmost vertex, refused off
+    the real axis.  Valid when f > 0 from there out to +infinity, so that
+    +sqrt(f) continued inward stays real positive: as for a loop around a
+    conjugate pair (its vertical cut puts vertex 12 or 36 on the axis) on
+    a curve with no real branch points, and for the big loop (vertex 0).
     """
-    xr = x.real
-    j = int(np.argmin(np.where(xr >= xr.sum() / len(xr), np.abs(x.imag), np.inf)))
-    if abs(x[j].imag) > 1e-2 * (1.0 + abs(x[j].real)):
-        raise QuadratureError("loop does not cross the real axis", location=x[j])
-    return j, np.sqrt(fv[j])
+    verts = contour._edges[0]
+    k = int(np.argmax(verts.real))
+    if abs(verts[k].imag) > 1e-2 * (1.0 + abs(verts[k].real)):
+        raise QuadratureError("loop does not cross the real axis", location=complex(verts[k]))
+    return k, complex(np.sqrt(fpoly(verts[k])))
 
 
 _HOLOMORPHIC = {"dx/y": 0, "x dx/y": 1, "x^2 dx/y": 2, "x^3 dx/y": 3, "x^4 dx/y": 4}
@@ -398,8 +391,9 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
 
     Node counts per edge double from 12 until two consecutive levels agree
     to tol; the lift must be unambiguous at every step and close up after a
-    circuit.  anchor(x, fv) names a node j and a square root there, and the
-    lift takes the sign that lands nearer it.  Returns (values, x, y) from
+    circuit.  anchor is a pair (k, y_k) of a vertex index and a square root
+    of f at vertex k; at every level the lift takes the sign that lands
+    nearer y_k at its first node on edge k.  Returns (values, x, y) from
     the finer of the two levels that agree.  The levels run in the batches
     of _BATCHES: a batch's nodes are evaluated, square-rooted and stepped
     as one array, and each level then lifts its own slice from its first
@@ -416,6 +410,7 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
             gap = np.min(_segment_distances(a, b, np.zeros(1)))
         if gap < 1e-12:
             raise QuadratureError("contour passes through the origin pole", location=0.0)
+    k, ref = anchor
     prev = None
     worst_x = None
     for batch in _BATCHES:
@@ -423,14 +418,12 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
         fvals = fpoly(np.concatenate([x for x, _ in levels]))
         cand, signs, q = _step_signs(fvals)
         lo = 0
-        for x, w in levels:
+        for n, (x, w) in zip(batch, levels):
             hi = lo + len(x)
-            fv = fvals[lo:hi]
             y = _signed(cand[lo:hi], signs[lo : hi - 1])
             worst, closes = _closure(y, q[lo : hi - 1])
             if worst < _AMBIGUITY_LIMIT and closes:
-                j, ref = anchor(x, fv)
-                y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
+                y = y * (1 if abs(y[k * n] - ref) <= abs(y[k * n] + ref) else -1)
                 vals = np.array(
                     [np.sum(_integrand_values(d, x, y) * w) for d in differentials]
                 )
@@ -439,7 +432,7 @@ def _anchored_values(fpoly, contour, differentials, tol, anchor):
                 prev = vals
             else:
                 prev = None
-                worst_x = complex(x[int(np.argmin(np.abs(fv)))])
+                worst_x = complex(x[int(np.argmin(np.abs(fvals[lo:hi])))])
             lo = hi
     if prev is not None:
         raise QuadratureError(f"quadrature did not reach tol={tol}")
@@ -454,7 +447,7 @@ def cycle_integral(f, contour: ContourSpec, differential: str, tol: float = 1e-1
     """
     fpoly = _as_poly(f)
     vals, _, _ = _anchored_values(
-        fpoly, contour, (differential,), tol, _branch_anchor(fpoly)
+        fpoly, contour, (differential,), tol, _branch_anchor(fpoly, contour)
     )
     return complex(vals[0])
 
@@ -473,9 +466,7 @@ def polygon_periods(f, vertices, y_ref, differentials, tol: float = 1e-9):
     y0 = complex(y_ref)
     if y0 == 0.0:
         raise ValidationError("y_ref must be a nonzero square root of f")
-    vals, _, _ = _anchored_values(
-        fpoly, spec, tuple(differentials), tol, lambda x, fv: (0, y0)
-    )
+    vals, _, _ = _anchored_values(fpoly, spec, tuple(differentials), tol, (0, y0))
     return vals
 
 
@@ -660,22 +651,29 @@ def residue_check(a, tol: float = 1e-10) -> float:
     """Defect |I + i*pi*a1| of the loop-at-infinity integral of y dx/x^2.
 
     The class at infinity is realized as a negatively oriented big loop
-    around every branch point, lifted to the reference sheet (anchored where
-    it crosses the real axis right of every branch point), where the
+    around every branch point, lifted to the reference sheet (anchored at
+    its vertex 0, on the real axis right of every branch point), where the
     integral must equal -i*pi*a1 exactly.  The loop's radius is 2 rho + 1,
     rho the farthest of the roots and the origin from the roots' mean, so
     its 16 edges keep 0.481 R from every singularity at half-length 0.195 R
-    (Bernstein parameter 5.12: 12 nodes per edge reach about 1e-17), and the
-    anchor node sits 0.0035 R off the real axis, inside the anchor's
-    threshold of at least 0.005 R + 0.015.  The quartic and its roots come
+    (Bernstein parameter 5.12: 12 nodes per edge reach about 1e-17).  The
+    terms grow with R, and a sum whose rounding, eps * sum |y w / x^2| over
+    the accepted level's nodes, exceeds tol cannot resolve the defect, so
+    it is refused with QuadratureError.  The quartic and its roots come
     from the point's record, which the action routes share; the check never
     runs the Sturm count.
     """
     point = _point(a)
+    fpoly = point.quartic
     loop = big_loop(point.roots, orientation=-1)
-    vals, _, _ = _anchored_values(
-        point.quartic, loop, ("y dx/x^2",), tol, _real_axis_anchor
+    vals, x, y = _anchored_values(
+        fpoly, loop, ("y dx/x^2",), tol, _real_axis_anchor(fpoly, loop)
     )
+    _, _, half, _ = loop._edges
+    w = np.abs(half) * _leggauss(len(x) // len(half))[1]
+    floor = np.finfo(float).eps * float(np.sum(np.abs(y / x**2) * w.ravel()))
+    if floor > tol:
+        raise QuadratureError(f"rounding in the loop integral ({floor:.2g}) exceeds tol={tol}")
     return abs(complex(vals[0]) + 1j * math.pi * a[0])
 
 
@@ -827,7 +825,7 @@ def action_I1(a, A: float = 1.0) -> float:
     except DegenerateInputError:
         loop, avoid = pair_loop(rs, pair, orientation=-1), ()
     vals, x, y = _anchored_values(
-        fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor
+        fpoly, loop, ("y dx/x^2",), 1e-10, _real_axis_anchor(fpoly, loop)
     )
     out = (A * 1j / (2.0 * math.pi)) * complex(vals[0])
     if not avoid and _winding_numbers(loop._edges[0], (0.0,))[0] != 0 and abs(a[2]) > 1e-13:

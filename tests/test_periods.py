@@ -210,7 +210,8 @@ def test_a_contour_without_positive_clearance_is_refused(clearance):
         cycle_integral(UNIT_QUARTIC, spec, "dx/y")
     with pytest.raises(ValidationError, match="nonpositive clearance"):
         periods._anchored_values(
-            UNIT_QUARTIC, spec, ("y dx/x^2",), 1e-10, periods._real_axis_anchor
+            UNIT_QUARTIC, spec, ("y dx/x^2",), 1e-10,
+            periods._real_axis_anchor(UNIT_QUARTIC, spec),
         )
 
 
@@ -341,13 +342,14 @@ def test_residue_identity_on_big_loop():
 # small-reach family (-+4, 6 + delta, -+4) just above the real fourfold root
 # (x -+ 1)^4 at delta = 0, whose roots all sit within about delta^(1/4) of
 # +-1, so a circle sized to the roots alone passed close to the origin.
-POINTS_OF_C = st.tuples(
+LARGE_A2_POINTS = st.tuples(
     st.floats(-1.0, 1.0),
     st.floats(math.log(2.5), math.log(1e4)).map(math.exp),
     st.floats(-1.0, 1.0),
-) | st.tuples(st.sampled_from((-4.0, 4.0)), st.floats(-12.0, -4.0)).map(
-    lambda t: (t[0], 6.0 + 10.0 ** t[1], t[0])
 )
+POINTS_OF_C = LARGE_A2_POINTS | st.tuples(
+    st.sampled_from((-4.0, 4.0)), st.floats(-12.0, -4.0)
+).map(lambda t: (t[0], 6.0 + 10.0 ** t[1], t[0]))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -369,13 +371,68 @@ def test_big_loop_is_sized_to_its_integrand(a, orientation):
     assert windings(loop, [*rs, 0.0]) == [orientation] * 5
     assert loop.origin_gap >= 0.45 * radius
     assert loop.clearance >= 0.45 * radius
-    x, _ = loop.nodes(12)
-    j, _ = periods._real_axis_anchor(x, f(x))  # raises past its threshold
-    # right of every root, and within 3/4 of the threshold 1e-2 (1 + |x|):
-    # 0.0035 R off the axis against at least 0.005 R + 0.015
-    assert x[j].real > max(rs.real)
-    assert abs(x[j].imag) <= 0.75e-2 * (1.0 + abs(x[j].real))
+    # the anchor is vertex 0, right of every root and off the real axis by
+    # the roots' mean's rounding alone (up to about 2e-8 R next to the
+    # fourfold root, whose roots are conditioned like eps^(1/4))
+    k, y0 = periods._real_axis_anchor(f, loop)
+    assert k == 0
+    assert loop.vertices[0].imag == center.imag
+    assert abs(center.imag) <= 1e-6 * radius
+    assert loop.vertices[0].real > max(rs.real)
+    assert y0 == np.sqrt(f(loop.vertices[0]))
     assert residue_check(a) < 1e-12 * max(1.0, abs(a[0]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(a=POINTS_OF_C)
+def test_the_action_loop_is_anchored_on_the_real_axis(a):
+    # the pair loop action_I1 fits around a conjugate pair has a vertical
+    # cut, so its rightmost vertex lies on the real axis right of the pair,
+    # up to the pair's own rounding asym = |r_i - conj(r_j)| (tilting the
+    # cut by up to asym/d) and the rounding of the vertex table
+    point = _action_quartic(a)
+    rs, (i, j), stratum = _vanishing_pair(a, point)
+    try:
+        loop = pair_loop(rs, (i, j), orientation=-1, avoid=() if stratum else (0.0,))
+    except DegenerateInputError:
+        try:
+            loop = pair_loop(rs, (i, j), orientation=-1)
+        except DegenerateInputError:
+            assume(False)  # action_I1 refuses the point: a root is on the cut
+    k, y0 = periods._real_axis_anchor(point.quartic, loop)
+    verts = np.array(loop.vertices)
+    v = verts[k]
+    asym, d = abs(rs[i] - rs[j].conjugate()), abs(rs[i] - rs[j])
+    size = float(np.max(np.abs(verts - 0.5 * (rs[i] + rs[j]))))
+    assert abs(v.imag) <= asym * (1.0 + 2.0 * size / d) + 4.0 * np.finfo(float).eps * size
+    assert v.real > max(rs[i].real, rs[j].real)
+    assert y0 == np.sqrt(point.quartic(v)) and y0.real > 0.0
+
+
+# The refusals action_I1 still makes on C at large a2, where the closed form
+# returns a value: its ladder runs out before two levels agree, or lifts no
+# level unambiguously (as at (0, e^8, 1/32)), and no pair loop is fitted
+# when the other pair sits on the vanishing cut (as at (1e-10, e, 0), where
+# every root is imaginary to rounding and the outer pair vanishes).
+OPEN_ACTION_REFUSALS = {
+    (QuadratureError, "quadrature did not reach tol=1e-10"),
+    (QuadratureError, "branch tracking stayed ambiguous"),
+    (DegenerateInputError, "an excluded point sits on the cut"),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(a=LARGE_A2_POINTS)
+def test_the_contour_action_matches_the_closed_form_at_large_a2(a):
+    # the sheet anchor is a vertex on the real axis, so no point of C is
+    # refused for a loop that misses the axis
+    want = action_I1_cubic(a)
+    try:
+        got = action_I1(a)
+    except (QuadratureError, DegenerateInputError) as exc:
+        assert (type(exc), str(exc)) in OPEN_ACTION_REFUSALS
+        return
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_the_big_loop_keeps_clear_of_the_origin_next_to_a_fourfold_root():
@@ -384,6 +441,18 @@ def test_the_big_loop_keeps_clear_of_the_origin_next_to_a_fourfold_root():
     a = (-4.0, 6.0 + 1e-12, -4.0)
     assert real_root_count(quartic_poly(a)) == 0
     assert residue_check(a) < 1e-12
+
+
+def test_residue_check_refuses_a_sum_that_rounding_swamps():
+    # the big loop's terms grow with its radius: at a2 = 1e40 they are about
+    # 1e19 and cancel to exactly 0, which read as a defect of pi, the whole
+    # answer; the rounding floor eps * sum |y w / x^2| passes tol from 1e10
+    for a in ((1.0, 1e10, 0.0), (1.0, 1e40, 0.0), (1.0, 1e150, 0.0)):
+        with pytest.raises(QuadratureError, match="rounding in the loop integral"):
+            residue_check(a)
+    # floors 2.8e-11 and 8.8e-11
+    for a in ((1.0, 1e8, 0.0), (1.0, 1e9, 0.0)):
+        assert residue_check(a) < 1e-10
 
 
 def test_big_loop_y_dx_over_x2_matches_minus_i_pi_a1():
@@ -1053,12 +1122,13 @@ def anchored_values_from_24_ref(fpoly, contour, differentials, tol, anchor):
     n = 24
     prev = None
     worst_x = None
+    k, ref = anchor
     while n <= periods._MAX_EDGE_NODES:
         x, w = contour.nodes(n)
         fv = fpoly(x)
         y, worst, closes = lift_closed_ref(fv)
         if worst < _AMBIGUITY_LIMIT and closes:
-            j, ref = anchor(x, fv)
+            j = k * n
             y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
             vals = np.array(
                 [np.sum(periods._integrand_values(d, x, y) * w) for d in differentials]
@@ -1234,12 +1304,13 @@ def anchored_values_per_level_ref(fpoly, contour, differentials, tol, anchor):
     n = 12
     prev = None
     worst_x = None
+    k, ref = anchor
     while n <= periods._MAX_EDGE_NODES:
         x, w = contour.nodes(n)
         fv = fpoly(x)
         y, worst, closes = lift_closed_ref(fv)
         if worst < _AMBIGUITY_LIMIT and closes:
-            j, ref = anchor(x, fv)
+            j = k * n
             y = y * (1 if abs(y[j] - ref) <= abs(y[j] + ref) else -1)
             vals = np.array(
                 [np.sum(periods._integrand_values(d, x, y) * w) for d in differentials]
@@ -1277,7 +1348,7 @@ def assert_ladder_matches_the_per_level_ref(fpoly, contour, differentials, tol, 
 
 
 def _pinned(y0):
-    return lambda x, fv: (0, y0)
+    return (0, y0)
 
 
 def _split_basis_polygons(g, point):
@@ -1304,10 +1375,12 @@ def test_batched_ladder_is_bit_identical_on_pair_and_big_loops(seed):
             except DegenerateInputError:
                 pass
     for loop in loops:
-        for diffs, anchor in (
-            (("y dx/x^2",), periods._real_axis_anchor),
-            (("dx/y", "x dx/y", "y dx/x^2"), periods._branch_anchor(f)),
-        ):
+        anchors = [(("dx/y", "x dx/y", "y dx/x^2"), periods._branch_anchor(f, loop))]
+        try:  # a pair loop's rightmost vertex can be off the real axis
+            anchors.append((("y dx/x^2",), periods._real_axis_anchor(f, loop)))
+        except QuadratureError:
+            pass
+        for diffs, anchor in anchors:
             assert_ladder_matches_the_per_level_ref(f, loop, diffs, 1e-10, anchor)
 
 
@@ -1344,7 +1417,7 @@ def test_batched_ladder_is_bit_identical_past_the_first_batch():
     )
     rs = roots(f)
     loop = pair_loop(rs, build_basis(rs, 1).pairing[0])
-    anchor = periods._branch_anchor(f)
+    anchor = periods._branch_anchor(f, loop)
     assert assert_ladder_matches_the_per_level_ref(f, loop, ("dx/y",), 1e-10, anchor) > 24
     assert assert_ladder_matches_the_per_level_ref(f, loop, ("dx/y",), 1e-30, anchor) == 0
 
